@@ -13,6 +13,8 @@ counts and two known discrepancies") and in ``pstlab.cli``'s
 --assert-paper`` checks.
 """
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -60,6 +62,12 @@ TREE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 TWIN_COUNTS_7 = {"tau_power_of_two": 83, "pow2_with_small_twins": 67}
 RULED_OUT_8 = {"ruled_out_reading_small_twins": 278,
                "ruled_out_reading_no_admissible_pair": 324}
+# (report count, sha256 of the compact sorted-key JSON list of the reports)
+REPORT_DIGESTS = {
+    "small corpus": (3866, "1383e6daef23dfbcb8362fb4e316a1a58bc828d56b300f570f331dec7e53b234"),
+    LAPLACIAN: (7472, "c8436b8b20b7c2451189b8aaa47e9462c19fd3abdbc8e4a8284b8aeb51938ae6"),
+    ADJACENCY: (7473, "83255fcf23190044fadaa5782fe8a995174be2c690b5c88d9b588eb024a27d4d"),
+}
 
 
 def report_line(criterion, ok, text):
@@ -491,3 +499,22 @@ class TestCriterion7OracleDiscipline:
         report_line(7, ok, f"certificate replay on {replayed} negative reports, "
                            f"{len(failures)} failures")
         assert ok, failures[:5]
+
+
+class TestCriterion8ReportBytes:
+    def test_pair_reports_byte_identical(self, tree_sweep_reports,
+                                         small_corpus_reports):
+        """Verdicts, certificates, times and phases of every pair report are
+        pinned byte for byte, so a rewrite of the decider cannot drift."""
+        groups = {"small corpus": small_corpus_reports,
+                  LAPLACIAN: tree_sweep_reports[LAPLACIAN],
+                  ADJACENCY: tree_sweep_reports[ADJACENCY]}
+        got = {}
+        for name, reports in groups.items():
+            payload = json.dumps([r.to_json() for _, r in reports],
+                                 sort_keys=True, separators=(",", ":"))
+            got[name] = (len(reports), hashlib.sha256(payload.encode()).hexdigest())
+        ok = got == REPORT_DIGESTS
+        report_line(8, ok, "pair report digests "
+                           + ", ".join(f"{k}: {n}" for k, (n, _) in got.items()))
+        assert ok, got
