@@ -51,6 +51,7 @@ from .pst import (
     adjacency_pst,
     all_pair_reports,
     bipartite_phase_check,
+    decide,
     laplacian_pst,
     numeric_fidelity,
     pst_search,

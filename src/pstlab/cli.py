@@ -20,7 +20,7 @@ from .harness import (
     run_survey,
     write_survey_jsonl,
 )
-from .pst import adjacency_pst, all_pair_reports, laplacian_pst, numeric_fidelity, pst_search
+from .pst import all_pair_reports, decide, numeric_fidelity, pst_search
 from .spectral import ADJACENCY, LAPLACIAN, SIGNLESS_LAPLACIAN, support_profile
 
 GOLDEN_COUNTS_7 = {"connected": 853, "tau_odd": 339, "tau_power_of_two": 83,
@@ -129,8 +129,7 @@ def cmd_analyze(args) -> int:
     if pair is None:
         reports = all_pair_reports(g, kind)
     else:
-        decide = laplacian_pst if kind == LAPLACIAN else adjacency_pst
-        reports = [decide(g, pair[0], pair[1])]
+        reports = [decide(g, kind, pair[0], pair[1])]
     payloads = [r.to_json() for r in reports]
     lines = [_human_report(r) for r in reports]
     if args.show_support:

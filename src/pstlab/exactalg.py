@@ -413,14 +413,6 @@ def mat_vec(m, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
 
 
-def vec_sub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def vec_scale(v, k):
-    return [k * x for x in v]
-
-
 def unit_vector(n: int, i: int) -> list[int]:
     e = [0] * n
     e[i] = 1

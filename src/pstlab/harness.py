@@ -17,7 +17,7 @@ from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Optional
 
-from .exactalg import IntPolynomial, charpoly, det_bareiss, factor_support, sturm_count
+from .exactalg import IntPolynomial, charpoly, det_bareiss, factor_support, poly_gcd, sturm_count
 from .generate import canonical_form, gen_free_trees, MAX_CANONICAL_N
 from .graphs import Graph, bipartition, find_twins, laplacian, adjacency, parse_graph6, write_graph6
 from .pst import (
@@ -28,7 +28,7 @@ from .pst import (
     QUADRATIC_MIXED_A,
     RESIDUAL_FACTOR,
     PSTReport,
-    adjacency_pst,
+    all_pair_reports,
     laplacian_pst,
     numeric_fidelity,
     pst_search,
@@ -359,9 +359,8 @@ def survey_record(g: Graph, with_pst: bool = False) -> SurveyRecord:
         lmax_integer=lmax_is_integer(g),
     )
     if with_pst and connected and g.n >= 2:
-        rec.lpst_pairs = sum(1 for _ in pst_search(g, LAPLACIAN))
-        adj_reports = [adjacency_pst(g, u, v)
-                       for u in range(g.n) for v in range(u + 1, g.n)]
+        rec.lpst_pairs = len(pst_search(g, LAPLACIAN))
+        adj_reports = all_pair_reports(g, ADJACENCY)
         rec.apst_pairs = sum(1 for r in adj_reports if r.yes)
         rec.undecided_pairs = sum(1 for r in adj_reports if r.verdict == "undecided")
     return rec
@@ -482,7 +481,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         if witness in set_u.symmetric_difference(set_v):
             return True, "support difference confirmed"
         if isinstance(witness, ResidualEig):
-            if pu.residual is None or not poly_shares_factor(witness.poly, pu.residual):
+            if pu.residual is None or poly_gcd(witness.poly, pu.residual).degree < 1:
                 return False, "residual witness does not meet the support"
             return True, "residual-level mismatch confirmed"
         if witness not in set_u:
@@ -561,11 +560,6 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         return True, "parity violation confirmed"
 
     return False, f"unknown certificate kind {cert.kind}"
-
-
-def poly_shares_factor(a: IntPolynomial, b: IntPolynomial) -> bool:
-    from .exactalg import poly_gcd
-    return poly_gcd(a, b).degree >= 1
 
 
 def _parity_data(kind: str, prof) -> tuple[int, dict]:

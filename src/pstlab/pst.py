@@ -23,7 +23,6 @@ from .graphs import Graph, bipartition, write_graph6
 from .spectral import (
     ADJACENCY,
     LAPLACIAN,
-    EigenvalueId,
     IntegerEig,
     QuadraticEig,
     ResidualEig,
@@ -127,6 +126,12 @@ class PSTReport:
         }
 
 
+def _validate_kind(kind: str) -> None:
+    if kind not in (LAPLACIAN, ADJACENCY):
+        raise ValueError(f"pair decisions support the {LAPLACIAN} and {ADJACENCY} "
+                         f"kinds, not {kind!r}")
+
+
 def _validate_pair(g: Graph, u: int, v: int) -> None:
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError(f"vertex pair ({u},{v}) out of range")
@@ -134,13 +139,6 @@ def _validate_pair(g: Graph, u: int, v: int) -> None:
         raise ValueError("perfect state transfer queries need u != v")
     if not g.is_connected():
         raise ValueError("perfect state transfer analysis rejects disconnected graphs")
-
-
-def _strong_cospectrality_polys(g: Graph, kind: str, u: int, v: int):
-    m = matrix_of(g, kind)
-    poly_minus, poly_plus = classify_by_minpolys(g, kind, u, v)
-    minpoly_u = vector_minpoly(m, unit_vector(g.n, u))
-    return poly_minus, poly_plus, minpoly_u
 
 
 def _cospectrality_gate(g: Graph, kind: str, poly_minus, poly_plus, minpoly_u):
@@ -165,206 +163,130 @@ def _cospectrality_gate(g: Graph, kind: str, poly_minus, poly_plus, minpoly_u):
     return None
 
 
-def laplacian_pst(g: Graph, u: int, v: int) -> PSTReport:
-    """Decide Laplacian perfect state transfer between u and v.
+def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
+    """Decide perfect state transfer between u and v under exp(itM), where M
+    is the Laplacian or the adjacency matrix of g.
 
-    Yes requires strong cospectrality, an all-integer support, and the
-    even/odd split of support eigenvalues over their gcd to coincide with
-    the plus/minus classification; the transfer then happens at t = pi/g
-    with phase 1.
+    After the strong-cospectrality gate, the decision cascades on the
+    algebraic form of the support: residual factors are immediate
+    negatives; Laplacian supports must be integers; adjacency supports must
+    be integers or pure multiples b sqrt(delta)/2 of one sqrt(delta), with
+    mixed extensions and mixed rational parts as negatives (an a != 0
+    quadratic support is a negative in bipartite graphs and undecided
+    otherwise).  Each support value c (b/2 for b sqrt(delta)/2) is then
+    measured from the reference value r whose eigenvalue Perron-Frobenius
+    puts in the plus class, 0 = min for the Laplacian and theta_0 = max for
+    the adjacency matrix.  Yes requires (|c - r|/g) even on the plus class
+    and odd on the minus class, g the gcd of all |c - r|; the transfer then
+    happens at t = pi/(g sqrt(delta)) with phase exp(i pi r/g).
     """
+    _validate_kind(kind)
     _validate_pair(g, u, v)
-    if g.n < 2:
-        raise ValueError("need at least two vertices")
     g6 = write_graph6(g)
-    poly_minus, poly_plus, minpoly_u = _strong_cospectrality_polys(g, LAPLACIAN, u, v)
-    plus_ids: list = []
-    minus_ids: list = []
-
-    def no(cert):
-        return PSTReport(g6, LAPLACIAN, u, v, NO, cert,
-                         plus_set=tuple(plus_ids), minus_set=tuple(minus_ids))
-
-    cert = _cospectrality_gate(g, LAPLACIAN, poly_minus, poly_plus, minpoly_u)
+    poly_minus, poly_plus = classify_by_minpolys(g, kind, u, v)
+    minpoly_u = vector_minpoly(matrix_of(g, kind), unit_vector(g.n, u))
+    cert = _cospectrality_gate(g, kind, poly_minus, poly_plus, minpoly_u)
     if cert is not None:
-        return no(cert)
-    bound = eigenvalue_bound(g, LAPLACIAN)
+        return PSTReport(g6, kind, u, v, NO, cert)
+    bound = eigenvalue_bound(g, kind)
     fac_minus = factor_support(poly_minus, bound)
     fac_plus = factor_support(poly_plus, bound)
-    plus_ids = ids_from_factorization(fac_plus)
-    minus_ids = ids_from_factorization(fac_minus)
+    plus_ids = tuple(ids_from_factorization(fac_plus))
+    minus_ids = tuple(ids_from_factorization(fac_minus))
+
+    def refuse(cert_kind, witnesses, detail, verdict=NO, **kw):
+        return PSTReport(g6, kind, u, v, verdict,
+                         Certificate(cert_kind, tuple(witnesses), detail,
+                                     poly_minus, poly_plus, minpoly_u, **kw),
+                         plus_set=plus_ids, minus_set=minus_ids)
+
     for fac in (fac_plus, fac_minus):
         if fac.residual.degree >= 1:
-            return no(Certificate(RESIDUAL_FACTOR, (ResidualEig(fac.residual),),
-                                  "support contains non-quadratic irrational eigenvalues",
-                                  poly_minus, poly_plus, minpoly_u))
-    quad_ids = [e for e in plus_ids + minus_ids if isinstance(e, QuadraticEig)]
+            return refuse(RESIDUAL_FACTOR, (ResidualEig(fac.residual),),
+                          "support contains non-quadratic irrational eigenvalues")
+
+    classified = [(e, True) for e in plus_ids] + [(e, False) for e in minus_ids]
+    quad_ids = [e for e, _ in classified if isinstance(e, QuadraticEig)]
+    delta = 1
     if quad_ids:
-        return no(Certificate(NON_INTEGER_SUPPORT, (quad_ids[0],),
-                              "support contains an irrational eigenvalue",
-                              poly_minus, poly_plus, minpoly_u))
-    plus = fac_plus.integer_roots
-    minus = fac_minus.integer_roots
-    gg = math.gcd(*(plus + minus))
+        if kind == LAPLACIAN:
+            return refuse(NON_INTEGER_SUPPORT, quad_ids[:1],
+                          "support contains an irrational eigenvalue")
+        deltas = sorted({e.delta for e in quad_ids})
+        if len(deltas) > 1:
+            w1 = next(e for e in quad_ids if e.delta == deltas[0])
+            w2 = next(e for e in quad_ids if e.delta == deltas[1])
+            return refuse(MIXED_DELTA, (w1, w2),
+                          "support spans two distinct quadratic extensions")
+        a_values = sorted({e.a for e in quad_ids})
+        if len(a_values) > 1:
+            w1 = next(e for e in quad_ids if e.a == a_values[0])
+            w2 = next(e for e in quad_ids if e.a == a_values[1])
+            return refuse(QUADRATIC_MIXED_A, (w1, w2),
+                          "quadratic support eigenvalues with two rational parts")
+        a = a_values[0]
+        bad_int = [e for e, _ in classified
+                   if isinstance(e, IntegerEig) and 2 * e.value != a]
+        if bad_int:
+            return refuse(QUADRATIC_MIXED_A, (bad_int[0], quad_ids[0]),
+                          "integer eigenvalue off the common rational part of the support")
+        if a != 0:
+            if bipartition(g) is not None:
+                return refuse(QUADRATIC_MIXED_A, (quad_ids[0],),
+                              "bipartite support cannot contain (a + b sqrt(delta))/2 "
+                              "with a and b nonzero")
+            return refuse(QUADRATIC_MIXED_A, (quad_ids[0],),
+                          "no decision procedure for quadratic supports with "
+                          "nonzero rational part on non-bipartite graphs",
+                          verdict=UNDECIDED)
+        if any(e.b % 2 for e in quad_ids):
+            raise AssertionError("algebraic integer b*sqrt(delta)/2 with odd b")
+        delta = deltas[0]
+
+    # b sqrt(delta)/2 is measured by b/2 and any integer beside it is 0, so
+    # the values keep the spectral order and min/max pick the reference
+    values = [(e, e.b // 2 if isinstance(e, QuadraticEig) else e.value, is_plus)
+              for e, is_plus in classified]
+    ref = (min if kind == LAPLACIAN else max)(c for _, c, _ in values)
+    gg = math.gcd(*(abs(c - ref) for _, c, _ in values))
     if gg == 0:
-        raise AssertionError("support of a connected graph cannot be {0} alone")
-    for lam in plus:
-        if (lam // gg) % 2 != 0:
-            return no(Certificate(PARITY_VIOLATION, (IntegerEig(lam),),
-                                  "plus-classified eigenvalue with odd lambda/g",
-                                  poly_minus, poly_plus, minpoly_u,
-                                  gcd_value=gg, claimed_class="plus"))
-    for lam in minus:
-        if (lam // gg) % 2 != 1:
-            return no(Certificate(PARITY_VIOLATION, (IntegerEig(lam),),
-                                  "minus-classified eigenvalue with even lambda/g",
-                                  poly_minus, poly_plus, minpoly_u,
-                                  gcd_value=gg, claimed_class="minus"))
-    return PSTReport(g6, LAPLACIAN, u, v, YES, None, gg,
-                     Fraction(1, gg), 1, Fraction(0),
-                     tuple(plus_ids), tuple(minus_ids))
+        raise AssertionError("strongly cospectral pair with singleton support")
+    for e, c, is_plus in values:
+        if (abs(c - ref) // gg) % 2 != (0 if is_plus else 1):
+            if kind == LAPLACIAN:
+                detail = ("plus-classified eigenvalue with odd lambda/g" if is_plus
+                          else "minus-classified eigenvalue with even lambda/g")
+            elif quad_ids:
+                detail = "parity of the rescaled support disagrees with the sign class"
+            else:
+                detail = "parity of (theta0 - theta)/g disagrees with the sign class"
+            return refuse(PARITY_VIOLATION, (e,), detail, gcd_value=gg,
+                          claimed_class="plus" if is_plus else "minus")
+    return PSTReport(g6, kind, u, v, YES, None, gg, Fraction(1, gg), delta,
+                     Fraction(ref, gg) % 2, plus_ids, minus_ids)
+
+
+def laplacian_pst(g: Graph, u: int, v: int) -> PSTReport:
+    """Decide Laplacian perfect state transfer between u and v (see decide)."""
+    return decide(g, LAPLACIAN, u, v)
 
 
 def adjacency_pst(g: Graph, u: int, v: int) -> PSTReport:
-    """Decide adjacency perfect state transfer between u and v.
-
-    After the strong-cospectrality gate, the decision cascades on the
-    algebraic form of the support: residual factors and mixed quadratic
-    extensions are immediate negatives, an all-integer support uses the
-    gcd parity split of theta_0 - theta_r, and a pure sqrt(delta) support
-    rescales to the integer criterion with time divided by sqrt(delta).
-    Supports combining sqrt(delta) halves with a nonzero rational part are
-    negatives in bipartite graphs and undecided otherwise.
-    """
-    _validate_pair(g, u, v)
-    g6 = write_graph6(g)
-    poly_minus, poly_plus, minpoly_u = _strong_cospectrality_polys(g, ADJACENCY, u, v)
-    plus_ids: list = []
-    minus_ids: list = []
-
-    def no(kind, witnesses, detail, **kw):
-        return PSTReport(g6, ADJACENCY, u, v, NO,
-                         Certificate(kind, tuple(witnesses), detail,
-                                     poly_minus, poly_plus, minpoly_u, **kw),
-                         plus_set=tuple(plus_ids), minus_set=tuple(minus_ids))
-
-    cert = _cospectrality_gate(g, ADJACENCY, poly_minus, poly_plus, minpoly_u)
-    if cert is not None:
-        return PSTReport(g6, ADJACENCY, u, v, NO, cert)
-    bound = eigenvalue_bound(g, ADJACENCY)
-    fac_minus = factor_support(poly_minus, bound)
-    fac_plus = factor_support(poly_plus, bound)
-    plus_ids[:] = ids_from_factorization(fac_plus)
-    minus_ids[:] = ids_from_factorization(fac_minus)
-    for fac in (fac_plus, fac_minus):
-        if fac.residual.degree >= 1:
-            return no(RESIDUAL_FACTOR, (ResidualEig(fac.residual),),
-                      "support contains non-quadratic irrational eigenvalues")
-
-    classified: list[tuple[EigenvalueId, bool]] = (
-        [(e, True) for e in plus_ids] + [(e, False) for e in minus_ids])
-    quad_ids = [e for e, _ in classified if isinstance(e, QuadraticEig)]
-    int_ids = [e for e, _ in classified if isinstance(e, IntegerEig)]
-
-    if not quad_ids:
-        # all-integer support
-        values = [(e.value, is_plus) for e, is_plus in classified]
-        theta0 = max(val for val, _ in values)
-        gg = math.gcd(*(theta0 - val for val, _ in values))
-        if gg == 0:
-            raise AssertionError("strongly cospectral pair with singleton support")
-        for val, is_plus in values:
-            if ((theta0 - val) // gg) % 2 != (0 if is_plus else 1):
-                return no(PARITY_VIOLATION, (IntegerEig(val),),
-                          "parity of (theta0 - theta)/g disagrees with the sign class",
-                          gcd_value=gg,
-                          claimed_class="plus" if is_plus else "minus")
-        return PSTReport(g6, ADJACENCY, u, v, YES, None, gg,
-                         Fraction(1, gg), 1, Fraction(theta0, gg) % 2,
-                         tuple(plus_ids), tuple(minus_ids))
-
-    deltas = sorted({e.delta for e in quad_ids})
-    if len(deltas) > 1:
-        w1 = next(e for e in quad_ids if e.delta == deltas[0])
-        w2 = next(e for e in quad_ids if e.delta == deltas[1])
-        return no(MIXED_DELTA, (w1, w2),
-                  "support spans two distinct quadratic extensions")
-    a_values = sorted({e.a for e in quad_ids})
-    if len(a_values) > 1:
-        w1 = next(e for e in quad_ids if e.a == a_values[0])
-        w2 = next(e for e in quad_ids if e.a == a_values[1])
-        return no(QUADRATIC_MIXED_A, (w1, w2),
-                  "quadratic support eigenvalues with two rational parts")
-    a = a_values[0]
-    bad_int = [e for e in int_ids if 2 * e.value != a]
-    if bad_int:
-        return no(QUADRATIC_MIXED_A, (bad_int[0], quad_ids[0]),
-                  "integer eigenvalue off the common rational part of the support")
-    if a != 0:
-        if bipartition(g) is not None:
-            return no(QUADRATIC_MIXED_A, (quad_ids[0],),
-                      "bipartite support cannot contain (a + b sqrt(delta))/2 "
-                      "with a and b nonzero")
-        return PSTReport(
-            g6, ADJACENCY, u, v, UNDECIDED,
-            Certificate(QUADRATIC_MIXED_A, (quad_ids[0],),
-                        "no decision procedure for quadratic supports with "
-                        "nonzero rational part on non-bipartite graphs",
-                        poly_minus, poly_plus, minpoly_u),
-            plus_set=tuple(plus_ids), minus_set=tuple(minus_ids))
-
-    # pure multiples of sqrt(delta): rescale to the integer criterion
-    delta = deltas[0]
-    scaled: list[tuple[int, bool]] = []
-    for e, is_plus in classified:
-        if isinstance(e, QuadraticEig):
-            if e.b % 2:
-                raise AssertionError("algebraic integer b*sqrt(delta)/2 with odd b")
-            scaled.append((e.b // 2, is_plus))
-        else:
-            scaled.append((0, is_plus))
-    c0 = max(c for c, _ in scaled)
-    gg = math.gcd(*(c0 - c for c, _ in scaled))
-    if gg == 0:
-        raise AssertionError("strongly cospectral pair with singleton support")
-    for c, is_plus in scaled:
-        if ((c0 - c) // gg) % 2 != (0 if is_plus else 1):
-            witness = next(e for e, ip in classified
-                           if ip == is_plus and _scaled_value(e) == c)
-            return no(PARITY_VIOLATION, (witness,),
-                      "parity of the rescaled support disagrees with the sign class",
-                      gcd_value=gg, claimed_class="plus" if is_plus else "minus")
-    return PSTReport(g6, ADJACENCY, u, v, YES, None, gg,
-                     Fraction(1, gg), delta, Fraction(c0, gg) % 2,
-                     tuple(plus_ids), tuple(minus_ids))
-
-
-def _scaled_value(e: EigenvalueId) -> int:
-    if isinstance(e, QuadraticEig):
-        return e.b // 2
-    return 0
+    """Decide adjacency perfect state transfer between u and v (see decide)."""
+    return decide(g, ADJACENCY, u, v)
 
 
 def pst_search(g: Graph, kind: str) -> list[PSTReport]:
     """Scan all unordered vertex pairs; returns the positive reports."""
-    if not g.is_connected():
-        raise ValueError("perfect state transfer analysis rejects disconnected graphs")
-    decide = laplacian_pst if kind == LAPLACIAN else adjacency_pst
-    out = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            report = decide(g, u, v)
-            if report.yes:
-                out.append(report)
-    return out
+    return [r for r in all_pair_reports(g, kind) if r.yes]
 
 
 def all_pair_reports(g: Graph, kind: str) -> list[PSTReport]:
     """Decision record for every unordered pair, positive or not."""
+    _validate_kind(kind)
     if not g.is_connected():
         raise ValueError("perfect state transfer analysis rejects disconnected graphs")
-    decide = laplacian_pst if kind == LAPLACIAN else adjacency_pst
-    return [decide(g, u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    return [decide(g, kind, u, v) for u in range(g.n) for v in range(u + 1, g.n)]
 
 
 def numeric_fidelity(g: Graph, kind: str, u: int, v: int, t: float) -> float:

@@ -12,9 +12,3 @@ from pstlab.generate import gen_connected_graphs
 def corpus6():
     """All connected graphs on 1..6 vertices (143 graphs)."""
     return [g for n in range(1, 7) for g in gen_connected_graphs(n)]
-
-
-@pytest.fixture(scope="session")
-def corpus7():
-    """All connected graphs on 7 vertices (853 graphs)."""
-    return list(gen_connected_graphs(7))

@@ -67,6 +67,11 @@ class TestAnalyze:
                              "--pairs", "all")
         assert code == 2
 
+    def test_signless_kind_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "--g6", "A_", "--pairs", "0,1",
+                               "--matrix", "signless")
+        assert code == 2 and "laplacian and adjacency" in err
+
 
 class TestSurvey:
     def test_n4_json(self, capsys):
@@ -144,6 +149,11 @@ class TestTrees:
         code, _, _ = run_cli(capsys, "trees", "--max-n", "13",
                              "--matrix", "laplacian")
         assert code == 2
+
+    def test_signless_kind_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "trees", "--max-n", "4",
+                               "--matrix", "signless")
+        assert code == 2 and "laplacian and adjacency" in err
 
 
 class TestSimulate:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pstlab.graphs import (
@@ -17,12 +18,21 @@ from pstlab.pst import (
     adjacency_pst,
     all_pair_reports,
     bipartite_phase_check,
+    decide,
     exact_transfer_vector,
     laplacian_pst,
     numeric_fidelity,
     pst_search,
 )
-from pstlab.spectral import ADJACENCY, LAPLACIAN, IntegerEig
+from pstlab.spectral import (
+    ADJACENCY,
+    LAPLACIAN,
+    SIGNLESS_LAPLACIAN,
+    IntegerEig,
+    ResidualEig,
+    cospectrality_profile,
+    support_profile,
+)
 
 CERT_KINDS = {"not-strongly-cospectral", "non-integer-support", "parity-violation",
               "mixed-delta", "residual-factor", "quadratic-mixed-a"}
@@ -76,6 +86,18 @@ class TestLaplacianDecider:
             laplacian_pst(Graph(3, [(0, 1)]), 0, 1)
         with pytest.raises(ValueError):
             laplacian_pst(path_graph(3), 0, 9)
+
+    def test_unknown_kinds_rejected(self):
+        # the bipartite a != 0 exclusion is argued for the adjacency matrix
+        # only, so no other kind may fall through to its cascade
+        with pytest.raises(ValueError, match="signless_laplacian"):
+            decide(path_graph(2), SIGNLESS_LAPLACIAN, 0, 1)
+        with pytest.raises(ValueError, match="signless_laplacian"):
+            all_pair_reports(path_graph(2), SIGNLESS_LAPLACIAN)
+        with pytest.raises(ValueError, match="bogus"):
+            pst_search(path_graph(3), "bogus")
+        with pytest.raises(ValueError, match="bogus"):
+            pst_search(Graph(1, []), "bogus")   # no pair to decide
 
 
 class TestAdjacencyDecider:
@@ -195,6 +217,33 @@ class TestStructuralProperties:
                     assert exact_transfer_vector(g, LAPLACIAN, r.u, plus, minus) != e_v
                 cases += 1
         assert cases >= 3
+
+    def test_reference_eigenvalue_is_plus(self, corpus6):
+        # the decider measures parity from 0 (Laplacian) and from the
+        # largest support eigenvalue theta_0 (adjacency), which needs those
+        # eigenvalues plus-classified on every strongly cospectral pair;
+        # checked on the projection route, not on the decider's own split
+        def top(e):
+            if isinstance(e, ResidualEig):
+                return max(np.roots(e.poly.coeffs[::-1]).real)
+            return e.approx()
+
+        counted = {LAPLACIAN: 0, ADJACENCY: 0}
+        for g in corpus6:
+            for kind in counted:
+                profiles = {w: support_profile(g, kind, w) for w in range(g.n)}
+                for u in range(g.n):
+                    for v in range(u + 1, g.n):
+                        prof = cospectrality_profile(g, kind, u, v, profiles=profiles)
+                        if not prof.strongly_cospectral:
+                            continue
+                        if kind == LAPLACIAN:
+                            assert IntegerEig(0) in prof.plus_set
+                        else:
+                            theta0 = max(prof.plus_set + prof.minus_set, key=top)
+                            assert theta0 in prof.plus_set
+                        counted[kind] += 1
+        assert min(counted.values()) >= 50, counted
 
 
 class TestBipartitePhaseCheck:
