@@ -15,7 +15,6 @@ from .graphs import (
     write_graph6,
 )
 from .generate import (
-    GraphStream,
     canonical_form,
     gen_connected_graphs,
     gen_free_trees,

@@ -74,9 +74,8 @@ def _graph_source(args) -> Graph:
             return construct(name, params)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-    stream = stream_from_file(args.file)
     try:
-        return next(iter(stream))
+        return next(stream_from_file(args.file))
     except StopIteration:
         raise CliError(f"{args.file} contains no graphs") from None
 
@@ -323,7 +322,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, Graph6ParseError, ValueError, FileNotFoundError) as exc:
+    except (CliError, Graph6ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

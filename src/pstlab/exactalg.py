@@ -197,9 +197,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def __call__(self, x: Scalar) -> Scalar:
         acc: Scalar = 0
         for c in reversed(self.coeffs):
@@ -230,9 +227,6 @@ class IntPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(out)
-
-    def scale(self, k: int) -> "IntPolynomial":
-        return IntPolynomial(c * k for c in self.coeffs)
 
     def divmod_monic(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Division with remainder by a monic divisor; stays in Z[x]."""
@@ -484,27 +478,21 @@ def charpoly(m: Sequence[Sequence[int]]) -> IntPolynomial:
 
 def vector_minpoly(m, v) -> IntPolynomial:
     """Least-degree monic polynomial p with p(m) v = 0, as a primitive
-    integer polynomial.
+    integer polynomial, by fraction-free Krylov elimination.
 
     For symmetric integer m the result is monic over Z and its roots are
     exactly the eigenvalues whose eigenprojection keeps a component of v.
-    The zero vector returns the constant 1.
+    The zero vector returns the constant 1.  m and v must hold ints;
+    anything else raises ValueError.
     """
     n = _check_square(m)
     if len(v) != n:
         raise ValueError("vector length does not match matrix")
-    if all(isinstance(x, int) for row in m for x in row) and all(
-            isinstance(x, int) for x in v):
-        return _minpoly_int(m, v)
-    fm = [[Fraction(x) for x in row] for row in m]
-    fv = [Fraction(x) for x in v]
-    return _minpoly_frac(fm, fv)
-
-
-def _minpoly_int(m, v) -> IntPolynomial:
+    if not (all(isinstance(x, int) for row in m for x in row)
+            and all(isinstance(x, int) for x in v)):
+        raise ValueError("vector_minpoly requires an integer matrix and vector")
     if all(x == 0 for x in v):
         return IntPolynomial.one()
-    n = len(v)
     basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vec, combo)
     w = list(v)
     k = 0
@@ -529,34 +517,6 @@ def _minpoly_int(m, v) -> IntPolynomial:
         if g > 1:
             vec = [x // g for x in vec]
             combo = [x // g for x in combo]
-        pivot = next(i for i, x in enumerate(vec) if x)
-        basis.append((pivot, vec, combo))
-        w = [sum(m[i][j] * w[j] for j in range(n)) for i in range(n)]
-        k += 1
-
-
-def _minpoly_frac(m, v) -> IntPolynomial:
-    if all(x == 0 for x in v):
-        return IntPolynomial.one()
-    n = len(v)
-    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    w = v[:]
-    k = 0
-    while True:
-        combo = [Fraction(0)] * (k + 1)
-        combo[k] = Fraction(1)
-        vec = w[:]
-        for pivot, bvec, bcombo in basis:
-            if vec[pivot]:
-                f = vec[pivot] / bvec[pivot]
-                vec = [x - f * y for x, y in zip(vec, bvec)]
-                for i, y in enumerate(bcombo):
-                    combo[i] -= f * y
-        if all(x == 0 for x in vec):
-            lead = combo[-1]
-            monic = [c / lead for c in combo]
-            den = math.lcm(*(c.denominator for c in monic))
-            return IntPolynomial(int(c * den) for c in monic).primitive()
         pivot = next(i for i, x in enumerate(vec) if x)
         basis.append((pivot, vec, combo))
         w = [sum(m[i][j] * w[j] for j in range(n)) for i in range(n)]
@@ -680,21 +640,6 @@ def rank_mod_p(m: Sequence[Sequence[int]], p: int) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-def apply_factored(m, v, factors) -> list:
-    """Apply the product of (m - shift*I)/divisor factors to v, left to right.
-
-    Shifts and divisors may be ints, Fractions, or QuadExt scalars; the
-    result vector lives in the smallest field containing them all.
-    """
-    w = list(v)
-    for shift, divisor in factors:
-        if divisor == 0:
-            raise ZeroDivisionError("factor with zero divisor")
-        mv = mat_vec(m, w)
-        w = [(x - shift * y) / divisor for x, y in zip(mv, w)]
-    return w
 
 
 def apply_poly(m, coeffs: Sequence, v) -> list:

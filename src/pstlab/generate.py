@@ -18,23 +18,6 @@ MAX_TREE_N = 16
 MAX_CONNECTED_N = 8
 
 
-class GraphStream:
-    """Single-consumer iterator over graphs with a produced-so-far counter."""
-
-    def __init__(self, source: str, iterator):
-        self.source = source
-        self.count = 0
-        self._it = iter(iterator)
-
-    def __iter__(self) -> "GraphStream":
-        return self
-
-    def __next__(self) -> Graph:
-        g = next(self._it)
-        self.count += 1
-        return g
-
-
 # -- canonical form ----------------------------------------------------------
 
 def _refine(adj, n: int, colours: list[int]) -> list[int]:
@@ -210,7 +193,7 @@ def _free_tree_certificate(g: Graph) -> str:
     return "|".join(sorted((_ahu_string(g, a, b), _ahu_string(g, b, a))))
 
 
-def gen_free_trees(n: int) -> GraphStream:
+def gen_free_trees(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of free trees on n vertices."""
     if n < 1 or n > MAX_TREE_N:
         raise ValueError(f"tree generation limited to 1 <= n <= {MAX_TREE_N}")
@@ -224,7 +207,7 @@ def gen_free_trees(n: int) -> GraphStream:
                 seen.add(cert)
                 yield t
 
-    return GraphStream(f"tree-generator({n})", produce())
+    return produce()
 
 
 # -- connected graphs --------------------------------------------------------
@@ -261,17 +244,17 @@ def _connected_list(n: int) -> list[Graph]:
     return _connected_cache[n]
 
 
-def gen_connected_graphs(n: int) -> GraphStream:
+def gen_connected_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n
     vertices, in canonical labelling, deterministic order."""
     if n < 1 or n > MAX_CONNECTED_N:
         raise ValueError(f"connected generation limited to 1 <= n <= {MAX_CONNECTED_N}")
-    return GraphStream(f"connected-generator({n})", iter(_connected_list(n)))
+    return iter(_connected_list(n))
 
 
 # -- file ingestion ----------------------------------------------------------
 
-def stream_from_file(path: str) -> GraphStream:
+def stream_from_file(path: str) -> Iterator[Graph]:
     """Graphs from a graph6 file in file order, no dedup; parse errors name
     the line number."""
     if not os.path.exists(path):
@@ -291,4 +274,4 @@ def stream_from_file(path: str) -> GraphStream:
                     raise Graph6ParseError(
                         f"{path}:{lineno}: {exc.args[0]}", exc.offset) from None
 
-    return GraphStream(f"graph6-file({path})", produce())
+    return produce()

@@ -56,9 +56,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return bin(self.adj[u]).count("1")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def neighbours(self, u: int) -> list[int]:
         return [v for v in range(self.n) if self.adj[u] >> v & 1]
 
@@ -231,47 +228,6 @@ def bipartition(g: Graph) -> Optional[Bipartition]:
     return Bipartition(
         frozenset(i for i, c in enumerate(colour) if c == 0),
         frozenset(i for i, c in enumerate(colour) if c == 1))
-
-
-def odd_cycle_witness(g: Graph) -> Optional[list[int]]:
-    """An odd cycle certifying non-bipartiteness, or None if bipartite."""
-    colour = [-1] * g.n
-    parent = [-1] * g.n
-    for start in range(g.n):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        order = [start]
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v in g.neighbours(u):
-                if colour[v] == -1:
-                    colour[v] = colour[u] ^ 1
-                    parent[v] = u
-                    order.append(v)
-                elif colour[v] == colour[u]:
-                    path_u, path_v = [u], [v]
-                    seen = {u: 0}
-                    x = u
-                    while parent[x] != -1:
-                        x = parent[x]
-                        seen[x] = len(path_u)
-                        path_u.append(x)
-                    x = v
-                    while x not in seen:
-                        x = parent[x]
-                        path_v.append(x)
-                    meet = seen[x]
-                    return path_u[:meet + 1] + path_v[-2::-1]
-    return None
-
-
-def sign_matrix(bip: Bipartition, n: int) -> list[list[int]]:
-    """Diagonal +/-1 matrix from a bipartition (+1 on class_a)."""
-    return [[(1 if i in bip.class_a else -1) if i == j else 0
-             for j in range(n)] for i in range(n)]
 
 
 # -- standard constructions --------------------------------------------------

@@ -327,6 +327,8 @@ class SurveyRecord:
     lpst_pairs: Optional[int] = None
     apst_pairs: Optional[int] = None
     undecided_pairs: Optional[int] = None
+    # not in to_json: the JSONL key set is fixed; aggregate_records reads it
+    no_admissible_pair: bool = False
 
     def to_json(self):
         return {
@@ -358,6 +360,8 @@ def survey_record(g: Graph, with_pst: bool = False) -> SurveyRecord:
         bipartite=bipartition(g) is not None,
         lmax_integer=lmax_is_integer(g),
     )
+    if connected and g.n > 4 and rec.tau_power_of_two:
+        rec.no_admissible_pair = not screen_power_of_two(g).admissible_pairs
     if with_pst and connected and g.n >= 2:
         rec.lpst_pairs = len(pst_search(g, LAPLACIAN))
         adj_reports = all_pair_reports(g, ADJACENCY)
@@ -399,7 +403,8 @@ def aggregate_records(records: list[SurveyRecord]) -> dict:
         "bipartite_lmax_integer": sum(1 for r in bip if r.lmax_integer),
         "ruled_out_reading_small_twins": sum(
             1 for r in big_pow2 if r.has_small_twins),
-        "ruled_out_reading_no_admissible_pair": None,
+        "ruled_out_reading_no_admissible_pair": sum(
+            1 for r in big_pow2 if r.no_admissible_pair),
         "lpst_pairs": _maybe_sum(records, "lpst_pairs"),
         "apst_pairs": _maybe_sum(records, "apst_pairs"),
         "undecided_pairs": _maybe_sum(records, "undecided_pairs"),
@@ -416,19 +421,9 @@ def _maybe_sum(records, attr):
 
 def run_survey(graphs: Iterable[Graph], with_pst: bool = False,
                workers: int = 1) -> tuple[list[SurveyRecord], dict]:
-    """Records plus aggregates; the no-admissible-pair reading of the
-    power-of-two exclusion is recomputed from the graphs themselves."""
-    graph_list = list(graphs)
-    records = survey_records(graph_list, with_pst, workers)
-    agg = aggregate_records(records)
-    no_admissible = 0
-    for g, rec in zip(graph_list, records):
-        if rec.spanning_trees >= 1 and rec.tau_power_of_two and rec.n > 4:
-            screen = screen_power_of_two(g)
-            if screen.applicable and not screen.admissible_pairs:
-                no_admissible += 1
-    agg["ruled_out_reading_no_admissible_pair"] = no_admissible
-    return records, agg
+    """Per-graph records plus their aggregate counts."""
+    records = survey_records(graphs, with_pst, workers)
+    return records, aggregate_records(records)
 
 
 def write_survey_jsonl(records: list[SurveyRecord], path: str) -> None:

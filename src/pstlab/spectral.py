@@ -30,7 +30,6 @@ from .graphs import Graph, adjacency, laplacian, signless_laplacian
 LAPLACIAN = "laplacian"
 ADJACENCY = "adjacency"
 SIGNLESS_LAPLACIAN = "signless_laplacian"
-MATRIX_KINDS = (LAPLACIAN, ADJACENCY, SIGNLESS_LAPLACIAN)
 
 
 def matrix_of(g: Graph, kind: str) -> list[list[int]]:

@@ -141,6 +141,14 @@ def connected_graph_count_brute(n: int) -> int:
     return len(seen)
 
 
+def two_colourable_brute(g: Graph) -> bool:
+    """Whether some 2-colouring leaves no edge monochromatic, by trying
+    all 2^n colourings (small n only)."""
+    edges = sorted(g.edges)
+    return any(all((mask >> u & 1) != (mask >> v & 1) for u, v in edges)
+               for mask in range(1 << g.n))
+
+
 def twin_statistics(graphs) -> dict:
     """Recount the survey's twin statistics over a corpus of graphs.
 

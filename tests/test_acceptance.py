@@ -59,7 +59,8 @@ from oracles import free_tree_count_prufer, free_tree_counts_otter, twin_statist
 ORACLE_TOLERANCE = 1e-9
 TREE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 # Twin statistics under the literal definitions (see oracles.twin_statistics).
-TWIN_COUNTS_7 = {"tau_power_of_two": 83, "pow2_with_small_twins": 67}
+TWIN_COUNTS_7 = {"tau_power_of_two": 83, "pow2_with_small_twins": 67,
+                 "ruled_out_reading_no_admissible_pair": 78}
 RULED_OUT_8 = {"ruled_out_reading_small_twins": 278,
                "ruled_out_reading_no_admissible_pair": 324}
 # (report count, sha256 of the compact sorted-key JSON list of the reports)

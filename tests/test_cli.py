@@ -72,6 +72,11 @@ class TestAnalyze:
                                "--matrix", "signless")
         assert code == 2 and "laplacian and adjacency" in err
 
+    def test_directory_file_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "analyze", "--file", str(tmp_path),
+                               "--pairs", "all")
+        assert code == 2 and "error:" in err
+
 
 class TestSurvey:
     def test_n4_json(self, capsys):
@@ -117,6 +122,11 @@ class TestSurvey:
                                "--workers", "1", "--format", "json")
         assert code == 0
         assert json.loads(out)["connected"] == 2
+
+    def test_directory_file_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "survey", "--file", str(tmp_path),
+                               "--workers", "1", "--format", "json")
+        assert code == 2 and "error:" in err
 
     def test_assert_paper_needs_7_or_8(self, capsys):
         code, _, _ = run_cli(capsys, "survey", "--n", "5", "--workers", "1",

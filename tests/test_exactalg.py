@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from pstlab.exactalg import (
     IntPolynomial,
     QuadExt,
-    apply_factored,
     charpoly,
     det_bareiss,
     factor_support,
@@ -114,9 +113,11 @@ class TestVectorMinpoly:
                 checked += 1
         assert checked > 400
 
-    def test_rational_matrix_path(self):
-        m = [[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]]
-        assert vector_minpoly(m, [F(1), F(0)]) == IntPolynomial((0, -1, 1))
+    def test_fraction_input_rejected(self):
+        with pytest.raises(ValueError):
+            vector_minpoly([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], [1, 0])
+        with pytest.raises(ValueError):
+            vector_minpoly(identity(2), [F(1), 0])
 
 
 class TestFactorSupport:
@@ -182,28 +183,6 @@ class TestRankModP:
                 rank_mod_p(identity(2), p)
 
 
-class TestApplyFactored:
-    def test_empty_factor_list_is_identity(self):
-        assert apply_factored(identity(2), [3, 4], []) == [3, 4]
-
-    def test_p2_projection(self):
-        m = laplacian(path_graph(2))
-        out = apply_factored(m, [1, 0], [(0, 2)])
-        assert out == [F(1, 2), F(-1, 2)]
-
-    def test_p3_quadratic_projection(self):
-        m = adjacency(path_graph(3))
-        root2 = quad(0, 1, 2)
-        # project e_0 onto the sqrt(2) eigenspace: strip eigenvalues 0, -sqrt(2)
-        out = apply_factored(m, [1, 0, 0],
-                             [(0, root2), (-root2, 2 * root2)])
-        assert out == [F(1, 4), quad(0, F(1, 4), 2), F(1, 4)]
-
-    def test_zero_divisor_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            apply_factored(identity(2), [1, 0], [(1, 0)])
-
-
 class TestQuadExt:
     def test_norm_product(self):
         x = quad(3, 2, 5)
@@ -232,6 +211,10 @@ class TestQuadExt:
         a = quad(1, 1, 2)
         b = quad(3, -1, 2)
         assert (a / b) * b == a
+
+    def test_rational_over_quadratic(self):
+        assert 1 / quad(0, 1, 2) == quad(0, F(1, 2), 2)
+        assert F(3) / quad(1, 1, 2) == quad(-3, 3, 2)
 
     def test_fraction_interop(self):
         x = quad(1, 2, 3)

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pstlab.generate import (
-    GraphStream,
     canonical_form,
     gen_connected_graphs,
     gen_free_trees,
@@ -155,12 +154,6 @@ class TestConnectedGraphs:
         for n in (0, 9):
             with pytest.raises(ValueError):
                 gen_connected_graphs(n)
-
-    def test_stream_counter(self):
-        stream = gen_connected_graphs(4)
-        assert isinstance(stream, GraphStream)
-        list(stream)
-        assert stream.count == 6
 
 
 class TestFileStreams:

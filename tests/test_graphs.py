@@ -14,15 +14,15 @@ from pstlab.graphs import (
     find_twins,
     hypercube,
     laplacian,
-    odd_cycle_witness,
     one_sum_chain,
     parse_graph6,
     path_graph,
-    sign_matrix,
     signless_laplacian,
     star_graph,
     write_graph6,
 )
+
+from oracles import two_colourable_brute
 
 
 def random_graph_strategy(max_n=12):
@@ -106,9 +106,9 @@ class TestMatrices:
     def test_sign_similarity_c4(self):
         g = cycle_graph(4)
         bip = bipartition(g)
-        sigma = sign_matrix(bip, 4)
+        sigma = [1 if i in bip.class_a else -1 for i in range(4)]
         lap = laplacian(g)
-        conj = [[sigma[i][i] * lap[i][j] * sigma[j][j] for j in range(4)]
+        conj = [[sigma[i] * lap[i][j] * sigma[j] for j in range(4)]
                 for i in range(4)]
         assert conj == signless_laplacian(g)
 
@@ -163,23 +163,22 @@ class TestBipartition:
 
     def test_c5_not_bipartite(self):
         assert bipartition(cycle_graph(5)) is None
-        cyc = odd_cycle_witness(cycle_graph(5))
-        assert cyc is not None and len(cyc) % 2 == 1
 
     def test_trees_bipartite(self):
         for n in range(2, 8):
             assert bipartition(path_graph(n)) is not None
         assert bipartition(star_graph(5)) is not None
 
-    def test_witness_is_a_cycle(self, corpus6):
+    def test_matches_brute_force_colouring(self, corpus6):
         for g in corpus6:
-            cyc = odd_cycle_witness(g)
-            if cyc is None:
-                assert bipartition(g) is not None
+            bip = bipartition(g)
+            assert (bip is not None) == two_colourable_brute(g)
+            if bip is None:
                 continue
-            assert len(cyc) % 2 == 1
-            for i, u in enumerate(cyc):
-                assert g.has_edge(u, cyc[(i + 1) % len(cyc)])
+            assert bip.class_a | bip.class_b == frozenset(range(g.n))
+            assert not bip.class_a & bip.class_b
+            for u, v in g.edges:
+                assert (u in bip.class_a) != (v in bip.class_a)
 
 
 class TestConstructions:

@@ -16,6 +16,7 @@ from pstlab.graphs import (
     star_graph,
 )
 from pstlab.harness import (
+    aggregate_records,
     aggregate_to_csv,
     check_bipartite_lmax,
     check_power_of_two_eigenvalue,
@@ -227,6 +228,9 @@ class TestSurvey:
         serial = survey_records(graphs, False, workers=1)
         parallel = survey_records(graphs, False, workers=2)
         assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+        # no_admissible_pair is left out of to_json; it must still cross
+        # the process boundary
+        assert aggregate_records(serial) == aggregate_records(parallel)
 
     def test_aggregate_csv(self):
         _, agg = run_survey(gen_connected_graphs(4))
