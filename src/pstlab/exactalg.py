@@ -404,7 +404,8 @@ def identity(n: int) -> list[list[int]]:
 
 
 def mat_vec(m, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
+    """m v, skipping the zero entries of m (graph matrices are sparse)."""
+    return [sum(a * x for a, x in zip(row, v) if a) for row in m]
 
 
 def unit_vector(n: int, i: int) -> list[int]:
@@ -519,7 +520,7 @@ def vector_minpoly(m, v) -> IntPolynomial:
             combo = [x // g for x in combo]
         pivot = next(i for i, x in enumerate(vec) if x)
         basis.append((pivot, vec, combo))
-        w = [sum(m[i][j] * w[j] for j in range(n)) for i in range(n)]
+        w = mat_vec(m, w)
         k += 1
 
 
@@ -557,7 +558,11 @@ def factor_support(p: IntPolynomial, root_bound: int) -> SupportFactorization:
 
     The quadratic search is exhaustive within the bound, so the residual
     genuinely has no monic integer factor of degree <= 2 with roots in
-    range.  Requires p monic with distinct real roots.
+    range.  A candidate x^2 - s x + t is divided out only if t | q(0),
+    (1 - s + t) | q(1) and (1 + s + t) | q(-1) for the current cofactor q:
+    a monic factor in Z[x] divides q's value at every integer, so these
+    conditions are necessary and skipping a candidate that fails one loses
+    no factor.  Requires p monic with distinct real roots.
     """
     if not p.is_monic():
         raise ValueError("factor_support requires a monic polynomial")
@@ -591,20 +596,29 @@ def factor_support(p: IntPolynomial, root_bound: int) -> SupportFactorization:
 
 def _find_quadratic_factor(q: IntPolynomial, bound: int):
     """First (s, t) with x^2 - s x + t dividing q, real irrational roots in
-    [-bound, bound]; None if no such factor exists."""
+    [-bound, bound]; None if no such factor exists.  Candidates failing
+    the divisibility conditions of :func:`factor_support` are skipped
+    without dividing, so the first hit is that of plain trial division.
+    """
     if q.degree == 2:
         s, t = -q.coeffs[1], q.coeffs[0]
         disc = s * s - 4 * t
         if disc <= 0 or math.isqrt(disc) ** 2 == disc:
             raise ValueError("quadratic remainder without irrational real roots")
         return s, t
+    q0, q1, qm1 = q(0), q(1), q(-1)
     for s in range(-2 * bound, 2 * bound + 1):
         # both roots in [-bound, bound]: q2(+/-bound) >= 0 and disc > 0
         t_lo = abs(s) * bound - bound * bound
         t_hi = (s * s - 1) // 4 if s * s >= 1 else -1
         for t in range(t_lo, t_hi + 1):
+            if t == 0 or q0 % t:
+                continue
             disc = s * s - 4 * t
             if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+                continue
+            # irrational roots: neither 1 nor -1 is a root, so no zero divisor
+            if q1 % (1 - s + t) or qm1 % (1 + s + t):
                 continue
             quad_poly = IntPolynomial((t, -s, 1))
             if quad_poly.divides(q):

@@ -78,19 +78,22 @@ class PowerOfTwoScreen:
     admissible_pairs: list  # [(u, v)] twin pairs surviving the admissibility test
 
 
+def admissible_twin_pairs(twins) -> list:
+    """[(u, v)] of the twin pairs with at least three common neighbours
+    whose k (non-adjacent) or k+2 (adjacent) is a power of two."""
+    return [(p.u, p.v) for p in twins
+            if p.k >= 3 and power_of_two(p.k + 2 * p.sigma)]
+
+
 def screen_power_of_two(g: Graph) -> PowerOfTwoScreen:
     """On graphs with more than four vertices and a power-of-two tree
-    count, a transfer pair must be a twin pair with at least three common
-    neighbours whose k (non-adjacent) or k+2 (adjacent) is a power of two."""
+    count, a transfer pair must be an admissible twin pair
+    (:func:`admissible_twin_pairs`)."""
     if not g.is_connected():
         raise ValueError("screen requires a connected graph")
     tau = spanning_tree_count(g)
     applicable = g.n > 4 and power_of_two(tau)
-    admissible = []
-    if applicable:
-        for pair in find_twins(g):
-            if pair.k >= 3 and power_of_two(pair.k + 2 * pair.sigma):
-                admissible.append((pair.u, pair.v))
+    admissible = admissible_twin_pairs(find_twins(g)) if applicable else []
     return PowerOfTwoScreen(applicable, tau, admissible)
 
 
@@ -361,7 +364,7 @@ def survey_record(g: Graph, with_pst: bool = False) -> SurveyRecord:
         lmax_integer=lmax_is_integer(g),
     )
     if connected and g.n > 4 and rec.tau_power_of_two:
-        rec.no_admissible_pair = not screen_power_of_two(g).admissible_pairs
+        rec.no_admissible_pair = not admissible_twin_pairs(twins)
     if with_pst and connected and g.n >= 2:
         rec.lpst_pairs = len(pst_search(g, LAPLACIAN))
         adj_reports = all_pair_reports(g, ADJACENCY)

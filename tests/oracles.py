@@ -5,13 +5,21 @@ fraction-free elimination, edge-subset enumeration instead of the
 Matrix-Tree determinant, labelled Prufer decoding instead of level-sequence
 generation, the rooted-tree counting recurrence instead of any
 enumeration at all, and set comparisons of neighbourhoods instead of the
-bitmask twin search.
+bitmask twin search, and trial division by every candidate quadratic
+instead of the divisor-pruned factor search.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
+from pstlab.exactalg import (
+    IntPolynomial,
+    SupportFactorization,
+    poly_gcd,
+    squarefree_part,
+)
 from pstlab.generate import canonical_form
 from pstlab.graphs import Graph
 
@@ -195,3 +203,59 @@ def twin_statistics(graphs) -> dict:
                 k >= 3 and is_power_of_two(k + 2 * adjacent)
                 for k, adjacent in twins)
     return counts
+
+
+def factor_support_brute(p: IntPolynomial, root_bound: int) -> SupportFactorization:
+    """``factor_support`` by plain trial division: every (s, t) in the
+    root-bound box is tried by dividing q by x^2 - s x + t."""
+    if not p.is_monic():
+        raise ValueError("factor_support requires a monic polynomial")
+    if p.degree >= 1 and not poly_gcd(p, p.derivative()) == IntPolynomial.one():
+        raise ValueError("factor_support requires distinct roots")
+    bound = int(root_bound)
+    q = p
+    integer_roots = []
+    if q.degree >= 1 and q.coeffs[0] == 0:
+        integer_roots.append(0)
+        q, _ = q.divmod_monic(IntPolynomial((0, 1)))
+    c0 = q.coeffs[0] if q.degree >= 0 else 1
+    for cand in range(-bound, bound + 1):
+        if cand == 0 or q.degree < 1:
+            continue
+        if c0 % cand == 0 and q(cand) == 0:
+            q, _ = q.divmod_monic(IntPolynomial.x_minus(cand))
+            integer_roots.append(cand)
+    quadratic_roots = []
+    while q.degree >= 2:
+        hit = _find_quadratic_factor_brute(q, bound)
+        if hit is None:
+            break
+        s, t = hit
+        q, _ = q.divmod_monic(IntPolynomial((t, -s, 1)))
+        disc = s * s - 4 * t
+        b, d = squarefree_part(disc)
+        quadratic_roots.append((s, b, d))
+    return SupportFactorization(integer_roots, quadratic_roots, q)
+
+
+def _find_quadratic_factor_brute(q: IntPolynomial, bound: int):
+    """First (s, t) with x^2 - s x + t dividing q, real irrational roots in
+    [-bound, bound]; None if no such factor exists."""
+    if q.degree == 2:
+        s, t = -q.coeffs[1], q.coeffs[0]
+        disc = s * s - 4 * t
+        if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+            raise ValueError("quadratic remainder without irrational real roots")
+        return s, t
+    for s in range(-2 * bound, 2 * bound + 1):
+        # both roots in [-bound, bound]: q2(+/-bound) >= 0 and disc > 0
+        t_lo = abs(s) * bound - bound * bound
+        t_hi = (s * s - 1) // 4 if s * s >= 1 else -1
+        for t in range(t_lo, t_hi + 1):
+            disc = s * s - 4 * t
+            if disc <= 0 or math.isqrt(disc) ** 2 == disc:
+                continue
+            quad_poly = IntPolynomial((t, -s, 1))
+            if quad_poly.divides(q):
+                return s, t
+    return None

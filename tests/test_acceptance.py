@@ -15,6 +15,7 @@ counts and two known discrepancies") and in ``pstlab.cli``'s
 
 import hashlib
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -44,7 +45,7 @@ from pstlab.harness import (
     survey_records,
     verify_positive_report,
 )
-from pstlab.pst import adjacency_pst, all_pair_reports, laplacian_pst, pst_search
+from pstlab.pst import adjacency_pst, all_pair_reports, decide, laplacian_pst, pst_search
 from pstlab.spectral import (
     ADJACENCY,
     LAPLACIAN,
@@ -63,6 +64,9 @@ TWIN_COUNTS_7 = {"tau_power_of_two": 83, "pow2_with_small_twins": 67,
                  "ruled_out_reading_no_admissible_pair": 78}
 RULED_OUT_8 = {"ruled_out_reading_small_twins": 278,
                "ruled_out_reading_no_admissible_pair": 324}
+# Wall-clock budget for deciding and replaying the four 40-vertex pairs of
+# TestCriterion9ScaleBudget (about 2.5 s on a 2-vCPU x86-64 box).
+SCALE_BUDGET_S = 30.0
 # (report count, sha256 of the compact sorted-key JSON list of the reports)
 REPORT_DIGESTS = {
     "small corpus": (3866, "1383e6daef23dfbcb8362fb4e316a1a58bc828d56b300f570f331dec7e53b234"),
@@ -519,3 +523,26 @@ class TestCriterion8ReportBytes:
         report_line(8, ok, "pair report digests "
                            + ", ".join(f"{k}: {n}" for k, (n, _) in got.items()))
         assert ok, got
+
+
+class TestCriterion9ScaleBudget:
+    def test_forty_vertex_pairs_within_budget(self):
+        """The end pair of path:40 and the antipodal pair of cycle:40, in
+        both kinds, are decided negative with a residual-factor certificate
+        that replays, all four within SCALE_BUDGET_S."""
+        pairs = [(path_graph(40), 0, 39), (cycle_graph(40), 0, 20)]
+        start = time.perf_counter()
+        results = []
+        for g, u, v in pairs:
+            for kind in (LAPLACIAN, ADJACENCY):
+                r = decide(g, kind, u, v)
+                replayed, why = replay_certificate(g, r)
+                results.append((r.graph6, kind, r.verdict,
+                                r.certificate and r.certificate.kind, replayed, why))
+        elapsed = time.perf_counter() - start
+        ok = (all(verdict == "no" and cert == "residual-factor" and replayed
+                  for _, _, verdict, cert, replayed, _ in results)
+              and elapsed <= SCALE_BUDGET_S)
+        report_line(9, ok, f"4 pairs on 40 vertices decided and replayed in "
+                           f"{elapsed:.1f}s (budget {SCALE_BUDGET_S:.0f}s)")
+        assert ok, (elapsed, results)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from pstlab.exactalg import (
     det_bareiss,
     factor_support,
     identity,
+    mat_vec,
     poly_bezout,
     poly_gcd,
     quad,
@@ -25,8 +27,15 @@ from pstlab.graphs import (
     laplacian,
     path_graph,
 )
+from pstlab.spectral import (
+    ADJACENCY,
+    LAPLACIAN,
+    classify_by_minpolys,
+    eigenvalue_bound,
+    matrix_of,
+)
 
-from oracles import det_cofactor, spanning_trees_brute
+from oracles import det_cofactor, factor_support_brute, spanning_trees_brute
 
 
 def minor0(m):
@@ -164,6 +173,139 @@ class TestFactorSupport:
     def test_rejects_repeated_roots(self):
         with pytest.raises(ValueError):
             factor_support(IntPolynomial((1, 2, 1)), 5)
+
+
+@pytest.fixture(scope="module")
+def corpus6_support_polys(corpus6):
+    """(minimal polynomial, eigenvalue bound) of every vertex and both
+    classify_by_minpolys polynomials of every pair of corpus6, both kinds."""
+    polys = set()
+    for g in corpus6:
+        for kind in (LAPLACIAN, ADJACENCY):
+            m = matrix_of(g, kind)
+            bound = eigenvalue_bound(g, kind)
+            for u in range(g.n):
+                e = [1 if i == u else 0 for i in range(g.n)]
+                polys.add((vector_minpoly(m, e), bound))
+                for v in range(u + 1, g.n):
+                    for p in classify_by_minpolys(g, kind, u, v):
+                        polys.add((p, bound))
+    return sorted(polys, key=lambda pb: (pb[0].coeffs, pb[1]))
+
+
+def _quadratic_box(bound):
+    """Irreducible x^2 - s x + t with both roots in [-bound, bound]."""
+    return [(s, t) for s in range(-2 * bound, 2 * bound + 1)
+            for t in range(abs(s) * bound - bound * bound, (s * s - 1) // 4 + 1)
+            if math.isqrt(s * s - 4 * t) ** 2 != s * s - 4 * t]
+
+
+def _has_integer_root(cubic):
+    c0 = cubic.coeffs[0]
+    return c0 == 0 or any(cubic(r) == 0 for d in range(1, abs(c0) + 1)
+                          if c0 % d == 0 for r in (d, -d))
+
+
+@st.composite
+def split_polynomials(draw):
+    """(p, bound, integer roots, (s, t) quadratics, residual) for a product
+    of distinct x - r, distinct irreducible x^2 - s x + t with roots in
+    [-bound, bound], and optionally an irreducible cubic."""
+    bound = draw(st.integers(2, 6))
+    roots = draw(st.lists(st.integers(-bound, bound), unique=True, max_size=4))
+    quads = draw(st.lists(st.sampled_from(_quadratic_box(bound)),
+                          unique=True, max_size=3))
+    cubic = draw(st.none() | st.tuples(st.integers(-5, 5), st.integers(-5, 5),
+                                       st.integers(-5, 5))
+                 .map(lambda c: IntPolynomial(c + (1,)))
+                 .filter(lambda c: not _has_integer_root(c)))
+    residual = cubic or IntPolynomial.one()
+    p = IntPolynomial.from_roots(roots) * residual
+    for s, t in quads:
+        p = p * IntPolynomial((t, -s, 1))
+    return p, bound, roots, quads, residual
+
+
+class TestFactorSearchOracle:
+    """The divisor-pruned quadratic search against plain trial division."""
+
+    def test_matches_brute_force_on_corpus6(self, corpus6_support_polys):
+        assert len(corpus6_support_polys) > 100
+        for p, bound in corpus6_support_polys:
+            fast = factor_support(p, bound)
+            slow = factor_support_brute(p, bound)
+            assert fast.integer_roots == slow.integer_roots, p
+            assert fast.quadratic_roots == slow.quadratic_roots, p
+            assert fast.residual == slow.residual, p
+
+    def test_matches_sympy_on_corpus6(self, corpus6_support_polys):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for p, bound in corpus6_support_polys:
+            _, factors = sympy.factor_list(
+                sum(c * x ** i for i, c in enumerate(p.coeffs)))
+            box = set(_quadratic_box(bound))
+            ints, quads, rest = [], [], IntPolynomial.one()
+            for f, mult in factors:
+                assert mult == 1
+                cs = [int(c) for c in reversed(sympy.Poly(f, x).all_coeffs())]
+                if cs[-1] < 0:
+                    cs = [-c for c in cs]
+                if len(cs) == 2 and abs(cs[0]) <= bound:
+                    ints.append(-cs[0])
+                elif len(cs) == 3 and (-cs[1], cs[0]) in box:
+                    s, t = -cs[1], cs[0]
+                    quads.append((s, *squarefree_part(s * s - 4 * t)))
+                else:
+                    rest = rest * IntPolynomial(cs)
+            fac = factor_support(p, bound)
+            assert fac.integer_roots == sorted(ints), p
+            assert fac.quadratic_roots == sorted(quads), p
+            assert fac.residual == rest, p
+
+    @given(split_polynomials())
+    @settings(max_examples=150, deadline=None)
+    def test_constructed_products(self, case):
+        p, bound, roots, quads, residual = case
+        fac = factor_support(p, bound)
+        assert fac.integer_roots == sorted(roots)
+        assert fac.quadratic_roots == sorted(
+            (s, *squarefree_part(s * s - 4 * t)) for s, t in quads)
+        assert fac.residual == residual
+        assert fac.reconstruct() == p
+
+
+def _dense_mat_vec(m, v):
+    return [sum(row[j] * v[j] for j in range(len(v))) for row in m]
+
+
+class TestMatVec:
+    MATRICES = (
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[2, -1, 0], [0, 0, 0], [0, -1, 1]],
+        [row[:3] for row in laplacian(path_graph(4))[:3]],
+        [row[:3] for row in adjacency(cycle_graph(4))[:3]],
+    )
+    VECTORS = (
+        [1, 0, -3],
+        [F(1, 2), F(0), F(-2, 3)],
+        [quad(1, 1, 2), F(0), quad(F(1, 3), -2, 2)],
+        [quad(0, 1, 5), quad(2, -1, 5), 0],
+    )
+
+    def test_matches_dense_formula(self):
+        for m in self.MATRICES:
+            for v in self.VECTORS:
+                sparse, dense = mat_vec(m, v), _dense_mat_vec(m, v)
+                assert sparse == dense
+                assert all(a == b and b == a for a, b in zip(sparse, dense))
+
+    @given(st.lists(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)),
+                             min_size=5, max_size=5), min_size=5, max_size=5),
+           st.lists(st.fractions(max_denominator=7), min_size=5, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_random_sparse_matrices(self, m, v):
+        assert mat_vec(m, v) == _dense_mat_vec(m, v)
 
 
 class TestRankModP:
