@@ -44,6 +44,9 @@ from .spectral import (
     support_profile,
 )
 
+# largest tree order the tree sweeps run to; gen_free_trees goes to MAX_TREE_N
+MAX_TREE_SWEEP_N = 12
+
 
 def power_of_two(x: int) -> bool:
     return x >= 1 and x & (x - 1) == 0
@@ -225,8 +228,8 @@ def check_bipartite_lmax(corpus: Iterable[Graph], scan_pst: bool = True) -> Chec
 
 def check_trees_no_lpst(max_n: int) -> CheckResult:
     """No free tree on 3..max_n vertices admits Laplacian transfer."""
-    if max_n > 12:
-        raise ValueError("tree sweep capped at 12 vertices")
+    if max_n > MAX_TREE_SWEEP_N:
+        raise ValueError(f"tree sweep capped at {MAX_TREE_SWEEP_N} vertices")
     violations = []
     trees = 0
     pairs = 0
@@ -289,8 +292,8 @@ def tree_perfect_matching(g: Graph) -> Optional[list[tuple[int, int]]]:
 def check_unique_matching_no_apst(max_n: int) -> CheckResult:
     """Trees with a perfect matching have unimodular adjacency determinant
     and no adjacency transfer."""
-    if max_n > 12:
-        raise ValueError("tree sweep capped at 12 vertices")
+    if max_n > MAX_TREE_SWEEP_N:
+        raise ValueError(f"tree sweep capped at {MAX_TREE_SWEEP_N} vertices")
     violations = []
     matched_trees = 0
     trees = 0
@@ -539,7 +542,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
 
     if cert.kind == PARITY_VIOLATION:
         witness = cert.witnesses[0]
-        prof = cospectrality_profile(g, kind, u, v)
+        prof = cospectrality_profile(g, kind, u, v, profiles={u: pu, v: pv})
         if not prof.strongly_cospectral:
             return False, "pair is not strongly cospectral after all"
         in_plus = witness in prof.plus_set

@@ -143,24 +143,18 @@ def _validate_pair(g: Graph, u: int, v: int) -> None:
 
 def _cospectrality_gate(g: Graph, kind: str, poly_minus, poly_plus, minpoly_u):
     """None when strongly cospectral, else a certificate with a witness
-    eigenvalue taken from the shared factor or the support difference."""
-    bound = eigenvalue_bound(g, kind)
+    eigenvalue taken from the shared factor.
+
+    Coprimality suffices: wherever E e_u or E e_v is nonzero, exactly one of
+    E (e_u - e_v) and E (e_u + e_v) then is, so E e_u = +-E e_v != 0 there
+    and poly_minus * poly_plus is already minpoly_u."""
     shared = poly_gcd(poly_minus, poly_plus)
-    if shared != IntPolynomial.one():
-        witness = ids_from_factorization(factor_support(shared, bound))[0]
-        return Certificate(NOT_STRONGLY_COSPECTRAL, (witness,),
-                           "projections at the witness match neither sign",
-                           poly_minus, poly_plus, minpoly_u)
-    product = poly_minus * poly_plus
-    if product != minpoly_u:
-        quotient, rem = product.divmod_monic(minpoly_u)
-        if not rem.is_zero():
-            raise AssertionError("minimal polynomial does not divide the split product")
-        witness = ids_from_factorization(factor_support(quotient, bound))[0]
-        return Certificate(NOT_STRONGLY_COSPECTRAL, (witness,),
-                           "eigenvalue supports of u and v differ",
-                           poly_minus, poly_plus, minpoly_u)
-    return None
+    if shared == IntPolynomial.one():
+        return None
+    witness = ids_from_factorization(factor_support(shared, eigenvalue_bound(g, kind)))[0]
+    return Certificate(NOT_STRONGLY_COSPECTRAL, (witness,),
+                       "projections at the witness match neither sign",
+                       poly_minus, poly_plus, minpoly_u)
 
 
 def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:

@@ -2,9 +2,10 @@
 
 For a symmetric integer matrix M attached to a graph, the support of a
 vertex u is the set of eigenvalues whose eigenprojection keeps a component
-of e_u; it equals the root set of the minimal polynomial of e_u under M.
-Projections F e_u are computed exactly over Q or Q(sqrt(d)) by Lagrange
-products over the support roots, never by a full eigendecomposition.
+of e_u; it equals the root set of the minimal polynomial q of e_u under M.
+Projections E_theta e_u are computed exactly over Q or Q(sqrt(d)) inside
+the Krylov space of e_u, as (q(x)/(x - theta))(M) e_u / q'(theta), never by
+a full eigendecomposition.
 """
 
 from __future__ import annotations
@@ -157,62 +158,28 @@ class SupportProfile:
                 for i in range(n)]
 
 
-def _projection(m, e_u, target: EigenvalueId, others: list[EigenvalueId],
-                residual: Optional[IntPolynomial]):
-    """Lagrange product of (M - mu I)/(lambda - mu) over the other support
-    roots applied to e_u; conjugate pairs foreign to the target's field are
-    folded into rational quadratic factors, and a residual factor is applied
-    wholesale and divided by its value at the target."""
-    lam = target.exact()
-    if isinstance(lam, int):
-        lam = Fraction(lam)  # keep all divisions exact
-    w: list = list(e_u)
-
-    if residual is not None and residual.degree >= 1:
-        w = apply_poly(m, residual.coeffs, w)
-        rv = residual(lam)
-        if rv == 0:
-            raise AssertionError("residual vanishes at a split eigenvalue")
-        w = [x / rv for x in w]
-
-    seen_pairs: set[tuple[int, int, int]] = set()
-    for other in others:
-        if isinstance(other, ResidualEig):
-            continue
-        if isinstance(other, IntegerEig):
-            mu = other.value
-            mv = mat_vec(m, w)
-            w = [(x - mu * y) / (lam - mu) for x, y in zip(mv, w)]
-            continue
-        same_field = (isinstance(target, QuadraticEig)
-                      and other.delta == target.delta)
-        if same_field:
-            mu = other.exact()
-            mv = mat_vec(m, w)
-            w = [(x - mu * y) / (lam - mu) for x, y in zip(mv, w)]
-        else:
-            key = (other.a, abs(other.b), other.delta)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
-            a, b, d = key
-            t4 = a * a - b * b * d
-            if t4 % 4:
-                raise AssertionError("quadratic eigenvalue is not an algebraic integer")
-            t = t4 // 4
-            div = lam * lam - a * lam + t
-            mv = mat_vec(m, w)
-            mmv = mat_vec(m, mv)
-            w = [(xx - a * x + t * y) / div for xx, x, y in zip(mmv, mv, w)]
-    return w
+def _krylov_projection(q: IntPolynomial, krylov_rows, eig: EigenvalueId):
+    """E_theta e_u = sum_j c_j K_j / q'(theta), where K_j = M^j e_u and
+    q(x) = (x - theta) sum_j c_j x^j; the c_j come from synthetic division.
+    q is squarefree, so q'(theta) != 0, and the quotient has degree below
+    deg q, so the projection of a support root never vanishes."""
+    theta = eig.exact()
+    c = [1]  # quotient coefficients, highest first
+    for coeff in reversed(q.coeffs[1:-1]):
+        c.append(coeff + theta * c[-1])
+    c.reverse()
+    inv = Fraction(1) / q.derivative()(theta)  # Fraction even for integer theta
+    return [x * inv for x in mat_vec(krylov_rows, c)]
 
 
 def support_profile(g: Graph, kind: str, u: int) -> SupportProfile:
     """Exact eigenvalue support of vertex u with projection vectors.
 
-    Projections are produced for integer and quadratic eigenvalues; a
-    residual factor (degree >= 3, no integer or quadratic roots) is flagged
-    and its component recovered as e_u minus the rest.
+    Projections are produced for integer and quadratic eigenvalues from
+    the integer Krylov vectors M^j e_u, j < deg q, where q is the minimal
+    polynomial of e_u; a residual factor (degree >= 3, no integer or
+    quadratic roots) is flagged and its component recovered as e_u minus
+    the rest.
     """
     if not g.is_connected():
         raise ValueError("support_profile requires a connected graph")
@@ -220,19 +187,17 @@ def support_profile(g: Graph, kind: str, u: int) -> SupportProfile:
         raise ValueError(f"vertex {u} out of range")
     m = matrix_of(g, kind)
     e_u = unit_vector(g.n, u)
-    p = vector_minpoly(m, e_u)
-    fac = factor_support(p, eigenvalue_bound(g, kind))
+    q = vector_minpoly(m, e_u)
+    fac = factor_support(q, eigenvalue_bound(g, kind))
     ids = ids_from_factorization(fac)
     residual = fac.residual if fac.residual.degree >= 1 else None
-    projections = {}
-    split_ids = [e for e in ids if not isinstance(e, ResidualEig)]
-    for eig in split_ids:
-        others = [o for o in split_ids if o != eig]
-        vec = _projection(m, e_u, eig, others, residual)
-        if all(x == 0 for x in vec):
-            raise AssertionError("support root with vanishing projection")
-        projections[eig] = vec
-    return SupportProfile(kind, u, p, ids, projections, residual)
+    krylov = [e_u]
+    for _ in range(q.degree - 1):
+        krylov.append(mat_vec(m, krylov[-1]))
+    krylov_rows = list(zip(*krylov))  # row i holds (M^j e_u)_i for j < deg q
+    projections = {eig: _krylov_projection(q, krylov_rows, eig)
+                   for eig in ids if not isinstance(eig, ResidualEig)}
+    return SupportProfile(kind, u, q, ids, projections, residual)
 
 
 NOT_COSPECTRAL = "not_cospectral"

@@ -5,23 +5,29 @@ fraction-free elimination, edge-subset enumeration instead of the
 Matrix-Tree determinant, labelled Prufer decoding instead of level-sequence
 generation, the rooted-tree counting recurrence instead of any
 enumeration at all, and set comparisons of neighbourhoods instead of the
-bitmask twin search, and trial division by every candidate quadratic
-instead of the divisor-pruned factor search.
+bitmask twin search, trial division by every candidate quadratic
+instead of the divisor-pruned factor search, and a Lagrange product over
+the other support roots instead of the Krylov-basis eigenprojection.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
+from typing import Optional
 
 from pstlab.exactalg import (
     IntPolynomial,
     SupportFactorization,
+    apply_poly,
+    mat_vec,
     poly_gcd,
     squarefree_part,
 )
 from pstlab.generate import canonical_form
 from pstlab.graphs import Graph
+from pstlab.spectral import EigenvalueId, IntegerEig, QuadraticEig, ResidualEig
 
 
 def det_cofactor(m) -> int:
@@ -259,3 +265,53 @@ def _find_quadratic_factor_brute(q: IntPolynomial, bound: int):
             if quad_poly.divides(q):
                 return s, t
     return None
+
+
+def projection_lagrange(m, e_u, target: EigenvalueId, others: list[EigenvalueId],
+                        residual: Optional[IntPolynomial]):
+    """Lagrange product of (M - mu I)/(lambda - mu) over the other support
+    roots applied to e_u; conjugate pairs foreign to the target's field are
+    folded into rational quadratic factors, and a residual factor is applied
+    wholesale and divided by its value at the target."""
+    lam = target.exact()
+    if isinstance(lam, int):
+        lam = Fraction(lam)  # keep all divisions exact
+    w: list = list(e_u)
+
+    if residual is not None and residual.degree >= 1:
+        w = apply_poly(m, residual.coeffs, w)
+        rv = residual(lam)
+        if rv == 0:
+            raise AssertionError("residual vanishes at a split eigenvalue")
+        w = [x / rv for x in w]
+
+    seen_pairs: set[tuple[int, int, int]] = set()
+    for other in others:
+        if isinstance(other, ResidualEig):
+            continue
+        if isinstance(other, IntegerEig):
+            mu = other.value
+            mv = mat_vec(m, w)
+            w = [(x - mu * y) / (lam - mu) for x, y in zip(mv, w)]
+            continue
+        same_field = (isinstance(target, QuadraticEig)
+                      and other.delta == target.delta)
+        if same_field:
+            mu = other.exact()
+            mv = mat_vec(m, w)
+            w = [(x - mu * y) / (lam - mu) for x, y in zip(mv, w)]
+        else:
+            key = (other.a, abs(other.b), other.delta)
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            a, b, d = key
+            t4 = a * a - b * b * d
+            if t4 % 4:
+                raise AssertionError("quadratic eigenvalue is not an algebraic integer")
+            t = t4 // 4
+            div = lam * lam - a * lam + t
+            mv = mat_vec(m, w)
+            mmv = mat_vec(m, mv)
+            w = [(xx - a * x + t * y) / div for xx, x, y in zip(mmv, mv, w)]
+    return w

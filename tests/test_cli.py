@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from pstlab.cli import main
+from pstlab.cli import GOLDEN_COUNTS_8, GOLDEN_RULED_OUT_8, _assert_golden_counts, main
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +132,17 @@ class TestSurvey:
         code, _, _ = run_cli(capsys, "survey", "--n", "5", "--workers", "1",
                              "--assert-paper", "--format", "json")
         assert code == 1
+
+    def test_golden_ruled_out_readings_checked_separately(self, capsys):
+        agg = {**GOLDEN_COUNTS_8,
+               "ruled_out_reading_small_twins": GOLDEN_RULED_OUT_8,
+               "ruled_out_reading_no_admissible_pair": 324}
+        assert _assert_golden_counts(8, agg) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        mismatches = captured.err.strip().splitlines()
+        assert mismatches == ["GOLDEN-COUNT MISMATCH ruled_out_reading_no_admissible_pair: "
+                              f"got 324, expected {GOLDEN_RULED_OUT_8}"]
 
     def test_env_worker_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PSTLAB_WORKERS", "not-a-number")

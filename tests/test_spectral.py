@@ -2,7 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from pstlab.exactalg import IntPolynomial, quad, unit_vector, vector_minpoly
+from pstlab.exactalg import (
+    IntPolynomial,
+    poly_gcd,
+    quad,
+    unit_vector,
+    vector_minpoly,
+)
 from pstlab.graphs import (
     Graph,
     complete_minus_edge,
@@ -16,12 +22,17 @@ from pstlab.spectral import (
     SIGNLESS_LAPLACIAN,
     IntegerEig,
     QuadraticEig,
+    ResidualEig,
     classify_by_minpolys,
     cospectrality_profile,
+    eigenvalue_bound,
+    ids_from_factorization,
     matrix_of,
     minpoly_split_is_cospectral,
     support_profile,
 )
+
+from oracles import factor_support_brute, projection_lagrange
 
 
 class TestSupportProfile:
@@ -81,6 +92,50 @@ class TestSupportProfile:
             support_profile(Graph(3, [(0, 1)]), LAPLACIAN, 0)
 
 
+def assert_profile_matches_lagrange(g, kind, u):
+    """The Krylov-basis projections equal the Lagrange-product oracle's in
+    support, value and entry type; returns the profile."""
+    prof = support_profile(g, kind, u)
+    m = matrix_of(g, kind)
+    e_u = unit_vector(g.n, u)
+    fac = factor_support_brute(vector_minpoly(m, e_u), eigenvalue_bound(g, kind))
+    assert prof.support == ids_from_factorization(fac)
+    split = [e for e in prof.support if not isinstance(e, ResidualEig)]
+    assert list(prof.projections) == split
+    for eig in split:
+        want = projection_lagrange(m, e_u, eig, [o for o in split if o != eig],
+                                   prof.residual)
+        got = prof.projections[eig]
+        assert got == want
+        if g.n > 1:  # on K1 the Lagrange product is empty and returns e_u's ints
+            assert [type(x) for x in got] == [type(x) for x in want]
+    return prof
+
+
+class TestKrylovProjectionAgainstLagrange:
+    def test_small_corpus_all_kinds(self, corpus6):
+        checked = 0
+        for g in corpus6:
+            for kind in (LAPLACIAN, ADJACENCY, SIGNLESS_LAPLACIAN):
+                for u in range(g.n):
+                    assert_profile_matches_lagrange(g, kind, u)
+                    checked += 1
+        assert checked >= 2400
+
+    @pytest.mark.parametrize("kind", [LAPLACIAN, ADJACENCY])
+    def test_two_fields_and_residual(self, kind):
+        # path:11 (adjacency) and cycle:24 (both kinds) have supports with
+        # sqrt(2) and sqrt(3) pairs beside a residual factor: the oracle's
+        # foreign-field fold and residual division
+        mixed = 0
+        cases = [(path_graph(11), u) for u in range(11)] + [(cycle_graph(24), 0)]
+        for g, u in cases:
+            prof = assert_profile_matches_lagrange(g, kind, u)
+            deltas = {e.delta for e in prof.support if isinstance(e, QuadraticEig)}
+            mixed += deltas == {2, 3} and prof.residual is not None
+        assert mixed >= 1
+
+
 class TestCospectrality:
     def test_c4_antipodal(self):
         prof = cospectrality_profile(cycle_graph(4), LAPLACIAN, 0, 2)
@@ -127,9 +182,12 @@ class TestCospectrality:
                 mp_u = vector_minpoly(m, unit_vector(g.n, u))
                 for v in range(u + 1, g.n):
                     prof = cospectrality_profile(g, LAPLACIAN, u, v)
-                    split = minpoly_split_is_cospectral(
-                        *classify_by_minpolys(g, LAPLACIAN, u, v), mp_u)
+                    pm, pp = classify_by_minpolys(g, LAPLACIAN, u, v)
+                    split = minpoly_split_is_cospectral(pm, pp, mp_u)
                     assert prof.strongly_cospectral == split
+                    if poly_gcd(pm, pp) == IntPolynomial.one():
+                        # coprime halves always multiply to minpoly_u
+                        assert pm * pp == mp_u
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
