@@ -36,15 +36,18 @@ class CliError(Exception):
 
 
 def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get("PSTLAB_WORKERS")
-    if env:
+    workers, source = args.workers, "--workers"
+    if workers is None:
+        env = os.environ.get("PSTLAB_WORKERS")
+        if not env:
+            return os.cpu_count() or 1
         try:
-            return max(1, int(env))
+            workers, source = int(env), "PSTLAB_WORKERS"
         except ValueError as exc:
             raise CliError(f"PSTLAB_WORKERS={env!r} is not an integer") from exc
-    return os.cpu_count() or 1
+    if workers < 1:
+        raise CliError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def _matrix_kind(name: str) -> str:
@@ -143,6 +146,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    workers = _workers(args)
     if args.n is not None and args.file is not None:
         raise CliError("choose one of --n or --file")
     if args.n is not None:
@@ -156,7 +160,7 @@ def cmd_survey(args) -> int:
         label = args.file
     else:
         raise CliError("survey needs --n or --file")
-    records, agg = run_survey(graphs, with_pst=args.pst, workers=_workers(args))
+    records, agg = run_survey(graphs, with_pst=args.pst, workers=workers)
     if args.out:
         write_survey_jsonl(records, args.out)
     agg_view = {"source": label, **agg}

@@ -3,7 +3,9 @@
 Everything in this module is exact: matrices are dense lists of rows over
 Python ints or Fractions, polynomials carry arbitrary-precision integer
 coefficients, and scalars extend to Q(sqrt(d)) where needed.  No floating
-point anywhere.
+point anywhere.  Polynomial Euclid (gcd, Sturm chains, extended Euclid)
+stays in Z[x]: one sign-preserving pseudo-division, with each remainder
+divided by its content, so no rational coefficients arise.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quad(self.a + o.a, self.b + o.b, self.d)
+        return _in_field(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
@@ -82,20 +84,20 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quad(self.a - o.a, self.b - o.b, self.d)
+        return _in_field(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quad(o.a - self.a, o.b - self.b, self.d)
+        return _in_field(o.a - self.a, o.b - self.b, self.d)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quad(self.a * o.a + self.b * o.b * self.d,
-                    self.a * o.b + self.b * o.a, self.d)
+        return _in_field(self.a * o.a + self.b * o.b * self.d,
+                         self.a * o.b + self.b * o.a, self.d)
 
     __rmul__ = __mul__
 
@@ -141,6 +143,16 @@ class QuadExt:
 
 
 Scalar = Union[int, Fraction, QuadExt]
+
+
+def _in_field(a: Fraction, b: Fraction, d: int) -> Scalar:
+    """:func:`quad` for arithmetic results, whose d was validated when an
+    operand was built: b == 0 still collapses to the Fraction a."""
+    if not b:
+        return a
+    out = QuadExt.__new__(QuadExt)
+    out.a, out.b, out.d = a, b, d
+    return out
 
 
 def quad(a, b, d: int) -> Scalar:
@@ -228,18 +240,22 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(out)
 
-    def divmod_monic(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Division with remainder by a monic divisor; stays in Z[x]."""
-        if not divisor.is_monic():
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        if len(rem) - 1 < dd:
-            return IntPolynomial.zero(), IntPolynomial(rem)
-        q = [0] * (len(rem) - dd)
+    def pseudo_divmod(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
+        """Sign-preserving pseudo-division: (q, r) with |lc|^k * self =
+        q * divisor + r and deg r < deg divisor, where lc is the divisor's
+        leading coefficient and k = max(deg self - deg divisor + 1, 0).
+        Stays in Z[x]; a monic divisor gives plain division with remainder."""
+        if divisor.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        dd, lead = divisor.degree, divisor.coeffs[-1]
+        k = max(self.degree - dd + 1, 0)
+        scale = abs(lead) ** k
+        rem = [scale * c for c in self.coeffs]
+        q = [0] * k
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c:
+                c //= lead  # exact: the remainder keeps a factor lead^(steps left)
                 q[i - dd] = c
                 for j, b in enumerate(divisor.coeffs):
                     rem[i - dd + j] -= c * b
@@ -250,7 +266,7 @@ class IntPolynomial:
             return other.is_zero()
         if not self.is_monic():
             raise ValueError("divisibility test implemented for monic divisors")
-        _, r = other.divmod_monic(self)
+        _, r = other.pseudo_divmod(self)
         return r.is_zero()
 
     def derivative(self) -> "IntPolynomial":
@@ -290,108 +306,81 @@ class IntPolynomial:
         return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
-# -- rational polynomial helpers (internal: lists of Fractions, ascending) --
-
-def _frac_poly(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _frac_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = a[:]
-    q = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(rem) - 1, len(b) - 2, -1):
-        c = rem[i] / lead
-        if c:
-            q[i - (len(b) - 1)] = c
-            for j, bc in enumerate(b):
-                rem[i - (len(b) - 1) + j] -= c * bc
-    return q, _frac_trim(rem)
-
+# -- Euclid in Z[x]: primitive polynomial remainder sequences ---------------
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Greatest common divisor in Z[x], normalized monic-primitive."""
-    fa, fb = _frac_poly(a), _frac_poly(b)
-    while fb:
-        _, r = _frac_divmod(fa, fb)
-        fa, fb = fb, r
-    if not fa:
-        return IntPolynomial.zero()
-    lead = fa[-1]
-    monic = [c / lead for c in fa]
-    den = math.lcm(*(c.denominator for c in monic))
-    return IntPolynomial(int(c * den) for c in monic).primitive()
+    """Greatest common divisor in Z[x], primitive with a positive leading
+    coefficient, by the primitive remainder sequence (Collins 1967)."""
+    while not b.is_zero():
+        a, b = b, a.pseudo_divmod(b)[1].primitive()
+    return a.primitive()
 
 
 def poly_bezout(a: IntPolynomial, b: IntPolynomial):
-    """Extended Euclid over Q: returns (u, v, g) with u*a + v*b = g, g monic.
-
-    u and v are lists of Fractions (ascending coefficients).
-    """
-    r0, r1 = _frac_poly(a), _frac_poly(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-
-    def sub(p, q, f):
-        out = p[:] + [Fraction(0)] * max(0, len(q) + len(f) - 1 - len(p))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, fc in enumerate(f):
-                    out[i + j] -= qc * fc
-        return _frac_trim(out)
-
-    while r1:
-        q, r = _frac_divmod(r0, r1)
-        q = _frac_trim(q)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub(u0, u1, q)
-        v0, v1 = v1, sub(v0, v1, q)
-    if not r0:
+    """Extended Euclid in Z[x]: (s, t, g, c) with s*a + t*b = c*g, where g
+    is gcd(a, b), primitive with a positive leading coefficient, and c is
+    a positive integer."""
+    if a.is_zero() and b.is_zero():
         raise ValueError("bezout of two zero polynomials")
-    lead = r0[-1]
-    g = [c / lead for c in r0]
-    u = [c / lead for c in u0]
-    v = [c / lead for c in v0]
-    return u, v, g
+
+    def times(k: int, p: IntPolynomial) -> IntPolynomial:
+        return IntPolynomial(k * x for x in p.coeffs)
+
+    def row(r, s, t, c):
+        # s*a + t*b = c*r with c > 0 on entry; on exit r is primitive with a
+        # positive leading coefficient and c, s, t have no common factor
+        h = r.content()
+        sign = -1 if h and r.coeffs[-1] < 0 else 1
+        if h:
+            r, c = IntPolynomial(sign * x // h for x in r.coeffs), c * h
+        d = math.gcd(c, s.content(), t.content())
+        return (r, IntPolynomial(sign * x // d for x in s.coeffs),
+                IntPolynomial(sign * x // d for x in t.coeffs), c // d)
+
+    one, zero = IntPolynomial.one(), IntPolynomial.zero()
+    prev, cur = row(a, one, zero, 1), row(b, zero, one, 1)
+    while not cur[0].is_zero():
+        (r0, s0, t0, c0), (r1, s1, t1, c1) = prev, cur
+        q, r = r0.pseudo_divmod(r1)
+        m = abs(r1.coeffs[-1]) ** max(r0.degree - r1.degree + 1, 0)
+        # c0*c1*r = c1*m*(c0*r0) - c0*q*(c1*r1)
+        prev, cur = cur, row(r, times(c1 * m, s0) - q * times(c0, s1),
+                             times(c1 * m, t0) - q * times(c0, t1), c0 * c1)
+    r, s, t, c = prev
+    return s, t, r, c
 
 
-def sturm_count(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
+def _sign_at(p: IntPolynomial, x) -> int:
+    """Sign of p at an int or Fraction x = n/d, from the integer d^deg p(n/d)."""
+    n, d = x.numerator, x.denominator
+    acc, dpow = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * n + c * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
+
+
+def sturm_count(p: IntPolynomial, lo: Union[int, Fraction],
+                hi: Union[int, Fraction]) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi).
 
-    Requires p(lo) != 0 and p(hi) != 0.
+    Requires p(lo) != 0 and p(hi) != 0.  The chain p, p', and
+    -prem(p_{k-1}, p_k) / content has positive multiples of the rational
+    Sturm chain's members, so the sign variations are the same.
     """
-    f = _frac_poly(p)
-    if not f:
+    if p.is_zero():
         raise ValueError("sturm_count of the zero polynomial")
-
-    def ev(poly, x):
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * x + c
-        return acc
-
-    if ev(f, lo) == 0 or ev(f, hi) == 0:
+    if not _sign_at(p, lo) or not _sign_at(p, hi):
         raise ValueError("sturm_count endpoints must not be roots")
-    chain = [f, _frac_trim([i * c for i, c in enumerate(f)][1:])]
-    while chain[-1]:
-        _, r = _frac_divmod(chain[-2], chain[-1])
-        chain.append([-c for c in r])
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero():
+        r = chain[-2].pseudo_divmod(chain[-1])[1]
+        h = r.content() or 1
+        chain.append(IntPolynomial(-x // h for x in r.coeffs))
     chain.pop()
 
     def variations(x):
-        signs = []
-        for poly in chain:
-            val = ev(poly, x)
-            if val:
-                signs.append(val > 0)
+        signs = [s for s in (_sign_at(poly, x) for poly in chain) if s]
         return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
     return variations(lo) - variations(hi)
@@ -573,13 +562,13 @@ def factor_support(p: IntPolynomial, root_bound: int) -> SupportFactorization:
     integer_roots = []
     if q.degree >= 1 and q.coeffs[0] == 0:
         integer_roots.append(0)
-        q, _ = q.divmod_monic(IntPolynomial((0, 1)))
+        q, _ = q.pseudo_divmod(IntPolynomial((0, 1)))
     c0 = q.coeffs[0] if q.degree >= 0 else 1
     for cand in range(-bound, bound + 1):
         if cand == 0 or q.degree < 1:
             continue
         if c0 % cand == 0 and q(cand) == 0:
-            q, _ = q.divmod_monic(IntPolynomial.x_minus(cand))
+            q, _ = q.pseudo_divmod(IntPolynomial.x_minus(cand))
             integer_roots.append(cand)
     quadratic_roots = []
     while q.degree >= 2:
@@ -587,7 +576,7 @@ def factor_support(p: IntPolynomial, root_bound: int) -> SupportFactorization:
         if hit is None:
             break
         s, t = hit
-        q, _ = q.divmod_monic(IntPolynomial((t, -s, 1)))
+        q, _ = q.pseudo_divmod(IntPolynomial((t, -s, 1)))
         disc = s * s - 4 * t
         b, d = squarefree_part(disc)
         quadratic_roots.append((s, b, d))

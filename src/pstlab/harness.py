@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Optional
@@ -172,7 +171,7 @@ def laplacian_integer_spectrum_split(g: Graph):
     roots = []
     for cand in range(0, g.n + 1):
         while p(cand) == 0:
-            p, _ = p.divmod_monic(IntPolynomial.x_minus(cand))
+            p, _ = p.pseudo_divmod(IntPolynomial.x_minus(cand))
             roots.append(cand)
     return sorted(roots), p
 
@@ -185,7 +184,7 @@ def lmax_is_integer(g: Graph) -> bool:
     if residual.degree < 1:
         return True
     top = max(roots) if roots else 0
-    return sturm_count(residual, Fraction(top), Fraction(g.n + 1)) == 0
+    return sturm_count(residual, top, g.n + 1) == 0
 
 
 def check_bipartite_lmax(corpus: Iterable[Graph], scan_pst: bool = True) -> CheckResult:
@@ -208,13 +207,13 @@ def check_bipartite_lmax(corpus: Iterable[Graph], scan_pst: bool = True) -> Chec
             integral_count += 1
         if not scan_pst or g.n < 2:
             continue
-        for report in pst_search(g, LAPLACIAN):
+        reports = pst_search(g, LAPLACIAN)
+        lmax = max(laplacian_integer_spectrum_split(g)[0]) if integral and reports else None
+        for report in reports:
             if not integral:
                 violations.append(
                     f"{write_graph6(g)}: transfer with irrational lambda_max")
                 continue
-            roots, _ = laplacian_integer_spectrum_split(g)
-            lmax = max(roots)
             same_class = bip.side_of(report.u) == bip.side_of(report.v)
             in_plus = IntegerEig(lmax) in report.plus_set
             if same_class != in_plus:

@@ -250,14 +250,14 @@ def minpoly_split_is_cospectral(poly_minus: IntPolynomial,
 
 
 def _bezout_projection(m, vec, keep: IntPolynomial, kill: IntPolynomial):
-    """Project vec onto the eigenspaces of keep's roots: with
-    s*keep + t*kill = 1, the operator t(M) kill(M) fixes those components
-    and annihilates the components at kill's roots."""
-    _, t_cof, gpoly = poly_bezout(keep, kill)
-    if [c for c in gpoly] != [Fraction(1)]:
+    """Project the integer vector vec onto the eigenspaces of keep's roots:
+    with s*keep + t*kill = c, the operator t(M) kill(M) / c fixes those
+    components and annihilates the components at kill's roots."""
+    _, t_cof, gpoly, c = poly_bezout(keep, kill)
+    if gpoly != IntPolynomial.one():
         raise AssertionError("projector polynomials are not coprime")
-    w = apply_poly(m, [Fraction(c) for c in kill.coeffs], vec)
-    return apply_poly(m, t_cof, w)
+    w = apply_poly(m, t_cof.coeffs, apply_poly(m, kill.coeffs, vec))
+    return [Fraction(x, c) for x in w]
 
 
 def cospectrality_profile(g: Graph, kind: str, u: int, v: int,

@@ -6,8 +6,9 @@ Matrix-Tree determinant, labelled Prufer decoding instead of level-sequence
 generation, the rooted-tree counting recurrence instead of any
 enumeration at all, and set comparisons of neighbourhoods instead of the
 bitmask twin search, trial division by every candidate quadratic
-instead of the divisor-pruned factor search, and a Lagrange product over
-the other support roots instead of the Krylov-basis eigenprojection.
+instead of the divisor-pruned factor search, a Lagrange product over
+the other support roots instead of the Krylov-basis eigenprojection, and
+Euclid over Fraction coefficients instead of pseudo-division in Z[x].
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from pstlab.exactalg import (
     SupportFactorization,
     apply_poly,
     mat_vec,
-    poly_gcd,
     squarefree_part,
 )
 from pstlab.generate import canonical_form
@@ -216,20 +216,20 @@ def factor_support_brute(p: IntPolynomial, root_bound: int) -> SupportFactorizat
     root-bound box is tried by dividing q by x^2 - s x + t."""
     if not p.is_monic():
         raise ValueError("factor_support requires a monic polynomial")
-    if p.degree >= 1 and not poly_gcd(p, p.derivative()) == IntPolynomial.one():
+    if p.degree >= 1 and not poly_gcd_fraction(p, p.derivative()) == IntPolynomial.one():
         raise ValueError("factor_support requires distinct roots")
     bound = int(root_bound)
     q = p
     integer_roots = []
     if q.degree >= 1 and q.coeffs[0] == 0:
         integer_roots.append(0)
-        q, _ = q.divmod_monic(IntPolynomial((0, 1)))
+        q, _ = q.pseudo_divmod(IntPolynomial((0, 1)))
     c0 = q.coeffs[0] if q.degree >= 0 else 1
     for cand in range(-bound, bound + 1):
         if cand == 0 or q.degree < 1:
             continue
         if c0 % cand == 0 and q(cand) == 0:
-            q, _ = q.divmod_monic(IntPolynomial.x_minus(cand))
+            q, _ = q.pseudo_divmod(IntPolynomial.x_minus(cand))
             integer_roots.append(cand)
     quadratic_roots = []
     while q.degree >= 2:
@@ -237,7 +237,7 @@ def factor_support_brute(p: IntPolynomial, root_bound: int) -> SupportFactorizat
         if hit is None:
             break
         s, t = hit
-        q, _ = q.divmod_monic(IntPolynomial((t, -s, 1)))
+        q, _ = q.pseudo_divmod(IntPolynomial((t, -s, 1)))
         disc = s * s - 4 * t
         b, d = squarefree_part(disc)
         quadratic_roots.append((s, b, d))
@@ -315,3 +315,110 @@ def projection_lagrange(m, e_u, target: EigenvalueId, others: list[EigenvalueId]
             mmv = mat_vec(m, mv)
             w = [(xx - a * x + t * y) / div for xx, x, y in zip(mmv, mv, w)]
     return w
+
+
+# -- Euclid over Q on lists of Fractions (ascending coefficients) -------------
+
+def _frac_poly(p: IntPolynomial) -> list[Fraction]:
+    return [Fraction(c) for c in p.coeffs]
+
+
+def _frac_trim(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _frac_divmod(a: list[Fraction], b: list[Fraction]):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = a[:]
+    q = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    lead = b[-1]
+    for i in range(len(rem) - 1, len(b) - 2, -1):
+        c = rem[i] / lead
+        if c:
+            q[i - (len(b) - 1)] = c
+            for j, bc in enumerate(b):
+                rem[i - (len(b) - 1) + j] -= c * bc
+    return q, _frac_trim(rem)
+
+
+def poly_gcd_fraction(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Greatest common divisor in Z[x], normalized monic-primitive."""
+    fa, fb = _frac_poly(a), _frac_poly(b)
+    while fb:
+        _, r = _frac_divmod(fa, fb)
+        fa, fb = fb, r
+    if not fa:
+        return IntPolynomial.zero()
+    lead = fa[-1]
+    monic = [c / lead for c in fa]
+    den = math.lcm(*(c.denominator for c in monic))
+    return IntPolynomial(int(c * den) for c in monic).primitive()
+
+
+def poly_bezout_fraction(a: IntPolynomial, b: IntPolynomial):
+    """Extended Euclid over Q: returns (u, v, g) with u*a + v*b = g, g monic.
+
+    u and v are lists of Fractions (ascending coefficients).
+    """
+    r0, r1 = _frac_poly(a), _frac_poly(b)
+    u0, u1 = [Fraction(1)], []
+    v0, v1 = [], [Fraction(1)]
+
+    def sub(p, q, f):
+        out = p[:] + [Fraction(0)] * max(0, len(q) + len(f) - 1 - len(p))
+        for i, qc in enumerate(q):
+            if qc:
+                for j, fc in enumerate(f):
+                    out[i + j] -= qc * fc
+        return _frac_trim(out)
+
+    while r1:
+        q, r = _frac_divmod(r0, r1)
+        q = _frac_trim(q)
+        r0, r1 = r1, r
+        u0, u1 = u1, sub(u0, u1, q)
+        v0, v1 = v1, sub(v0, v1, q)
+    if not r0:
+        raise ValueError("bezout of two zero polynomials")
+    lead = r0[-1]
+    g = [c / lead for c in r0]
+    u = [c / lead for c in u0]
+    v = [c / lead for c in v0]
+    return u, v, g
+
+
+def sturm_count_fraction(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of p in the open interval (lo, hi).
+
+    Requires p(lo) != 0 and p(hi) != 0.
+    """
+    f = _frac_poly(p)
+    if not f:
+        raise ValueError("sturm_count of the zero polynomial")
+
+    def ev(poly, x):
+        acc = Fraction(0)
+        for c in reversed(poly):
+            acc = acc * x + c
+        return acc
+
+    if ev(f, lo) == 0 or ev(f, hi) == 0:
+        raise ValueError("sturm_count endpoints must not be roots")
+    chain = [f, _frac_trim([i * c for i, c in enumerate(f)][1:])]
+    while chain[-1]:
+        _, r = _frac_divmod(chain[-2], chain[-1])
+        chain.append([-c for c in r])
+    chain.pop()
+
+    def variations(x):
+        signs = []
+        for poly in chain:
+            val = ev(poly, x)
+            if val:
+                signs.append(val > 0)
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(lo) - variations(hi)

@@ -149,6 +149,18 @@ class TestSurvey:
         code, _, _ = run_cli(capsys, "survey", "--n", "4", "--format", "json")
         assert code == 2
 
+    def test_env_worker_count_below_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("PSTLAB_WORKERS", "-4")
+        code, _, err = run_cli(capsys, "survey", "--n", "4", "--format", "json")
+        assert code == 2
+        assert err.startswith("error:") and "PSTLAB_WORKERS" in err
+
+    def test_flag_worker_count_below_one(self, capsys):
+        code, _, err = run_cli(capsys, "survey", "--n", "4", "--workers", "0",
+                               "--format", "json")
+        assert code == 2
+        assert err.startswith("error:") and "--workers" in err
+
 
 class TestTrees:
     def test_adjacency_small_sweep(self, capsys):

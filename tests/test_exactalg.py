@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pstlab.exactalg import (
     IntPolynomial,
@@ -35,7 +35,14 @@ from pstlab.spectral import (
     matrix_of,
 )
 
-from oracles import det_cofactor, factor_support_brute, spanning_trees_brute
+from oracles import (
+    det_cofactor,
+    factor_support_brute,
+    poly_bezout_fraction,
+    poly_gcd_fraction,
+    spanning_trees_brute,
+    sturm_count_fraction,
+)
 
 
 def minor0(m):
@@ -117,7 +124,7 @@ class TestVectorMinpoly:
             for u in range(g.n):
                 e = [1 if i == u else 0 for i in range(g.n)]
                 mp = vector_minpoly(m, e)
-                q, r = p.divmod_monic(mp)
+                q, r = p.pseudo_divmod(mp)
                 assert r.is_zero()
                 checked += 1
         assert checked > 400
@@ -377,8 +384,10 @@ class TestPolynomialHelpers:
     def test_bezout(self):
         a = IntPolynomial.from_roots([0, 2])
         b = IntPolynomial.from_roots([1, 3])
-        u, v, g = poly_bezout(a, b)
-        assert g == [F(1)]
+        s, t, g, c = poly_bezout(a, b)
+        assert g == IntPolynomial.one()
+        assert c > 0
+        assert s * a + t * b == IntPolynomial((c,))
 
     def test_sturm_counts(self):
         p = IntPolynomial.from_roots([-3, 1, 4])
@@ -394,3 +403,84 @@ class TestPolynomialHelpers:
         assert squarefree_part(1) == (1, 1)
         assert squarefree_part(45) == (3, 5)
         assert squarefree_part(49) == (7, 1)
+
+
+# distinct factors over Z: integer roots (and two non-monic linear factors),
+# irreducible quadratics, and cubics without a rational root
+_FACTORS = (
+    [IntPolynomial.x_minus(r) for r in range(-4, 5)]
+    + [IntPolynomial((1, 2)), IntPolynomial((-2, 3))]
+    + [IntPolynomial(c) for c in ((-2, 0, 1), (-1, -1, 1), (1, 0, 1), (1, 1, 1),
+                                   (1, -3, 1), (1, -4, 1), (-3, 0, 2))]
+    + [IntPolynomial(c) for c in ((-2, 0, 0, 1), (-1, -1, 0, 1), (-1, -3, 0, 1),
+                                   (-1, -2, 1, 1))]
+)
+
+
+def _product(factors) -> IntPolynomial:
+    p = IntPolynomial.one()
+    for f in factors:
+        p = p * f
+    return p
+
+
+@st.composite
+def _products(draw, common=IntPolynomial.one()):
+    """scale * common * a product of distinct factors, one of them
+    sometimes squared."""
+    factors = draw(st.lists(st.sampled_from(_FACTORS), unique=True, max_size=3))
+    if factors and draw(st.booleans()):
+        factors.append(factors[0])
+    scale = draw(st.sampled_from((1, 1, -1, 2, -6)))
+    return IntPolynomial((scale,)) * common * _product(factors)
+
+
+@st.composite
+def _pairs(draw):
+    """Two products sharing a random common factor; either may be zero."""
+    common = _product(draw(st.lists(st.sampled_from(_FACTORS), unique=True, max_size=2)))
+    a, b = draw(_products(common)), draw(_products(common))
+    zero = draw(st.sampled_from(("", "", "", "", "", "a", "b", "ab")))
+    return (IntPolynomial.zero() if "a" in zero else a,
+            IntPolynomial.zero() if "b" in zero else b)
+
+
+_ENDPOINTS = st.one_of(st.integers(-12, 12),
+                       st.fractions(min_value=-12, max_value=12, max_denominator=9))
+
+
+class TestEuclidAgainstFractionOracle:
+    @given(_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_pseudo_division_identity(self, pair):
+        a, b = pair
+        assume(not b.is_zero())
+        q, r = a.pseudo_divmod(b)
+        k = max(a.degree - b.degree + 1, 0)
+        assert IntPolynomial((abs(b.coeffs[-1]) ** k,)) * a == q * b + r
+        assert r.degree < b.degree
+
+    @given(_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_gcd(self, pair):
+        a, b = pair
+        assert poly_gcd(a, b) == poly_gcd_fraction(a, b)
+
+    @given(_products(), _ENDPOINTS, _ENDPOINTS)
+    @settings(max_examples=200, deadline=None)
+    def test_sturm_count(self, p, lo, hi):
+        assume(p(lo) != 0 and p(hi) != 0)
+        lo, hi = min(lo, hi), max(lo, hi)
+        assert sturm_count(p, lo, hi) == sturm_count_fraction(p, F(lo), F(hi))
+
+    @given(_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_bezout_identity(self, pair):
+        a, b = pair
+        assume(not (a.is_zero() and b.is_zero()))
+        s, t, g, c = poly_bezout(a, b)
+        _, _, g_monic = poly_bezout_fraction(a, b)
+        den = math.lcm(*(x.denominator for x in g_monic))
+        assert g == IntPolynomial(int(x * den) for x in g_monic).primitive()
+        assert c > 0
+        assert s * a + t * b == IntPolynomial((c,)) * g
