@@ -73,6 +73,11 @@ REPORT_DIGESTS = {
     LAPLACIAN: (7472, "c8436b8b20b7c2451189b8aaa47e9462c19fd3abdbc8e4a8284b8aeb51938ae6"),
     ADJACENCY: (7473, "83255fcf23190044fadaa5782fe8a995174be2c690b5c88d9b588eb024a27d4d"),
 }
+# sha256 of the newline-joined graph6 words of the connected corpus, in order
+CORPUS_WORD_DIGESTS = {
+    7: "76584eb4f6d62ee805bea5d3c9a4be66fb5cb81ef4c15a0d20947ff37b8b2466",
+    8: "cfaec07fc82eb5aa83e263cd306e12b219b32628964075c275d1c975e61d43de",
+}
 
 
 def report_line(criterion, ok, text):
@@ -523,6 +528,21 @@ class TestCriterion8ReportBytes:
         report_line(8, ok, "pair report digests "
                            + ", ".join(f"{k}: {n}" for k, (n, _) in got.items()))
         assert ok, got
+
+    @staticmethod
+    def _check_corpus_words(n, corpus):
+        words = "\n".join(write_graph6(g) for g in corpus)
+        digest = hashlib.sha256(words.encode()).hexdigest()
+        ok = digest == CORPUS_WORD_DIGESTS[n]
+        report_line(8, ok, f"n={n} canonical words sha256 {digest[:12]}")
+        assert ok, digest
+
+    def test_connected_words_pinned_n7(self, corpus_by_n):
+        """Generation emits the same canonical words in the same order."""
+        self._check_corpus_words(7, corpus_by_n[7])
+
+    def test_connected_words_pinned_n8(self, corpus8):
+        self._check_corpus_words(8, corpus8)
 
 
 class TestCriterion9ScaleBudget:
