@@ -63,59 +63,69 @@ class QuadExt:
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.d)
 
-    def _coerce(self, other):
+    def _parts(self, other):
+        """(a, b) of an operand in this extension, None for a foreign type;
+        a rational is read as (other, 0) without building a QuadExt."""
         if isinstance(other, QuadExt):
             if other.d != self.d:
                 raise ValueError(f"mixed extensions sqrt({self.d}) vs sqrt({other.d})")
-            return other
+            return other.a, other.b
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
+            return other, 0
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return _in_field(self.a + o.a, self.b + o.b, self.d)
+        return _in_field(self.a + o[0], self.b + o[1], self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return _in_field(self.a - o.a, self.b - o.b, self.d)
+        return _in_field(self.a - o[0], self.b - o[1], self.d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return _in_field(o.a - self.a, o.b - self.b, self.d)
+        return _in_field(o[0] - self.a, o[1] - self.b, self.d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return _in_field(self.a * o.a + self.b * o.b * self.d,
-                         self.a * o.b + self.b * o.a, self.d)
+        a, b = o
+        if not b:
+            return _in_field(self.a * a, self.b * a, self.d)
+        return _in_field(self.a * a + self.b * b * self.d,
+                         self.a * b + self.b * a, self.d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        norm = o.a * o.a - o.b * o.b * self.d
+    def _quotient(self, a, b, c, e):
+        """(a + b*sqrt(d)) / (c + e*sqrt(d)).  One side's parts are always
+        self's Fractions, so no int over int division ever makes a float."""
+        norm = c * c - e * e * self.d
         if norm == 0:
             raise ZeroDivisionError("division by zero quadratic scalar")
-        inv = QuadExt(o.a / norm, -o.b / norm, self.d)
-        return self * inv
+        return _in_field((a * c - b * e * self.d) / norm,
+                         (b * c - a * e) / norm, self.d)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
+    def __truediv__(self, other):
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return self._quotient(self.a, self.b, *o)
+
+    def __rtruediv__(self, other):
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return self._quotient(*o, self.a, self.b)
 
     def __neg__(self):
         return QuadExt(-self.a, -self.b, self.d)

@@ -3,7 +3,9 @@
 Three sources feed the survey harness: free trees from a level-sequence
 successor, connected graphs from vertex augmentation with canonical
 deduplication, and graph6 files.  Every generator yields one representative
-per isomorphism class in a deterministic order.
+per isomorphism class in a deterministic order.  The canonical form is the
+least graph6 word that a colour-refinement search reaches; the words come
+from graphs.py's one graph6 encoder, so this module packs no bits itself.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import os
 from typing import Iterator, Optional
 
-from .graphs import Graph, Graph6ParseError, GRAPH6_HEADER, parse_graph6, write_graph6
+from .graphs import Graph, Graph6ParseError, GRAPH6_HEADER, _graph6_word, parse_graph6
 
 MAX_CANONICAL_N = 16
 MAX_TREE_N = 16
@@ -42,30 +44,24 @@ def _refine(adj, n: int, colours: list[int]) -> list[int]:
         colours = new
 
 
-def _leaf_encoding(adj, order: list[int]) -> tuple[int, ...]:
-    """Adjacency bits of the relabelled graph in graph6 stream order."""
-    bits = []
-    for j in range(1, len(order)):
-        row = adj[order[j]]
-        for i in range(j):
-            bits.append(row >> order[i] & 1)
-    return tuple(bits)
+def canonical_form(g: Graph) -> str:
+    """Canonical graph6 word: equal iff graphs are isomorphic (n <= 16).
 
-
-def _canonical_order(g: Graph) -> list[int]:
-    """Vertex order whose relabelling minimizes the graph6 bit stream.
-
-    Colour refinement narrows the search; ties branch over the first
-    non-singleton cell.  Automorphisms discovered from equal-encoding
+    The word is the least graph6 word over the vertex orders that colour
+    refinement leaves: ties branch over the first non-singleton cell, and
+    each leaf's word is compared as a string, which for a fixed n is the
+    order of the bit streams.  Automorphisms discovered from equal-word
     leaves prune sibling branches that a known symmetry already covers.
     """
+    if g.n > MAX_CANONICAL_N:
+        raise ValueError(f"canonical_form limited to n <= {MAX_CANONICAL_N}")
     n, adj = g.n, g.adj
-    best_enc: Optional[tuple[int, ...]] = None
+    best_word: Optional[str] = None
     best_order: Optional[list[int]] = None
     autos: list[list[int]] = []
 
     def rec(colours: list[int]) -> None:
-        nonlocal best_enc, best_order
+        nonlocal best_word, best_order
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colours):
             cells.setdefault(c, []).append(v)
@@ -76,10 +72,10 @@ def _canonical_order(g: Graph) -> list[int]:
                 break
         if target is None:
             order = sorted(range(n), key=colours.__getitem__)
-            enc = _leaf_encoding(adj, order)
-            if best_enc is None or enc < best_enc:
-                best_enc, best_order = enc, order
-            elif enc == best_enc:
+            word = _graph6_word(adj, order)
+            if best_word is None or word < best_word:
+                best_word, best_order = word, order
+            elif word == best_word:
                 sigma = [0] * n
                 for k in range(n):
                     sigma[best_order[k]] = order[k]
@@ -99,19 +95,8 @@ def _canonical_order(g: Graph) -> list[int]:
             rec(_refine(adj, n, split))
 
     rec(_refine(adj, n, [0] * n))
-    assert best_order is not None
-    return best_order
-
-
-def canonical_form(g: Graph) -> str:
-    """Canonical graph6 word: equal iff graphs are isomorphic (n <= 16)."""
-    if g.n > MAX_CANONICAL_N:
-        raise ValueError(f"canonical_form limited to n <= {MAX_CANONICAL_N}")
-    order = _canonical_order(g)
-    pos = [0] * g.n
-    for p, v in enumerate(order):
-        pos[v] = p
-    return write_graph6(g.relabel(pos))
+    assert best_word is not None
+    return best_word
 
 
 # -- free trees --------------------------------------------------------------

@@ -150,17 +150,20 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def write_graph6(g: Graph) -> str:
-    """Canonical graph6 encoding of g's labelled edge set."""
-    if g.n > MAX_VERTICES:
-        raise ValueError(f"graph6 single-byte size limited to n <= {MAX_VERTICES}")
-    out = [g.n + 63]
+def _graph6_word(adj, order) -> str:
+    """graph6 word of the graph whose vertex k is vertex order[k] of adj.
+
+    For a fixed n the words compare as strings in the order of their bit
+    streams, which is what the canonical search minimizes.
+    """
+    n = len(order)
+    out = [n + 63]
     acc = 0
     nbits = 0
-    for j in range(1, g.n):
-        col = g.adj[j]
+    for j in range(1, n):
+        row = adj[order[j]]
         for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
+            acc = (acc << 1) | (row >> order[i] & 1)
             nbits += 1
             if nbits == 6:
                 out.append(acc + 63)
@@ -168,6 +171,11 @@ def write_graph6(g: Graph) -> str:
     if nbits:
         out.append((acc << (6 - nbits)) + 63)
     return bytes(out).decode("ascii")
+
+
+def write_graph6(g: Graph) -> str:
+    """graph6 encoding of g's labelled edge set."""
+    return _graph6_word(g.adj, range(g.n))
 
 
 # -- matrices ----------------------------------------------------------------

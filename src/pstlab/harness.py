@@ -164,34 +164,32 @@ def check_power_of_two_eigenvalue(g: Graph, u: int, v: int) -> CheckResult:
                        [f"minus eigenvalue {x} is not a power of two" for x in bad])
 
 
-def laplacian_integer_spectrum_split(g: Graph):
-    """(integer eigenvalues with multiplicity, residual cofactor) of the
-    Laplacian characteristic polynomial."""
+def _integer_lmax(g: Graph) -> Optional[int]:
+    """The largest Laplacian eigenvalue if it is an integer, else None,
+    decided exactly: split the integer roots off the characteristic
+    polynomial, then no root of the residual cofactor may exceed the
+    largest of them (root count by Sturm sequences, no floating point)."""
     p = charpoly(laplacian(g))
-    roots = []
+    top = 0
     for cand in range(0, g.n + 1):
         while p(cand) == 0:
             p, _ = p.pseudo_divmod(IntPolynomial.x_minus(cand))
-            roots.append(cand)
-    return sorted(roots), p
+            top = cand
+    if p.degree >= 1 and sturm_count(p, top, g.n + 1) != 0:
+        return None
+    return top
 
 
 def lmax_is_integer(g: Graph) -> bool:
-    """Whether the largest Laplacian eigenvalue is an integer, decided
-    exactly: no root of the residual cofactor may exceed the largest
-    integer root (root count by Sturm sequences, no floating point)."""
-    roots, residual = laplacian_integer_spectrum_split(g)
-    if residual.degree < 1:
-        return True
-    top = max(roots) if roots else 0
-    return sturm_count(residual, top, g.n + 1) == 0
+    """Whether the largest Laplacian eigenvalue is an integer (exact)."""
+    return _integer_lmax(g) is not None
 
 
-def check_bipartite_lmax(corpus: Iterable[Graph], scan_pst: bool = True) -> CheckResult:
+def check_bipartite_lmax(corpus: Iterable[Graph]) -> CheckResult:
     """Counts bipartite graphs with an integral largest Laplacian
-    eigenvalue; optionally asserts that bipartite graphs with Laplacian
-    transfer have integral lambda_max, with same-class pairs exactly those
-    keeping lambda_max in the plus set."""
+    eigenvalue, and asserts that bipartite graphs with Laplacian transfer
+    have integral lambda_max, with same-class pairs exactly those keeping
+    lambda_max in the plus set."""
     bip_count = 0
     integral_count = 0
     violations = []
@@ -202,15 +200,11 @@ def check_bipartite_lmax(corpus: Iterable[Graph], scan_pst: bool = True) -> Chec
         if bip is None:
             continue
         bip_count += 1
-        integral = lmax_is_integer(g)
-        if integral:
+        lmax = _integer_lmax(g)
+        if lmax is not None:
             integral_count += 1
-        if not scan_pst or g.n < 2:
-            continue
-        reports = pst_search(g, LAPLACIAN)
-        lmax = max(laplacian_integer_spectrum_split(g)[0]) if integral and reports else None
-        for report in reports:
-            if not integral:
+        for report in pst_search(g, LAPLACIAN):
+            if lmax is None:
                 violations.append(
                     f"{write_graph6(g)}: transfer with irrational lambda_max")
                 continue
@@ -236,25 +230,24 @@ def check_trees_no_lpst(max_n: int) -> CheckResult:
     for n in range(3, max_n + 1):
         for t in gen_free_trees(n):
             trees += 1
-            for u in range(n):
-                for v in range(u + 1, n):
-                    pairs += 1
-                    report = laplacian_pst(t, u, v)
-                    if report.yes:
-                        violations.append(
-                            f"{write_graph6(t)}: Laplacian transfer ({u},{v})")
-                    elif report.certificate.kind != NOT_STRONGLY_COSPECTRAL:
-                        sc_pairs += 1
-                        # a single minus eigenvalue makes (e_u - e_v)/2 an
-                        # eigenvector, which forces a twin pair; residual ids
-                        # bundle several eigenvalues and are exempt
-                        if (len(report.minus_set) == 1
-                                and isinstance(report.minus_set[0], IntegerEig)):
-                            twins = {(p.u, p.v) for p in find_twins(t)}
-                            if (u, v) not in twins:
-                                violations.append(
-                                    f"{write_graph6(t)}: singleton minus class "
-                                    f"on a non-twin pair ({u},{v})")
+            for report in all_pair_reports(t, LAPLACIAN):
+                pairs += 1
+                u, v = report.u, report.v
+                if report.yes:
+                    violations.append(
+                        f"{write_graph6(t)}: Laplacian transfer ({u},{v})")
+                elif report.certificate.kind != NOT_STRONGLY_COSPECTRAL:
+                    sc_pairs += 1
+                    # a single minus eigenvalue makes (e_u - e_v)/2 an
+                    # eigenvector, which forces a twin pair; residual ids
+                    # bundle several eigenvalues and are exempt
+                    if (len(report.minus_set) == 1
+                            and isinstance(report.minus_set[0], IntegerEig)):
+                        twins = {(p.u, p.v) for p in find_twins(t)}
+                        if (u, v) not in twins:
+                            violations.append(
+                                f"{write_graph6(t)}: singleton minus class "
+                                f"on a non-twin pair ({u},{v})")
     return CheckResult("trees-no-laplacian-pst", not violations,
                        {"trees": trees, "pairs": pairs,
                         "strongly_cospectral_pairs": sc_pairs},
