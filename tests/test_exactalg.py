@@ -371,6 +371,18 @@ class TestQuadExt:
         assert F(1, 2) - x == quad(F(-1, 2), -2, 3)
         assert (x - x) == 0
 
+    def test_int_operands_keep_fraction_parts(self):
+        # equality alone would let a float part through (0.5 == F(1, 2))
+        x = quad(1, 1, 2)
+        for y in (x / 3, 3 / x, x * 2, 2 * x, x + 1, 1 - x, x / F(1, 3)):
+            assert isinstance(y, QuadExt)
+            assert type(y.a) is F and type(y.b) is F, y
+        assert x / 3 == quad(F(1, 3), F(1, 3), 2)
+        assert 3 / x == quad(-3, 3, 2)
+        for op in (lambda a, b: a * b, lambda a, b: a / b, lambda a, b: a - b):
+            with pytest.raises(ValueError):
+                op(x, quad(0, 1, 3))
+
 
 class TestPolynomialHelpers:
     def test_gcd(self):
