@@ -3,9 +3,9 @@
 Everything in this module is exact: matrices are dense lists of rows over
 Python ints or Fractions, polynomials carry arbitrary-precision integer
 coefficients, and scalars extend to Q(sqrt(d)) where needed.  No floating
-point anywhere.  Polynomial Euclid (gcd, Sturm chains, extended Euclid)
-stays in Z[x]: one sign-preserving pseudo-division, with each remainder
-divided by its content, so no rational coefficients arise.
+point anywhere.  Polynomial Euclid (gcd, Sturm chains) stays in Z[x]:
+one sign-preserving pseudo-division, with each remainder divided by its
+content, so no rational coefficients arise.
 """
 
 from __future__ import annotations
@@ -326,40 +326,6 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return a.primitive()
 
 
-def poly_bezout(a: IntPolynomial, b: IntPolynomial):
-    """Extended Euclid in Z[x]: (s, t, g, c) with s*a + t*b = c*g, where g
-    is gcd(a, b), primitive with a positive leading coefficient, and c is
-    a positive integer."""
-    if a.is_zero() and b.is_zero():
-        raise ValueError("bezout of two zero polynomials")
-
-    def times(k: int, p: IntPolynomial) -> IntPolynomial:
-        return IntPolynomial(k * x for x in p.coeffs)
-
-    def row(r, s, t, c):
-        # s*a + t*b = c*r with c > 0 on entry; on exit r is primitive with a
-        # positive leading coefficient and c, s, t have no common factor
-        h = r.content()
-        sign = -1 if h and r.coeffs[-1] < 0 else 1
-        if h:
-            r, c = IntPolynomial(sign * x // h for x in r.coeffs), c * h
-        d = math.gcd(c, s.content(), t.content())
-        return (r, IntPolynomial(sign * x // d for x in s.coeffs),
-                IntPolynomial(sign * x // d for x in t.coeffs), c // d)
-
-    one, zero = IntPolynomial.one(), IntPolynomial.zero()
-    prev, cur = row(a, one, zero, 1), row(b, zero, one, 1)
-    while not cur[0].is_zero():
-        (r0, s0, t0, c0), (r1, s1, t1, c1) = prev, cur
-        q, r = r0.pseudo_divmod(r1)
-        m = abs(r1.coeffs[-1]) ** max(r0.degree - r1.degree + 1, 0)
-        # c0*c1*r = c1*m*(c0*r0) - c0*q*(c1*r1)
-        prev, cur = cur, row(r, times(c1 * m, s0) - q * times(c0, s1),
-                             times(c1 * m, t0) - q * times(c0, t1), c0 * c1)
-    r, s, t, c = prev
-    return s, t, r, c
-
-
 def _sign_at(p: IntPolynomial, x) -> int:
     """Sign of p at an int or Fraction x = n/d, from the integer d^deg p(n/d)."""
     n, d = x.numerator, x.denominator
@@ -654,13 +620,3 @@ def rank_mod_p(m: Sequence[Sequence[int]], p: int) -> int:
             break
     return rank
 
-
-def apply_poly(m, coeffs: Sequence, v) -> list:
-    """Apply p(m) to v by Horner's rule; coeffs ascending, any exact scalar."""
-    n = len(v)
-    w = [coeffs[-1] * x for x in v] if coeffs else [0] * n
-    for c in reversed(coeffs[:-1]):
-        w = mat_vec(m, w)
-        if c != 0:
-            w = [x + c * y for x, y in zip(w, v)]
-    return w

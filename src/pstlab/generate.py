@@ -11,6 +11,7 @@ from graphs.py's one graph6 encoder, so this module packs no bits itself.
 from __future__ import annotations
 
 import os
+import string
 from typing import Iterator, Optional
 
 from .graphs import Graph, Graph6ParseError, GRAPH6_HEADER, _graph6_word, parse_graph6
@@ -81,11 +82,24 @@ def canonical_form(g: Graph) -> str:
                     sigma[best_order[k]] = order[k]
                 autos.append(sigma)
             return
+        # Orbits of the group generated by the automorphisms that fix every
+        # singleton: that group fixes this colouring, so a candidate in the
+        # orbit of a tried vertex roots a subtree with the same leaf words.
         fixed = [v for v, c in enumerate(colours) if len(cells[c]) == 1]
+        orbit = None  # orbit label per vertex, merged by relabelling
+        merged = 0
         tried: list[int] = []
         for v in target:
-            if any(sigma[u] == v and all(sigma[w] == w for w in fixed)
-                   for sigma in autos for u in tried):
+            for sigma in autos[merged:]:
+                if all(sigma[w] == w for w in fixed):
+                    if orbit is None:
+                        orbit = list(range(n))
+                    for x in range(n):
+                        a, b = orbit[x], orbit[sigma[x]]
+                        if a != b:
+                            orbit = [a if o == b else o for o in orbit]
+            merged = len(autos)
+            if orbit is not None and any(orbit[u] == orbit[v] for u in tried):
                 continue
             tried.append(v)
             split = [2 * c for c in colours]
@@ -241,22 +255,23 @@ def gen_connected_graphs(n: int) -> Iterator[Graph]:
 
 def stream_from_file(path: str) -> Iterator[Graph]:
     """Graphs from a graph6 file in file order, no dedup; parse errors name
-    the line number."""
+    the line number.  Latin-1 maps every byte to the code point of its
+    value, so a non-ASCII byte reaches parse_graph6 and fails on its line."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
 
     def produce():
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="latin-1") as fh:
             for lineno, line in enumerate(fh, start=1):
-                word = line.strip()
+                word = line.strip(string.whitespace)
                 if word.startswith(GRAPH6_HEADER):
-                    word = word[len(GRAPH6_HEADER):].strip()
+                    word = word[len(GRAPH6_HEADER):].strip(string.whitespace)
                 if not word:
                     continue
                 try:
                     yield parse_graph6(word)
                 except Graph6ParseError as exc:
-                    raise Graph6ParseError(
-                        f"{path}:{lineno}: {exc.args[0]}", exc.offset) from None
+                    exc.args = (f"{path}:{lineno}: {exc}",)
+                    raise
 
     return produce()

@@ -7,11 +7,14 @@ connectivity, and the n=8 corpus sweeps cheap.
 
 from __future__ import annotations
 
+import re
+import string
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 MAX_VERTICES = 62
 GRAPH6_HEADER = ">>graph6<<"
+_NOT_GRAPH6 = re.compile("[^?-~]")  # any code point outside 63..126
 
 
 class Graph6ParseError(ValueError):
@@ -119,15 +122,16 @@ class Bipartition:
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 word (optional '>>graph6<<' prefix tolerated)."""
-    s = text.strip()
+    s = text.strip(string.whitespace)  # str.strip() would also drop U+00A0
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise Graph6ParseError("empty graph6 word", 0)
-    data = s.encode("ascii", "replace")
-    for i, byte in enumerate(data):
-        if byte < 63 or byte > 126:
-            raise Graph6ParseError(f"byte {byte} outside graph6 range 63..126", i)
+    bad = _NOT_GRAPH6.search(s)
+    if bad:
+        raise Graph6ParseError(
+            f"code point {ord(bad.group())} outside graph6 range 63..126", bad.start())
+    data = s.encode("ascii")
     n = data[0] - 63
     if n == 63:
         raise Graph6ParseError("multi-byte vertex counts (n > 62) unsupported", 0)

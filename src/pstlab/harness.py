@@ -54,6 +54,8 @@ def power_of_two(x: int) -> bool:
 def spanning_tree_count(g: Graph, vertex: int = 0) -> int:
     """Number of spanning trees: determinant of the Laplacian with one
     row and column deleted; 0 for disconnected graphs."""
+    if not 0 <= vertex < g.n:
+        raise ValueError(f"vertex {vertex} out of range")
     lap = laplacian(g)
     minor = [row[:vertex] + row[vertex + 1:] for i, row in enumerate(lap) if i != vertex]
     return det_bareiss(minor)

@@ -17,10 +17,8 @@ from typing import Optional, Union
 
 from .exactalg import (
     IntPolynomial,
-    apply_poly,
     factor_support,
     mat_vec,
-    poly_bezout,
     poly_gcd,
     quad,
     unit_vector,
@@ -213,8 +211,6 @@ class CospectralityProfile:
     witness: Optional[EigenvalueId]
     plus_set: list
     minus_set: list
-    z_plus: Optional[list]
-    z_minus: Optional[list]
 
     @property
     def strongly_cospectral(self) -> bool:
@@ -249,17 +245,6 @@ def minpoly_split_is_cospectral(poly_minus: IntPolynomial,
             and poly_minus * poly_plus == minpoly_u)
 
 
-def _bezout_projection(m, vec, keep: IntPolynomial, kill: IntPolynomial):
-    """Project the integer vector vec onto the eigenspaces of keep's roots:
-    with s*keep + t*kill = c, the operator t(M) kill(M) / c fixes those
-    components and annihilates the components at kill's roots."""
-    _, t_cof, gpoly, c = poly_bezout(keep, kill)
-    if gpoly != IntPolynomial.one():
-        raise AssertionError("projector polynomials are not coprime")
-    w = apply_poly(m, t_cof.coeffs, apply_poly(m, kill.coeffs, vec))
-    return [Fraction(x, c) for x in w]
-
-
 def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
                           profiles: Optional[dict] = None) -> CospectralityProfile:
     """Exact plus/minus classification of the common support of u and v.
@@ -284,7 +269,7 @@ def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
 
     def not_cospectral(witness):
         return CospectralityProfile(kind, u, v, NOT_COSPECTRAL, witness,
-                                    [], [], None, None)
+                                    [], [])
 
     set_u = set(pu.support)
     set_v = set(pv.support)
@@ -317,33 +302,5 @@ def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
         if r_minus.degree >= 1:
             minus.append(ResidualEig(r_minus))
 
-    m = matrix_of(g, kind)
-    e_u = unit_vector(g.n, u)
-    z_plus = _bezout_projection(m, e_u, _dedup_poly(plus), _dedup_poly(minus))
-    z_minus = [a - b for a, b in zip([Fraction(x) for x in e_u], z_plus)]
     return CospectralityProfile(kind, u, v, STRONGLY_COSPECTRAL, None,
-                                plus, minus, z_plus, z_minus)
-
-
-def _eig_factor(eig: EigenvalueId) -> IntPolynomial:
-    if isinstance(eig, IntegerEig):
-        return IntPolynomial.x_minus(eig.value)
-    if isinstance(eig, QuadraticEig):
-        t4 = eig.a * eig.a - eig.b * eig.b * eig.delta
-        return IntPolynomial((t4 // 4, -eig.a, 1))
-    return eig.poly
-
-
-def _dedup_poly(ids: list) -> IntPolynomial:
-    """Product of minimal factors over the ids, counting each conjugate
-    pair once."""
-    out = IntPolynomial.one()
-    seen: set = set()
-    for eig in ids:
-        if isinstance(eig, QuadraticEig):
-            key = (eig.a, abs(eig.b), eig.delta)
-            if key in seen:
-                continue
-            seen.add(key)
-        out = out * _eig_factor(eig)
-    return out
+                                plus, minus)

@@ -21,7 +21,6 @@ from typing import Optional
 from pstlab.exactalg import (
     IntPolynomial,
     SupportFactorization,
-    apply_poly,
     mat_vec,
     squarefree_part,
 )
@@ -267,6 +266,49 @@ def _find_quadratic_factor_brute(q: IntPolynomial, bound: int):
     return None
 
 
+def apply_poly(m, coeffs, v) -> list:
+    """Apply p(m) to v by Horner's rule; coeffs ascending, any exact scalar."""
+    w = [coeffs[-1] * x for x in v]
+    for c in reversed(coeffs[:-1]):
+        w = mat_vec(m, w)
+        if c != 0:
+            w = [x + c * y for x, y in zip(w, v)]
+    return w
+
+
+def class_polynomial(ids: list[EigenvalueId]) -> IntPolynomial:
+    """Product of the minimal polynomials over Q of the eigenvalue ids: a
+    conjugate pair counts once and a residual id is its own polynomial."""
+    out = IntPolynomial.one()
+    pairs: set[tuple[int, int, int]] = set()
+    for eig in ids:
+        if isinstance(eig, IntegerEig):
+            out = out * IntPolynomial.x_minus(eig.value)
+        elif isinstance(eig, ResidualEig):
+            out = out * eig.poly
+        elif (eig.a, abs(eig.b), eig.delta) not in pairs:
+            pairs.add((eig.a, abs(eig.b), eig.delta))
+            # (x - a/2)^2 - b^2 delta / 4
+            t4 = eig.a * eig.a - eig.b * eig.b * eig.delta
+            out = out * IntPolynomial((t4 // 4, -eig.a, 1))
+    return out
+
+
+def sign_class_annihilators(m, u: int, v: int, plus: list[EigenvalueId],
+                            minus: list[EigenvalueId]):
+    """(P, Q, P(M)(e_u + e_v), Q(M)(e_u - e_v)) for the class polynomials
+    P of plus and Q of minus.  With P and Q coprime, both vectors vanish
+    exactly when E_plus e_u = (e_u + e_v)/2 and E_minus e_u = (e_u - e_v)/2,
+    where E_plus and E_minus project onto the eigenspaces of the roots of P
+    and Q.  Built from the ids alone, never from the decider's polynomials."""
+    n = len(m)
+    summ = [int(i in (u, v)) for i in range(n)]
+    diff = [(i == u) - (i == v) for i in range(n)]
+    p_poly, q_poly = class_polynomial(plus), class_polynomial(minus)
+    return (p_poly, q_poly, apply_poly(m, p_poly.coeffs, summ),
+            apply_poly(m, q_poly.coeffs, diff))
+
+
 def projection_lagrange(m, e_u, target: EigenvalueId, others: list[EigenvalueId],
                         residual: Optional[IntPolynomial]):
     """Lagrange product of (M - mu I)/(lambda - mu) over the other support
@@ -356,38 +398,6 @@ def poly_gcd_fraction(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     monic = [c / lead for c in fa]
     den = math.lcm(*(c.denominator for c in monic))
     return IntPolynomial(int(c * den) for c in monic).primitive()
-
-
-def poly_bezout_fraction(a: IntPolynomial, b: IntPolynomial):
-    """Extended Euclid over Q: returns (u, v, g) with u*a + v*b = g, g monic.
-
-    u and v are lists of Fractions (ascending coefficients).
-    """
-    r0, r1 = _frac_poly(a), _frac_poly(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-
-    def sub(p, q, f):
-        out = p[:] + [Fraction(0)] * max(0, len(q) + len(f) - 1 - len(p))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, fc in enumerate(f):
-                    out[i + j] -= qc * fc
-        return _frac_trim(out)
-
-    while r1:
-        q, r = _frac_divmod(r0, r1)
-        q = _frac_trim(q)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub(u0, u1, q)
-        v0, v1 = v1, sub(v0, v1, q)
-    if not r0:
-        raise ValueError("bezout of two zero polynomials")
-    lead = r0[-1]
-    g = [c / lead for c in r0]
-    u = [c / lead for c in u0]
-    v = [c / lead for c in v0]
-    return u, v, g
 
 
 def sturm_count_fraction(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:

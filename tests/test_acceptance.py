@@ -21,7 +21,14 @@ from fractions import Fraction as F
 import pytest
 
 from pstlab.cli import GOLDEN_COUNTS_7, GOLDEN_RULED_OUT_8
-from pstlab.exactalg import charpoly, rank_mod_p, unit_vector, vector_minpoly
+from pstlab.exactalg import (
+    IntPolynomial,
+    charpoly,
+    poly_gcd,
+    rank_mod_p,
+    unit_vector,
+    vector_minpoly,
+)
 from pstlab.generate import canonical_form, gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
     Graph,
@@ -55,7 +62,12 @@ from pstlab.spectral import (
     support_profile,
 )
 
-from oracles import free_tree_count_prufer, free_tree_counts_otter, twin_statistics
+from oracles import (
+    free_tree_count_prufer,
+    free_tree_counts_otter,
+    sign_class_annihilators,
+    twin_statistics,
+)
 
 ORACLE_TOLERANCE = 1e-9
 TREE_COUNTS = {3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
@@ -325,12 +337,12 @@ class TestCriterion6PropertySuites:
                         sc_pairs += 1
                         prof = cospectrality_profile(g, LAPLACIAN, u, v)
                         assert prof.strongly_cospectral
+                        p_poly, q_poly, w_plus, w_minus = sign_class_annihilators(
+                            m, u, v, prof.plus_set, prof.minus_set)
+                        assert poly_gcd(p_poly, q_poly) == IntPolynomial.one()
                         for i in range(g.n):
-                            half = F(1, 2)
-                            eu = half if i == u else F(0)
-                            ev = half if i == v else F(0)
-                            assert prof.z_plus[i] == eu + ev
-                            assert prof.z_minus[i] == eu - ev
+                            assert w_plus[i] == 0
+                            assert w_minus[i] == 0
                             assertions += 2
         ok = assertions >= 1000 and sc_pairs >= 50
         report_line(6, ok, f"z+/z- identities: {assertions} assertions over "

@@ -53,6 +53,15 @@ class TestAnalyze:
                                "--pairs", "0,1")
         assert code == 2 and "error" in err
 
+    def test_non_ascii_graph6_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "analyze", "--g6", "A\xff", "--pairs", "0,1")
+        assert code == 2 and "offset 1" in err
+        corpus = tmp_path / "latin.g6"
+        corpus.write_bytes(b"A_\nA\xff\n")
+        code, _, err = run_cli(capsys, "survey", "--file", str(corpus),
+                               "--workers", "1", "--format", "json")
+        assert code == 2 and ":2:" in err
+
     def test_two_sources_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--g6", "A_",
                              "--family", "cycle:4", "--pairs", "all")

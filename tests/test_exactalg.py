@@ -12,7 +12,6 @@ from pstlab.exactalg import (
     factor_support,
     identity,
     mat_vec,
-    poly_bezout,
     poly_gcd,
     quad,
     rank_mod_p,
@@ -38,7 +37,6 @@ from pstlab.spectral import (
 from oracles import (
     det_cofactor,
     factor_support_brute,
-    poly_bezout_fraction,
     poly_gcd_fraction,
     spanning_trees_brute,
     sturm_count_fraction,
@@ -393,14 +391,6 @@ class TestPolynomialHelpers:
     def test_gcd_coprime(self):
         assert poly_gcd(IntPolynomial((1, 1)), IntPolynomial((2, 1))) == IntPolynomial.one()
 
-    def test_bezout(self):
-        a = IntPolynomial.from_roots([0, 2])
-        b = IntPolynomial.from_roots([1, 3])
-        s, t, g, c = poly_bezout(a, b)
-        assert g == IntPolynomial.one()
-        assert c > 0
-        assert s * a + t * b == IntPolynomial((c,))
-
     def test_sturm_counts(self):
         p = IntPolynomial.from_roots([-3, 1, 4])
         assert sturm_count(p, F(-10), F(10)) == 3
@@ -484,15 +474,3 @@ class TestEuclidAgainstFractionOracle:
         assume(p(lo) != 0 and p(hi) != 0)
         lo, hi = min(lo, hi), max(lo, hi)
         assert sturm_count(p, lo, hi) == sturm_count_fraction(p, F(lo), F(hi))
-
-    @given(_pairs())
-    @settings(max_examples=200, deadline=None)
-    def test_bezout_identity(self, pair):
-        a, b = pair
-        assume(not (a.is_zero() and b.is_zero()))
-        s, t, g, c = poly_bezout(a, b)
-        _, _, g_monic = poly_bezout_fraction(a, b)
-        den = math.lcm(*(x.denominator for x in g_monic))
-        assert g == IntPolynomial(int(x * den) for x in g_monic).primitive()
-        assert c > 0
-        assert s * a + t * b == IntPolynomial((c,)) * g

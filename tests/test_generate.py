@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +13,7 @@ from pstlab.generate import (
 from pstlab.graphs import (
     Graph,
     Graph6ParseError,
+    complete_graph,
     cycle_graph,
     parse_graph6,
     path_graph,
@@ -68,6 +72,22 @@ class TestCanonicalForm:
                   Graph(8, [(i, j) for i in range(4) for j in range(4, 8)])):
             perm = list(reversed(range(g.n)))
             assert canonical_form(g) == canonical_form(g.relabel(perm))
+
+    def test_dense_transitive_graphs_within_budget(self):
+        # a budget of 5 s per call; K16 and K8,8 take about 0.1 s on a
+        # 2-vCPU Xeon
+        rng = random.Random(16)
+        cases = [complete_graph(n) for n in range(10, 17)]
+        cases.append(Graph(16, [(i, j) for i in range(8) for j in range(8, 16)]))
+        for g in cases:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            words = []
+            for h in (g, g.relabel(perm)):
+                start = time.perf_counter()
+                words.append(canonical_form(h))
+                assert time.perf_counter() - start < 5.0, (g.n, g.edge_count)
+            assert words[0] == words[1]
 
     def test_discriminates_all_small_classes(self):
         # pairwise distinct canonical forms across all 4-vertex graphs
@@ -180,6 +200,13 @@ class TestFileStreams:
         with pytest.raises(Graph6ParseError) as exc:
             list(stream)
         assert ":2:" in str(exc.value)
+
+    def test_non_ascii_byte_names_line_number(self, tmp_path):
+        path = tmp_path / "latin.g6"
+        path.write_bytes(b"A_\nA\xff\n")
+        with pytest.raises(Graph6ParseError) as exc:
+            list(stream_from_file(str(path)))
+        assert ":2:" in str(exc.value) and exc.value.offset == 1
 
     def test_no_dedup(self, tmp_path):
         path = tmp_path / "dup.g6"

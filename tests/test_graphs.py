@@ -61,9 +61,11 @@ class TestGraph6:
         assert parse_graph6(write_graph6(g)) == g
 
     def test_bad_character_names_offset(self):
-        with pytest.raises(Graph6ParseError) as exc:
-            parse_graph6("C" + chr(20))
-        assert exc.value.offset == 1
+        for word, offset in (("C" + chr(20), 1), ("A\xff", 1), ("A_\xa0", 2),
+                             ("A\u20ac", 1)):
+            with pytest.raises(Graph6ParseError) as exc:
+                parse_graph6(word)
+            assert exc.value.offset == offset
 
     def test_truncated(self):
         with pytest.raises(Graph6ParseError):

@@ -54,6 +54,11 @@ class TestSpanningTrees:
     def test_k4(self):
         assert spanning_tree_count(complete_graph(4)) == 16
 
+    def test_vertex_out_of_range(self):
+        for vertex in (5, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                spanning_tree_count(cycle_graph(5), vertex)
+
     def test_against_brute_force(self, corpus6):
         for g in corpus6:
             if g.n <= 6:

@@ -32,7 +32,11 @@ from pstlab.spectral import (
     support_profile,
 )
 
-from oracles import factor_support_brute, projection_lagrange
+from oracles import (
+    factor_support_brute,
+    projection_lagrange,
+    sign_class_annihilators,
+)
 
 
 class TestSupportProfile:
@@ -142,8 +146,13 @@ class TestCospectrality:
         assert prof.strongly_cospectral
         assert prof.plus_set == [IntegerEig(0), IntegerEig(4)]
         assert prof.minus_set == [IntegerEig(2)]
-        assert prof.z_plus == [F(1, 2), 0, F(1, 2), 0]
-        assert prof.z_minus == [F(1, 2), 0, F(-1, 2), 0]
+        m = matrix_of(cycle_graph(4), LAPLACIAN)
+        p_poly, q_poly, w_plus, w_minus = sign_class_annihilators(
+            m, 0, 2, prof.plus_set, prof.minus_set)
+        assert p_poly == IntPolynomial.from_roots([0, 4])
+        assert q_poly == IntPolynomial.x_minus(2)
+        assert w_plus == [0, 0, 0, 0]
+        assert w_minus == [0, 0, 0, 0]
 
     def test_p3_endpoints_adjacency(self):
         prof = cospectrality_profile(path_graph(3), ADJACENCY, 0, 2)
@@ -161,15 +170,17 @@ class TestCospectrality:
         for g in corpus6:
             if g.n < 2:
                 continue
+            m = matrix_of(g, LAPLACIAN)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     prof = cospectrality_profile(g, LAPLACIAN, u, v)
                     if not prof.strongly_cospectral:
                         continue
-                    e_u = [F(1) if i == u else F(0) for i in range(g.n)]
-                    e_v = [F(1) if i == v else F(0) for i in range(g.n)]
-                    assert prof.z_plus == [(a + b) / 2 for a, b in zip(e_u, e_v)]
-                    assert prof.z_minus == [(a - b) / 2 for a, b in zip(e_u, e_v)]
+                    p_poly, q_poly, w_plus, w_minus = sign_class_annihilators(
+                        m, u, v, prof.plus_set, prof.minus_set)
+                    assert poly_gcd(p_poly, q_poly) == IntPolynomial.one()
+                    assert w_plus == [0] * g.n
+                    assert w_minus == [0] * g.n
                     checked += 1
         assert checked >= 30
 
