@@ -457,15 +457,28 @@ def vector_minpoly(m, v) -> IntPolynomial:
     if not (all(isinstance(x, int) for row in m for x in row)
             and all(isinstance(x, int) for x in v)):
         raise ValueError("vector_minpoly requires an integer matrix and vector")
-    if all(x == 0 for x in v):
-        return IntPolynomial.one()
+
+    def powers():
+        w = v
+        while True:
+            yield w
+            w = mat_vec(m, w)
+
+    return krylov_minpoly(powers())
+
+
+def krylov_minpoly(vectors) -> IntPolynomial:
+    """Minimal polynomial of v under m from its integer Krylov vectors
+    v, m v, m^2 v, ..., by fraction-free elimination.
+
+    The vectors are drawn one at a time and the drawing stops at the first
+    one that depends on those before it, so a lazy iterable is never read
+    past degree + 1 vectors.  The zero vector returns the constant 1.
+    """
     basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vec, combo)
-    w = list(v)
-    k = 0
-    while True:
+    for k, vec in enumerate(vectors):
         combo = [0] * (k + 1)
         combo[k] = 1
-        vec = w[:]
         for pivot, bvec, bcombo in basis:
             if vec[pivot]:
                 g = math.gcd(vec[pivot], bvec[pivot])
@@ -474,19 +487,18 @@ def vector_minpoly(m, v) -> IntPolynomial:
                 combo = [mul_v * x for x in combo]
                 for i, y in enumerate(bcombo):
                     combo[i] -= mul_b * y
-        if all(x == 0 for x in vec):
+        if not any(vec):
             poly = IntPolynomial(combo).primitive()
             if not poly.is_monic():
                 raise AssertionError("minimal polynomial failed to be monic")
             return poly
-        g = math.gcd(*(vec + combo))
+        g = math.gcd(*vec, *combo)
         if g > 1:
             vec = [x // g for x in vec]
             combo = [x // g for x in combo]
         pivot = next(i for i, x in enumerate(vec) if x)
         basis.append((pivot, vec, combo))
-        w = mat_vec(m, w)
-        k += 1
+    raise ValueError("Krylov vectors ran out before a linear dependency")
 
 
 class SupportFactorization:

@@ -11,10 +11,9 @@ from graphs.py's one graph6 encoder, so this module packs no bits itself.
 from __future__ import annotations
 
 import os
-import string
 from typing import Iterator, Optional
 
-from .graphs import Graph, Graph6ParseError, GRAPH6_HEADER, _graph6_word, parse_graph6
+from .graphs import Graph, Graph6ParseError, _graph6_payload, _graph6_word, parse_graph6
 
 MAX_CANONICAL_N = 16
 MAX_TREE_N = 16
@@ -263,13 +262,10 @@ def stream_from_file(path: str) -> Iterator[Graph]:
     def produce():
         with open(path, "r", encoding="latin-1") as fh:
             for lineno, line in enumerate(fh, start=1):
-                word = line.strip(string.whitespace)
-                if word.startswith(GRAPH6_HEADER):
-                    word = word[len(GRAPH6_HEADER):].strip(string.whitespace)
-                if not word:
+                if not _graph6_payload(line)[0]:
                     continue
                 try:
-                    yield parse_graph6(word)
+                    yield parse_graph6(line)
                 except Graph6ParseError as exc:
                     exc.args = (f"{path}:{lineno}: {exc}",)
                     raise

@@ -120,29 +120,39 @@ class Bipartition:
 
 # -- graph6 ------------------------------------------------------------------
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 word (optional '>>graph6<<' prefix tolerated)."""
-    s = text.strip(string.whitespace)  # str.strip() would also drop U+00A0
+def _graph6_payload(text: str) -> tuple[str, int]:
+    """The graph6 word in text, with surrounding whitespace and an optional
+    '>>graph6<<' header removed, and the offset in text where it starts."""
+    s = text.lstrip(string.whitespace)  # str.strip() would also drop U+00A0
     if s.startswith(GRAPH6_HEADER):
-        s = s[len(GRAPH6_HEADER):]
+        s = s[len(GRAPH6_HEADER):].lstrip(string.whitespace)
+    return s.rstrip(string.whitespace), len(text) - len(s)
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 word (optional '>>graph6<<' prefix tolerated).
+    Error offsets count from the start of text."""
+    s, base = _graph6_payload(text)
     if not s:
-        raise Graph6ParseError("empty graph6 word", 0)
+        raise Graph6ParseError("empty graph6 word", base)
     bad = _NOT_GRAPH6.search(s)
     if bad:
         raise Graph6ParseError(
-            f"code point {ord(bad.group())} outside graph6 range 63..126", bad.start())
+            f"code point {ord(bad.group())} outside graph6 range 63..126",
+            base + bad.start())
     data = s.encode("ascii")
     n = data[0] - 63
     if n == 63:
-        raise Graph6ParseError("multi-byte vertex counts (n > 62) unsupported", 0)
+        raise Graph6ParseError("multi-byte vertex counts (n > 62) unsupported", base)
     if n < 1:
-        raise Graph6ParseError("graph6 word encodes zero vertices", 0)
+        raise Graph6ParseError("graph6 word encodes zero vertices", base)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(data) - 1 < need:
         raise Graph6ParseError(
-            f"truncated edge data: need {need} bytes, have {len(data) - 1}", len(data))
+            f"truncated edge data: need {need} bytes, have {len(data) - 1}",
+            base + len(data))
     if len(data) - 1 > need:
-        raise Graph6ParseError("trailing garbage after edge data", 1 + need)
+        raise Graph6ParseError("trailing garbage after edge data", base + 1 + need)
     edges = []
     bit = 0
     for j in range(1, n):

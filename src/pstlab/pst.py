@@ -11,6 +11,7 @@ oracle cross-checks positives but never decides anything.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exactalg import IntPolynomial, factor_support, poly_gcd, vector_minpoly, unit_vector
+from .exactalg import IntPolynomial, factor_support, krylov_minpoly, mat_vec, poly_gcd, unit_vector
 from .graphs import Graph, bipartition, write_graph6
 from .spectral import (
     ADJACENCY,
@@ -26,7 +27,6 @@ from .spectral import (
     IntegerEig,
     QuadraticEig,
     ResidualEig,
-    classify_by_minpolys,
     eigenvalue_bound,
     ids_from_factorization,
     matrix_of,
@@ -141,17 +141,87 @@ def _validate_pair(g: Graph, u: int, v: int) -> None:
         raise ValueError("perfect state transfer analysis rejects disconnected graphs")
 
 
-def _cospectrality_gate(g: Graph, kind: str, poly_minus, poly_plus, minpoly_u):
+class _SpectralContext:
+    """What decide reuses across the pairs of one graph and kind: the
+    matrix, the graph6 word, the eigenvalue bound and, per vertex u, the
+    Krylov vectors M^j e_u, the minimal polynomial of e_u and the integer
+    and quadratic eigenvalue ids of its factorization, each computed on
+    first use."""
+
+    def __init__(self, g: Graph, kind: str):
+        self.matrix = matrix_of(g, kind)
+        self.graph6 = write_graph6(g)
+        self.bound = eigenvalue_bound(g, kind)
+        self._krylov = [[unit_vector(g.n, u)] for u in range(g.n)]
+        self._minpolys: dict[int, IntPolynomial] = {}
+        self._split_ids: dict[int, tuple] = {}
+
+    def krylov(self, u: int):
+        """M^j e_u for j = 0, 1, ..., each product made once and kept."""
+        vecs = self._krylov[u]
+        j = 0
+        while True:
+            if j == len(vecs):
+                vecs.append(mat_vec(self.matrix, vecs[-1]))
+            yield vecs[j]
+            j += 1
+
+    def minpoly(self, u: int) -> IntPolynomial:
+        if u not in self._minpolys:
+            self._minpolys[u] = krylov_minpoly(self.krylov(u))
+        return self._minpolys[u]
+
+    def pair_minpolys(self, u: int, v: int):
+        """Minimal polynomials of e_u - e_v and e_u + e_v, whose Krylov
+        vectors are the differences and sums of those of e_u and e_v."""
+        minus = krylov_minpoly([a - b for a, b in zip(ku, kv)]
+                               for ku, kv in zip(self.krylov(u), self.krylov(v)))
+        plus = krylov_minpoly([a + b for a, b in zip(ku, kv)]
+                              for ku, kv in zip(self.krylov(u), self.krylov(v)))
+        return minus, plus
+
+    def split_ids(self, u: int) -> tuple:
+        """The integer and quadratic ids of factor_support(minpoly of e_u)."""
+        if u not in self._split_ids:
+            ids = ids_from_factorization(factor_support(self.minpoly(u), self.bound))
+            self._split_ids[u] = tuple(e for e in ids if not isinstance(e, ResidualEig))
+        return self._split_ids[u]
+
+
+@functools.lru_cache(maxsize=8)
+def _context(g: Graph, kind: str) -> _SpectralContext:
+    return _SpectralContext(g, kind)
+
+
+def _is_root(eig, poly: IntPolynomial) -> bool:
+    if isinstance(eig, IntegerEig):
+        return poly(eig.value) == 0
+    # (a +- b sqrt(delta))/2 are the roots of x^2 - a x + (a^2 - b^2 delta)/4
+    norm = (eig.a * eig.a - eig.b * eig.b * eig.delta) // 4
+    return IntPolynomial((norm, -eig.a, 1)).divides(poly)
+
+
+def _cospectrality_gate(ctx: _SpectralContext, u: int, v: int,
+                        poly_minus, poly_plus, minpoly_u):
     """None when strongly cospectral, else a certificate with a witness
     eigenvalue taken from the shared factor.
 
     Coprimality suffices: wherever E e_u or E e_v is nonzero, exactly one of
     E (e_u - e_v) and E (e_u + e_v) then is, so E e_u = +-E e_v != 0 there
-    and poly_minus * poly_plus is already minpoly_u."""
+    and poly_minus * poly_plus is already minpoly_u.
+
+    The witness is the least id of factor_support(shared), found without
+    factoring shared: shared divides lcm(minpoly_u, minpoly_v), so each of
+    its integer roots and irreducible quadratic factors is one of u or v,
+    and factor_support finds all of those within the bound.  The first
+    such id of u or v that is a root of shared is therefore the first id
+    of shared; with none, shared is all residual."""
     shared = poly_gcd(poly_minus, poly_plus)
     if shared == IntPolynomial.one():
         return None
-    witness = ids_from_factorization(factor_support(shared, eigenvalue_bound(g, kind)))[0]
+    candidates = sorted(set(ctx.split_ids(u)) | set(ctx.split_ids(v)),
+                        key=lambda e: e.sort_key())
+    witness = next((e for e in candidates if _is_root(e, shared)), ResidualEig(shared))
     return Certificate(NOT_STRONGLY_COSPECTRAL, (witness,),
                        "projections at the witness match neither sign",
                        poly_minus, poly_plus, minpoly_u)
@@ -173,18 +243,27 @@ def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
     the adjacency matrix.  Yes requires (|c - r|/g) even on the plus class
     and odd on the minus class, g the gcd of all |c - r|; the transfer then
     happens at t = pi/(g sqrt(delta)) with phase exp(i pi r/g).
+
+    The pairs of one graph share a spectral context, kept for the last few
+    (graph, kind) pairs: each vertex's Krylov vectors M^j e_u are made
+    once, and those of e_u -+ e_v are their differences and sums, so a
+    pair costs no matrix product; minimal polynomials of e_u and the ids
+    of their factorizations are made once per vertex too.  The gate's
+    witness comes from those ids (see _cospectrality_gate), so a gated
+    pair factors nothing.  The context holds only what the graph and kind
+    determine, so it cannot change an answer.
     """
     _validate_kind(kind)
     _validate_pair(g, u, v)
-    g6 = write_graph6(g)
-    poly_minus, poly_plus = classify_by_minpolys(g, kind, u, v)
-    minpoly_u = vector_minpoly(matrix_of(g, kind), unit_vector(g.n, u))
-    cert = _cospectrality_gate(g, kind, poly_minus, poly_plus, minpoly_u)
+    ctx = _context(g, kind)
+    g6 = ctx.graph6
+    poly_minus, poly_plus = ctx.pair_minpolys(u, v)
+    minpoly_u = ctx.minpoly(u)
+    cert = _cospectrality_gate(ctx, u, v, poly_minus, poly_plus, minpoly_u)
     if cert is not None:
         return PSTReport(g6, kind, u, v, NO, cert)
-    bound = eigenvalue_bound(g, kind)
-    fac_minus = factor_support(poly_minus, bound)
-    fac_plus = factor_support(poly_plus, bound)
+    fac_minus = factor_support(poly_minus, ctx.bound)
+    fac_plus = factor_support(poly_plus, ctx.bound)
     plus_ids = tuple(ids_from_factorization(fac_plus))
     minus_ids = tuple(ids_from_factorization(fac_minus))
 

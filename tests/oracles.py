@@ -7,8 +7,10 @@ generation, the rooted-tree counting recurrence instead of any
 enumeration at all, and set comparisons of neighbourhoods instead of the
 bitmask twin search, trial division by every candidate quadratic
 instead of the divisor-pruned factor search, a Lagrange product over
-the other support roots instead of the Krylov-basis eigenprojection, and
-Euclid over Fraction coefficients instead of pseudo-division in Z[x].
+the other support roots instead of the Krylov-basis eigenprojection,
+Euclid over Fraction coefficients instead of pseudo-division in Z[x],
+and a full factorization of the shared factor instead of the decider's
+search among the support ids of the two vertices.
 """
 
 from __future__ import annotations
@@ -21,12 +23,19 @@ from typing import Optional
 from pstlab.exactalg import (
     IntPolynomial,
     SupportFactorization,
+    factor_support,
     mat_vec,
     squarefree_part,
 )
 from pstlab.generate import canonical_form
 from pstlab.graphs import Graph
-from pstlab.spectral import EigenvalueId, IntegerEig, QuadraticEig, ResidualEig
+from pstlab.spectral import (
+    EigenvalueId,
+    IntegerEig,
+    QuadraticEig,
+    ResidualEig,
+    ids_from_factorization,
+)
 
 
 def det_cofactor(m) -> int:
@@ -241,6 +250,12 @@ def factor_support_brute(p: IntPolynomial, root_bound: int) -> SupportFactorizat
         b, d = squarefree_part(disc)
         quadratic_roots.append((s, b, d))
     return SupportFactorization(integer_roots, quadratic_roots, q)
+
+
+def gate_witness_factor_support(shared: IntPolynomial, bound: int) -> EigenvalueId:
+    """Witness of a failed strong-cospectrality gate: the least eigenvalue
+    id of the factorization of gcd(poly_minus, poly_plus)."""
+    return ids_from_factorization(factor_support(shared, bound))[0]
 
 
 def _find_quadratic_factor_brute(q: IntPolynomial, bound: int):

@@ -52,12 +52,20 @@ from pstlab.harness import (
     survey_records,
     verify_positive_report,
 )
-from pstlab.pst import adjacency_pst, all_pair_reports, decide, laplacian_pst, pst_search
+from pstlab.pst import (
+    NOT_STRONGLY_COSPECTRAL,
+    adjacency_pst,
+    all_pair_reports,
+    decide,
+    laplacian_pst,
+    pst_search,
+)
 from pstlab.spectral import (
     ADJACENCY,
     LAPLACIAN,
     classify_by_minpolys,
     cospectrality_profile,
+    eigenvalue_bound,
     minpoly_split_is_cospectral,
     support_profile,
 )
@@ -65,6 +73,7 @@ from pstlab.spectral import (
 from oracles import (
     free_tree_count_prufer,
     free_tree_counts_otter,
+    gate_witness_factor_support,
     sign_class_annihilators,
     twin_statistics,
 )
@@ -519,6 +528,32 @@ class TestCriterion7OracleDiscipline:
             replayed += 1
         ok = not failures and replayed >= 1000
         report_line(7, ok, f"certificate replay on {replayed} negative reports, "
+                           f"{len(failures)} failures")
+        assert ok, failures[:5]
+
+    def test_gate_witness_matches_factor_support(self, corpus_by_n, tree_sweep_reports,
+                                                 small_corpus_reports):
+        """The gate's witness, found among the support ids of u and v, is
+        the first id of the factorization of the shared factor on every
+        gated pair of connected n <= 7 and free trees n <= 10."""
+        seven = [(g, r) for g in corpus_by_n[7] for kind in (LAPLACIAN, ADJACENCY)
+                 for r in all_pair_reports(g, kind)]
+        everything = (small_corpus_reports + seven
+                      + tree_sweep_reports[LAPLACIAN] + tree_sweep_reports[ADJACENCY])
+        gated = {}
+        failures = []
+        for g, r in everything:
+            cert = r.certificate
+            if cert is None or cert.kind != NOT_STRONGLY_COSPECTRAL:
+                continue
+            shared = poly_gcd(cert.poly_minus, cert.poly_plus)
+            expected = gate_witness_factor_support(shared, eigenvalue_bound(g, r.matrix_kind))
+            if cert.witnesses != (expected,):
+                failures.append((r.graph6, r.matrix_kind, r.u, r.v, cert.witnesses, expected))
+            witness_type = type(expected).__name__
+            gated[witness_type] = gated.get(witness_type, 0) + 1
+        ok = not failures and len(gated) == 3
+        report_line(7, ok, f"gate witnesses against factor_support: {gated}, "
                            f"{len(failures)} failures")
         assert ok, failures[:5]
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from pstlab.cli import GOLDEN_COUNTS_8, GOLDEN_RULED_OUT_8, _assert_golden_counts, main
 
@@ -253,8 +255,13 @@ class TestGenerate:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # pytest's pythonpath setting reaches this process only, so the
+        # child gets the source tree on its own PYTHONPATH
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "pstlab.cli", "generate", "trees", "--n", "3"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "Bg"

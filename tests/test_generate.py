@@ -208,6 +208,14 @@ class TestFileStreams:
             list(stream_from_file(str(path)))
         assert ":2:" in str(exc.value) and exc.value.offset == 1
 
+    def test_bad_byte_offset_is_within_its_line(self, tmp_path):
+        path = tmp_path / "header.g6"
+        path.write_bytes(b"A_\n>>graph6<<  A\xff\n")
+        with pytest.raises(Graph6ParseError) as exc:
+            list(stream_from_file(str(path)))
+        assert ":2:" in str(exc.value) and exc.value.offset == 13
+        assert "(byte offset 13)" in str(exc.value)
+
     def test_no_dedup(self, tmp_path):
         path = tmp_path / "dup.g6"
         path.write_text("A_\nA_\n")

@@ -67,6 +67,15 @@ class TestGraph6:
                 parse_graph6(word)
             assert exc.value.offset == offset
 
+    def test_offset_counts_stripped_whitespace_and_header(self):
+        for text, offset in ((">>graph6<<  A\xff", 13), ("  A\xff\n", 3),
+                             ("\t>>graph6<<A_\xa0", 13), (" A_x", 3), (" G", 2)):
+            with pytest.raises(Graph6ParseError) as exc:
+                parse_graph6(text)
+            assert exc.value.offset == offset
+            assert f"(byte offset {offset})" in str(exc.value)
+        assert parse_graph6(">>graph6<< A_\n") == Graph(2, [(0, 1)])
+
     def test_truncated(self):
         with pytest.raises(Graph6ParseError):
             parse_graph6("G")  # n=8 needs edge bytes

@@ -1,9 +1,12 @@
 import math
+import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from pstlab.exactalg import unit_vector, vector_minpoly
 from pstlab.graphs import (
     Graph,
     complete_graph,
@@ -15,6 +18,8 @@ from pstlab.graphs import (
 )
 from pstlab.pst import (
     PSTReport,
+    _context,
+    _SpectralContext,
     adjacency_pst,
     all_pair_reports,
     bipartite_phase_check,
@@ -30,7 +35,9 @@ from pstlab.spectral import (
     SIGNLESS_LAPLACIAN,
     IntegerEig,
     ResidualEig,
+    classify_by_minpolys,
     cospectrality_profile,
+    matrix_of,
     support_profile,
 )
 
@@ -244,6 +251,61 @@ class TestStructuralProperties:
                             assert theta0 in prof.plus_set
                         counted[kind] += 1
         assert min(counted.values()) >= 50, counted
+
+
+class TestSpectralContext:
+    """decide's per-graph context against the per-pair routes it replaced."""
+
+    def test_minpolys_match_per_pair_routes(self, corpus6):
+        cases = [(g, list(combinations(range(g.n), 2))) for g in corpus6]
+        cases.append((path_graph(11), list(combinations(range(11), 2))))
+        cases.append((cycle_graph(24), [(0, 12)]))
+        checked = 0
+        for kind in (LAPLACIAN, ADJACENCY):
+            for g, pairs in cases:
+                ctx = _context(g, kind)
+                m = matrix_of(g, kind)
+                for u in {w for pair in pairs for w in pair}:
+                    assert ctx.minpoly(u) == vector_minpoly(m, unit_vector(g.n, u))
+                for u, v in pairs:
+                    assert ctx.pair_minpolys(u, v) == classify_by_minpolys(g, kind, u, v)
+                    checked += 1
+        assert checked == 2 * (3866 // 2 + 55 + 1)
+
+    def test_krylov_vectors_grow_only_as_far_as_consumed(self):
+        for g in (complete_graph(6), path_graph(11), cycle_graph(24)):
+            for kind in (LAPLACIAN, ADJACENCY):
+                ctx = _SpectralContext(g, kind)
+                for u in range(g.n):
+                    assert len(ctx._krylov[u]) == 1
+                    degree = ctx.minpoly(u).degree
+                    assert len(ctx._krylov[u]) == degree + 1
+
+    def test_cache_cannot_change_an_answer(self, corpus6):
+        """More graphs are in play than the cache holds, in a seeded order
+        across graphs and kinds, half of them as separately built equal
+        copies; every report must match the in-order and the cold ones."""
+        jobs = [(g, kind, u, v) for g in corpus6 for kind in (LAPLACIAN, ADJACENCY)
+                for u, v in combinations(range(g.n), 2)]
+        _context.cache_clear()
+        in_order = [decide(*job).to_json() for job in jobs]
+        copies = {}
+        for g in corpus6:
+            copies[g] = g.relabel(list(range(g.n)))
+            assert copies[g] == g and copies[g] is not g
+        order = list(range(len(jobs)))
+        random.Random(2026).shuffle(order)
+        shuffled = [None] * len(jobs)
+        for k, i in enumerate(order):
+            g, kind, u, v = jobs[i]
+            shuffled[i] = decide(copies[g] if k % 2 else g, kind, u, v).to_json()
+        cold = []
+        for job in jobs:
+            _context.cache_clear()
+            cold.append(decide(*job).to_json())
+        assert len(jobs) == 3866
+        assert shuffled == in_order
+        assert cold == in_order
 
 
 class TestBipartitePhaseCheck:
