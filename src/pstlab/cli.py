@@ -21,7 +21,7 @@ from .harness import (
     run_survey,
     write_survey_jsonl,
 )
-from .pst import all_pair_reports, decide, numeric_fidelity, pst_search
+from .pst import YES, all_pair_reports, decide, numeric_fidelity, pst_search
 from .spectral import ADJACENCY, LAPLACIAN, SIGNLESS_LAPLACIAN, support_profile
 
 GOLDEN_COUNTS_7 = {"connected": 853, "tau_odd": 339, "tau_power_of_two": 83,
@@ -114,7 +114,7 @@ def _emit(payloads: list[dict], fmt: str, human_lines: list[str]) -> None:
 
 
 def _human_report(r) -> str:
-    if r.verdict == "yes":
+    if r.verdict == YES:
         t = f"t = {r.time_coeff}*pi" + (f"/sqrt({r.time_delta})" if r.time_delta != 1 else "")
         phase = f"exp(i*pi*{r.phase_s})"
         return (f"({r.u},{r.v}) {r.matrix_kind}: transfer YES, g={r.g}, {t}, "

@@ -60,9 +60,6 @@ class QuadExt:
         self.b = Fraction(b)
         self.d = d
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
     def _parts(self, other):
         """(a, b) of an operand in this extension, None for a foreign type;
         a rational is read as (other, 0) without building a QuadExt."""
@@ -201,13 +198,6 @@ class IntPolynomial:
     @classmethod
     def x_minus(cls, root: int) -> "IntPolynomial":
         return cls((-root, 1))
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[int]) -> "IntPolynomial":
-        p = cls.one()
-        for r in roots:
-            p = p * cls.x_minus(r)
-        return p
 
     @property
     def degree(self) -> int:
@@ -364,10 +354,6 @@ def sturm_count(p: IntPolynomial, lo: Union[int, Fraction],
 
 # -- matrices: dense lists of rows over int / Fraction / QuadExt ------------
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_vec(m, v):
     """m v, skipping the zero entries of m (graph matrices are sparse)."""
     return [sum(a * x for a, x in zip(row, v) if a) for row in m]
@@ -511,18 +497,6 @@ class SupportFactorization:
         self.integer_roots = sorted(integer_roots)
         self.quadratic_roots = sorted(quadratic_roots)
         self.residual = residual
-
-    def reconstruct(self) -> IntPolynomial:
-        p = IntPolynomial.one()
-        for r in self.integer_roots:
-            p = p * IntPolynomial.x_minus(r)
-        for a, b, d in self.quadratic_roots:
-            # minimal polynomial of (a + b sqrt(d))/2: x^2 - a x + (a^2 - b^2 d)/4
-            t4 = a * a - b * b * d
-            if t4 % 4:
-                raise AssertionError("quadratic pair with non-integral norm")
-            p = p * IntPolynomial((t4 // 4, -a, 1))
-        return p * self.residual
 
     def __repr__(self):
         return (f"SupportFactorization(int={self.integer_roots}, "

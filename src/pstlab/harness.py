@@ -26,6 +26,7 @@ from .pst import (
     PARITY_VIOLATION,
     QUADRATIC_MIXED_A,
     RESIDUAL_FACTOR,
+    UNDECIDED,
     PSTReport,
     all_pair_reports,
     laplacian_pst,
@@ -366,7 +367,7 @@ def survey_record(g: Graph, with_pst: bool = False) -> SurveyRecord:
         rec.lpst_pairs = len(pst_search(g, LAPLACIAN))
         adj_reports = all_pair_reports(g, ADJACENCY)
         rec.apst_pairs = sum(1 for r in adj_reports if r.yes)
-        rec.undecided_pairs = sum(1 for r in adj_reports if r.verdict == "undecided")
+        rec.undecided_pairs = sum(1 for r in adj_reports if r.verdict == UNDECIDED)
     return rec
 
 
@@ -525,10 +526,10 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         if ints and quads and 2 * ints[0].value != quads[0].a:
             return True, "integer eigenvalue off the rational part confirmed"
         if len(quads) == 1 and quads[0].a != 0:
-            if report.verdict == "no":
-                if bipartition(g) is None:
-                    return False, "bipartite exclusion claimed on a non-bipartite graph"
-                return True, "nonzero rational part across a bipartition confirmed"
+            # one rational part a != 0 is out of the decider's scope, and
+            # a bipartite support, closed under negation, never has it
+            if report.verdict != UNDECIDED:
+                return False, "one nonzero rational part is undecided, not negative"
             if bipartition(g) is not None:
                 return False, "undecided verdict on a bipartite graph"
             return True, "out-of-scope support shape confirmed"

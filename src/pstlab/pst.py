@@ -30,7 +30,6 @@ from .spectral import (
     eigenvalue_bound,
     ids_from_factorization,
     matrix_of,
-    support_profile,
 )
 
 YES = "yes"
@@ -98,11 +97,6 @@ class PSTReport:
             raise ValueError("no transfer time on a non-positive report")
         return float(self.time_coeff) * math.pi / math.sqrt(self.time_delta)
 
-    def phase_value(self) -> complex:
-        if self.phase_s is None:
-            raise ValueError("no phase on a non-positive report")
-        return complex(np.exp(1j * math.pi * float(self.phase_s)))
-
     def to_json(self):
         return {
             "graph6": self.graph6,
@@ -137,8 +131,6 @@ def _validate_pair(g: Graph, u: int, v: int) -> None:
         raise ValueError(f"vertex pair ({u},{v}) out of range")
     if u == v:
         raise ValueError("perfect state transfer queries need u != v")
-    if not g.is_connected():
-        raise ValueError("perfect state transfer analysis rejects disconnected graphs")
 
 
 class _SpectralContext:
@@ -146,9 +138,12 @@ class _SpectralContext:
     matrix, the graph6 word, the eigenvalue bound and, per vertex u, the
     Krylov vectors M^j e_u, the minimal polynomial of e_u and the integer
     and quadratic eigenvalue ids of its factorization, each computed on
-    first use."""
+    first use.  Building one checks that g is connected, once per graph and
+    kind rather than once per pair."""
 
     def __init__(self, g: Graph, kind: str):
+        if not g.is_connected():
+            raise ValueError("perfect state transfer analysis rejects disconnected graphs")
         self.matrix = matrix_of(g, kind)
         self.graph6 = write_graph6(g)
         self.bound = eigenvalue_bound(g, kind)
@@ -235,14 +230,16 @@ def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
     algebraic form of the support: residual factors are immediate
     negatives; Laplacian supports must be integers; adjacency supports must
     be integers or pure multiples b sqrt(delta)/2 of one sqrt(delta), with
-    mixed extensions and mixed rational parts as negatives (an a != 0
-    quadratic support is a negative in bipartite graphs and undecided
-    otherwise).  Each support value c (b/2 for b sqrt(delta)/2) is then
-    measured from the reference value r whose eigenvalue Perron-Frobenius
-    puts in the plus class, 0 = min for the Laplacian and theta_0 = max for
-    the adjacency matrix.  Yes requires (|c - r|/g) even on the plus class
-    and odd on the minus class, g the gcd of all |c - r|; the transfer then
-    happens at t = pi/(g sqrt(delta)) with phase exp(i pi r/g).
+    mixed extensions and mixed rational parts as negatives.  A support with
+    one rational part a != 0, (a +- b sqrt(delta))/2, is undecided; it
+    occurs only on non-bipartite graphs, because a bipartite support is
+    closed under negation and so holds the rational parts a and -a.  Each
+    support value c (b/2 for b sqrt(delta)/2) is then measured from the
+    reference value r whose eigenvalue Perron-Frobenius puts in the plus
+    class, 0 = min for the Laplacian and theta_0 = max for the adjacency
+    matrix.  Yes requires (|c - r|/g) even on the plus class and odd on the
+    minus class, g the gcd of all |c - r|; the transfer then happens at
+    t = pi/(g sqrt(delta)) with phase exp(i pi r/g).
 
     The pairs of one graph share a spectral context, kept for the last few
     (graph, kind) pairs: each vertex's Krylov vectors M^j e_u are made
@@ -303,11 +300,12 @@ def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
         if bad_int:
             return refuse(QUADRATIC_MIXED_A, (bad_int[0], quad_ids[0]),
                           "integer eigenvalue off the common rational part of the support")
+        # a != 0 never gets here on a bipartite graph: there D A D = -A for
+        # D = diag(+-1) by colour class, so E_{-theta} = D E_theta D and the
+        # support of u (plus and minus ids together) is closed under
+        # negation; with (a + b sqrt(delta))/2 it holds (-a - b sqrt(delta))/2,
+        # a second rational part that is refused above
         if a != 0:
-            if bipartition(g) is not None:
-                return refuse(QUADRATIC_MIXED_A, (quad_ids[0],),
-                              "bipartite support cannot contain (a + b sqrt(delta))/2 "
-                              "with a and b nonzero")
             return refuse(QUADRATIC_MIXED_A, (quad_ids[0],),
                           "no decision procedure for quadratic supports with "
                           "nonzero rational part on non-bipartite graphs",
@@ -357,8 +355,6 @@ def pst_search(g: Graph, kind: str) -> list[PSTReport]:
 def all_pair_reports(g: Graph, kind: str) -> list[PSTReport]:
     """Decision record for every unordered pair, positive or not."""
     _validate_kind(kind)
-    if not g.is_connected():
-        raise ValueError("perfect state transfer analysis rejects disconnected graphs")
     return [decide(g, kind, u, v) for u in range(g.n) for v in range(u + 1, g.n)]
 
 
@@ -368,24 +364,6 @@ def numeric_fidelity(g: Graph, kind: str, u: int, v: int, t: float) -> float:
     eigvals, eigvecs = np.linalg.eigh(m)
     amp = (eigvecs * np.exp(1j * t * eigvals)) @ eigvecs.T
     return float(abs(amp[v, u]) ** 2)
-
-
-def exact_transfer_vector(g: Graph, kind: str, u: int,
-                          plus_ids, minus_ids) -> list:
-    """Sum of plus projections minus sum of minus projections of e_u.
-
-    For a genuine transfer instance this equals e_v exactly; swapping any
-    eigenvalue between the classes must break that identity.
-    """
-    prof = support_profile(g, kind, u)
-    if prof.residual_present:
-        raise ValueError("exact reconstruction needs a fully split support")
-    out = [Fraction(0)] * g.n
-    for eig in plus_ids:
-        out = [x + y for x, y in zip(out, prof.projections[eig])]
-    for eig in minus_ids:
-        out = [x - y for x, y in zip(out, prof.projections[eig])]
-    return out
 
 
 def bipartite_phase_check(report: PSTReport, g: Graph) -> tuple[bool, str]:

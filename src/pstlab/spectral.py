@@ -81,9 +81,6 @@ class QuadraticEig:
     def exact(self):
         return quad(Fraction(self.a, 2), Fraction(self.b, 2), self.delta)
 
-    def conjugate(self) -> "QuadraticEig":
-        return QuadraticEig(self.a, -self.b, self.delta)
-
     def approx(self) -> float:
         return (self.a + self.b * math.sqrt(self.delta)) / 2
 
@@ -131,29 +128,6 @@ class SupportProfile:
     support: list  # EigenvalueId, sorted ascending, residual last
     projections: dict  # EigenvalueId -> exact vector (Fraction/QuadExt entries)
     residual: Optional[IntPolynomial]  # None when the support splits fully
-
-    @property
-    def residual_present(self) -> bool:
-        return self.residual is not None
-
-    def projection_sum(self, n: int) -> list:
-        """Sum of all represented projections; conjugate pairs are added
-        first so the total stays rational even across several extensions."""
-        total = [Fraction(0)] * n
-        for eig, vec in self.projections.items():
-            if isinstance(eig, QuadraticEig):
-                if eig.b < 0:
-                    continue
-                conj = self.projections[QuadraticEig(eig.a, -eig.b, eig.delta)]
-                vec = [x + y for x, y in zip(vec, conj)]
-            total = [t + x for t, x in zip(total, vec)]
-        return total
-
-    def residual_remainder(self, n: int) -> list:
-        """e_u minus all represented projections: the residual component."""
-        total = self.projection_sum(n)
-        return [(Fraction(1) if i == self.u else Fraction(0)) - total[i]
-                for i in range(n)]
 
 
 def _krylov_projection(q: IntPolynomial, krylov_rows, eig: EigenvalueId):
@@ -236,13 +210,6 @@ def classify_by_minpolys(g: Graph, kind: str, u: int, v: int):
     poly_minus = vector_minpoly(m, diff)
     poly_plus = vector_minpoly(m, summ)
     return poly_minus, poly_plus
-
-
-def minpoly_split_is_cospectral(poly_minus: IntPolynomial,
-                                poly_plus: IntPolynomial,
-                                minpoly_u: IntPolynomial) -> bool:
-    return (poly_gcd(poly_minus, poly_plus) == IntPolynomial.one()
-            and poly_minus * poly_plus == minpoly_u)
 
 
 def cospectrality_profile(g: Graph, kind: str, u: int, v: int,

@@ -11,6 +11,12 @@ the other support roots instead of the Krylov-basis eigenprojection,
 Euclid over Fraction coefficients instead of pseudo-division in Z[x],
 and a full factorization of the shared factor instead of the decider's
 search among the support ids of the two vertices.
+
+The helpers at the end are checks that only tests use: a polynomial from
+its roots, the product a factorization splits, strong cospectrality read
+off the split of the minimal polynomial, the resolution of the identity
+over a support profile, and the signed projection sum that a transfer
+pair must make e_v.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from pstlab.exactalg import (
     SupportFactorization,
     factor_support,
     mat_vec,
+    poly_gcd,
     squarefree_part,
 )
 from pstlab.generate import canonical_form
@@ -34,7 +41,9 @@ from pstlab.spectral import (
     IntegerEig,
     QuadraticEig,
     ResidualEig,
+    SupportProfile,
     ids_from_factorization,
+    support_profile,
 )
 
 
@@ -447,3 +456,72 @@ def sturm_count_fraction(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
         return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
     return variations(lo) - variations(hi)
+
+
+def poly_from_roots(roots) -> IntPolynomial:
+    """The monic product of x - r over the integer roots r."""
+    p = IntPolynomial.one()
+    for r in roots:
+        p = p * IntPolynomial.x_minus(r)
+    return p
+
+
+def reconstruct_factorization(fac: SupportFactorization) -> IntPolynomial:
+    """The polynomial a ``SupportFactorization`` splits: its linear
+    factors, one quadratic per conjugate pair, and the residual."""
+    p = poly_from_roots(fac.integer_roots)
+    for a, b, d in fac.quadratic_roots:
+        # minimal polynomial of (a + b sqrt(d))/2: x^2 - a x + (a^2 - b^2 d)/4
+        t4 = a * a - b * b * d
+        if t4 % 4:
+            raise AssertionError("quadratic pair with non-integral norm")
+        p = p * IntPolynomial((t4 // 4, -a, 1))
+    return p * fac.residual
+
+
+def minpoly_split_is_cospectral(poly_minus: IntPolynomial,
+                                poly_plus: IntPolynomial,
+                                minpoly_u: IntPolynomial) -> bool:
+    """Strong cospectrality from the minimal polynomials of e_u -+ e_v:
+    coprime, and together the minimal polynomial of e_u."""
+    return (poly_gcd(poly_minus, poly_plus) == IntPolynomial.one()
+            and poly_minus * poly_plus == minpoly_u)
+
+
+def projection_sum(prof: SupportProfile, n: int) -> list:
+    """Sum of all represented projections of a support profile; conjugate
+    pairs are added first so the total stays rational even across several
+    extensions."""
+    total = [Fraction(0)] * n
+    for eig, vec in prof.projections.items():
+        if isinstance(eig, QuadraticEig):
+            if eig.b < 0:
+                continue
+            conj = prof.projections[QuadraticEig(eig.a, -eig.b, eig.delta)]
+            vec = [x + y for x, y in zip(vec, conj)]
+        total = [t + x for t, x in zip(total, vec)]
+    return total
+
+
+def residual_remainder(prof: SupportProfile, n: int) -> list:
+    """e_u minus all represented projections: the residual component."""
+    total = projection_sum(prof, n)
+    return [(Fraction(1) if i == prof.u else Fraction(0)) - total[i]
+            for i in range(n)]
+
+
+def exact_transfer_vector(g: Graph, kind: str, u: int, plus_ids, minus_ids) -> list:
+    """Sum of plus projections minus sum of minus projections of e_u.
+
+    For a genuine transfer instance this equals e_v exactly; swapping any
+    eigenvalue between the classes must break that identity.
+    """
+    prof = support_profile(g, kind, u)
+    if prof.residual is not None:
+        raise ValueError("exact reconstruction needs a fully split support")
+    out = [Fraction(0)] * g.n
+    for eig in plus_ids:
+        out = [x + y for x, y in zip(out, prof.projections[eig])]
+    for eig in minus_ids:
+        out = [x - y for x, y in zip(out, prof.projections[eig])]
+    return out

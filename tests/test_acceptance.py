@@ -24,6 +24,7 @@ from pstlab.cli import GOLDEN_COUNTS_7, GOLDEN_RULED_OUT_8
 from pstlab.exactalg import (
     IntPolynomial,
     charpoly,
+    factor_support,
     poly_gcd,
     rank_mod_p,
     unit_vector,
@@ -63,10 +64,13 @@ from pstlab.pst import (
 from pstlab.spectral import (
     ADJACENCY,
     LAPLACIAN,
+    IntegerEig,
+    QuadraticEig,
+    ResidualEig,
     classify_by_minpolys,
     cospectrality_profile,
     eigenvalue_bound,
-    minpoly_split_is_cospectral,
+    ids_from_factorization,
     support_profile,
 )
 
@@ -74,6 +78,9 @@ from oracles import (
     free_tree_count_prufer,
     free_tree_counts_otter,
     gate_witness_factor_support,
+    minpoly_split_is_cospectral,
+    projection_sum,
+    residual_remainder,
     sign_class_annihilators,
     twin_statistics,
 )
@@ -320,8 +327,8 @@ class TestCriterion6PropertySuites:
                 for kind in kinds:
                     for u in range(g.n):
                         prof = support_profile(g, kind, u)
-                        total = prof.projection_sum(g.n)
-                        rem = prof.residual_remainder(g.n)
+                        total = projection_sum(prof, g.n)
+                        rem = residual_remainder(prof, g.n)
                         for i in range(g.n):
                             assert total[i] + rem[i] == (1 if i == u else 0)
                             assertions += 1
@@ -418,10 +425,16 @@ class TestCriterion6PropertySuites:
         assert ok
 
     def test_bipartite_adjacency_support_symmetry(self, corpus_by_n):
+        """On a bipartite graph D A D = -A, so every vertex's support is
+        closed under negation: its minimal polynomial is even or odd, and its
+        integer and quadratic ids come as theta and -theta.  decide has no
+        bipartite branch for a support with one rational part a != 0
+        because of the second: (a + b sqrt(d))/2 brings -a along."""
         assertions = 0
+        with_nonzero_a = 0
         graphs = [g for n in range(2, 8) for g in corpus_by_n[n]
                   if bipartition(g) is not None]
-        graphs += [t for n in range(2, 10) for t in gen_free_trees(n)]
+        graphs += [t for n in range(2, 11) for t in gen_free_trees(n)]
         for g in graphs:
             m = [[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)]
             for u in range(g.n):
@@ -429,10 +442,18 @@ class TestCriterion6PropertySuites:
                 flipped = [c if (p.degree - i) % 2 == 0 else -c
                            for i, c in enumerate(p.coeffs)]
                 assert p.coeffs == tuple(flipped)
-                assertions += 1
-        ok = assertions >= 1000
+                ids = {e for e in ids_from_factorization(
+                           factor_support(p, eigenvalue_bound(g, ADJACENCY)))
+                       if not isinstance(e, ResidualEig)}
+                negated = {IntegerEig(-e.value) if isinstance(e, IntegerEig)
+                           else QuadraticEig(-e.a, -e.b, e.delta) for e in ids}
+                assert negated == ids, (write_graph6(g), u)
+                assertions += 2
+                with_nonzero_a += any(isinstance(e, QuadraticEig) and e.a for e in ids)
+        ok = (len(graphs), assertions, with_nonzero_a) == (271, 2 * 2260, 162)
         report_line(6, ok, f"adjacency support symmetry on bipartite graphs: "
-                           f"{assertions} assertions")
+                           f"{assertions} assertions, {with_nonzero_a} vertices "
+                           f"with a quadratic id (a + b sqrt(d))/2, a != 0")
         assert ok
 
     def test_decider_symmetry(self, corpus_by_n):

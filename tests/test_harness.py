@@ -14,6 +14,7 @@ from pstlab.graphs import (
     one_sum_chain,
     path_graph,
     star_graph,
+    write_graph6,
 )
 from pstlab.harness import (
     aggregate_records,
@@ -36,8 +37,17 @@ from pstlab.harness import (
     verify_positive_report,
     write_survey_jsonl,
 )
-from pstlab.pst import all_pair_reports, laplacian_pst, pst_search
-from pstlab.spectral import ADJACENCY, LAPLACIAN
+from pstlab.pst import (
+    NO,
+    QUADRATIC_MIXED_A,
+    UNDECIDED,
+    Certificate,
+    PSTReport,
+    all_pair_reports,
+    laplacian_pst,
+    pst_search,
+)
+from pstlab.spectral import ADJACENCY, LAPLACIAN, QuadraticEig
 
 from oracles import spanning_trees_brute
 
@@ -282,6 +292,23 @@ class TestCertificateReplay:
         r.certificate.witnesses = (IntegerEig(99),)
         ok, _ = replay_certificate(path_graph(4), r)
         assert not ok
+
+    def test_single_nonzero_rational_part_only_undecided_off_bipartite(self):
+        """One witness (a + b sqrt(d))/2 with a != 0 replays only as an
+        undecided verdict on a non-bipartite graph; a bipartite support is
+        closed under negation, so it never has one rational part a != 0."""
+        cases = ((path_graph(4), 0, 3, QuadraticEig(1, 1, 5), True),
+                 (cycle_graph(5), 0, 1, QuadraticEig(-1, 1, 5), False))
+        for g, u, v, witness, bipartite in cases:
+            def forged(verdict):
+                return PSTReport(write_graph6(g), ADJACENCY, u, v, verdict,
+                                 Certificate(QUADRATIC_MIXED_A, (witness,), "forged"))
+            ok, why = replay_certificate(g, forged(NO))
+            assert not ok and "undecided, not negative" in why
+            ok, why = replay_certificate(g, forged(UNDECIDED))
+            assert ok == (not bipartite), why
+            if bipartite:
+                assert "bipartite" in why
 
     def test_missing_certificate_rejected(self):
         r = laplacian_pst(path_graph(4), 0, 1)

@@ -24,7 +24,6 @@ from pstlab.pst import (
     all_pair_reports,
     bipartite_phase_check,
     decide,
-    exact_transfer_vector,
     laplacian_pst,
     numeric_fidelity,
     pst_search,
@@ -41,8 +40,15 @@ from pstlab.spectral import (
     support_profile,
 )
 
+from oracles import exact_transfer_vector
+
 CERT_KINDS = {"not-strongly-cospectral", "non-integer-support", "parity-violation",
               "mixed-delta", "residual-factor", "quadratic-mixed-a"}
+
+
+def phase_value(report):
+    """gamma = exp(i pi phase_s) of a positive report, in floating point."""
+    return complex(np.exp(1j * math.pi * float(report.phase_s)))
 
 
 class TestLaplacianDecider:
@@ -50,7 +56,7 @@ class TestLaplacianDecider:
         r = laplacian_pst(path_graph(2), 0, 1)
         assert r.yes and r.g == 2
         assert (r.time_coeff, r.time_delta) == (F(1, 2), 1)
-        assert r.phase_s == 0 and r.phase_value() == 1
+        assert r.phase_s == 0 and phase_value(r) == 1
 
     def test_c4_antipodal(self):
         r = laplacian_pst(cycle_graph(4), 0, 2)
@@ -93,10 +99,22 @@ class TestLaplacianDecider:
             laplacian_pst(Graph(3, [(0, 1)]), 0, 1)
         with pytest.raises(ValueError):
             laplacian_pst(path_graph(3), 0, 9)
+        # checks run in the order kind, vertex range, u != v, connectivity
+        split = Graph(3, [(0, 1)])
+        with pytest.raises(ValueError, match="bogus"):
+            decide(split, "bogus", 0, 9)
+        with pytest.raises(ValueError, match="out of range"):
+            decide(split, LAPLACIAN, 0, 9)
+        with pytest.raises(ValueError, match="u != v"):
+            decide(split, LAPLACIAN, 1, 1)
+        for kind in (LAPLACIAN, ADJACENCY):
+            with pytest.raises(ValueError, match="rejects disconnected graphs"):
+                all_pair_reports(split, kind)
 
     def test_unknown_kinds_rejected(self):
-        # the bipartite a != 0 exclusion is argued for the adjacency matrix
-        # only, so no other kind may fall through to its cascade
+        # the parity reference (the eigenvalue Perron-Frobenius puts in the
+        # plus class) is argued for L and A only, so no other kind may fall
+        # through to the cascade
         with pytest.raises(ValueError, match="signless_laplacian"):
             decide(path_graph(2), SIGNLESS_LAPLACIAN, 0, 1)
         with pytest.raises(ValueError, match="signless_laplacian"):
@@ -113,14 +131,14 @@ class TestAdjacencyDecider:
         assert r.yes and r.g == 2
         assert (r.time_coeff, r.time_delta) == (F(1, 2), 1)
         assert r.phase_s == F(1, 2)
-        assert abs(r.phase_value() - 1j) < 1e-12
+        assert abs(phase_value(r) - 1j) < 1e-12
 
     def test_p3_endpoints_scaled_branch(self):
         r = adjacency_pst(path_graph(3), 0, 2)
         assert r.yes and r.g == 1
         assert (r.time_coeff, r.time_delta) == (F(1), 2)
         assert abs(r.time_value() - math.pi / math.sqrt(2)) < 1e-15
-        assert r.phase_s == 1 and abs(r.phase_value() + 1) < 1e-12
+        assert r.phase_s == 1 and abs(phase_value(r) + 1) < 1e-12
 
     def test_p4_endpoints_no(self):
         r = adjacency_pst(path_graph(4), 0, 3)

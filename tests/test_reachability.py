@@ -1,0 +1,73 @@
+"""Every public name in src/pstlab has a caller in the package or is kept
+on purpose in the README.
+
+A public function, class or method counts as reached when its name
+appears as a Name or an Attribute somewhere in src/pstlab outside its own
+definition; __init__.py re-exports do not count.  Otherwise the README
+must name it in backticks (a method as `Class.method`), with the reason it
+is kept.  A helper that only tests call belongs in the tests.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pstlab
+
+PACKAGE = Path(pstlab.__file__).resolve().parent
+README = PACKAGE.parent.parent / "README.md"
+
+
+def _public_definitions(tree):
+    """(qualified name, bare name, node) of each public top-level function
+    and class and of each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def _used_names(nodes):
+    names = []
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    return names
+
+
+def _readme_names():
+    """Every dotted suffix of each identifier that opens a backtick span,
+    so `pstlab.decide` names decide and `Graph.relabel` names the method."""
+    names = set()
+    for span in re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8")):
+        head = re.match(r"[A-Za-z_][\w.]*", span)
+        if head:
+            parts = head.group(0).strip(".").split(".")
+            names.update(".".join(parts[i:]) for i in range(len(parts)))
+    return names
+
+
+def test_every_public_name_is_reached_or_kept_in_readme():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    uses = {name: _used_names(ast.walk(tree)) for name, tree in trees.items()}
+    kept = _readme_names()
+    unreached = []
+    checked = 0
+    for module, tree in trees.items():
+        for qualified, bare, node in _public_definitions(tree):
+            checked += 1
+            own = _used_names(ast.walk(node)).count(bare)
+            total = sum(names.count(bare) for names in uses.values())
+            if total > own or qualified in kept:
+                continue
+            unreached.append(f"{module}: {qualified}")
+    assert checked > 100
+    assert not unreached, ("public names with no caller in src/pstlab and no "
+                           f"README entry: {unreached}")
+
