@@ -22,7 +22,7 @@ from .harness import (
     write_survey_jsonl,
 )
 from .pst import YES, all_pair_reports, decide, numeric_fidelity, pst_search
-from .spectral import ADJACENCY, LAPLACIAN, SIGNLESS_LAPLACIAN, support_profile
+from .spectral import KINDS, LAPLACIAN, SIGNLESS_LAPLACIAN, support_profile
 
 GOLDEN_COUNTS_7 = {"connected": 853, "tau_odd": 339, "tau_power_of_two": 83,
                   "pow2_with_small_twins": 58}
@@ -51,12 +51,10 @@ def _workers(args) -> int:
 
 
 def _matrix_kind(name: str) -> str:
-    kinds = {"laplacian": LAPLACIAN, "adjacency": ADJACENCY,
-             "signless": SIGNLESS_LAPLACIAN,
-             "signless_laplacian": SIGNLESS_LAPLACIAN}
-    if name not in kinds:
+    kind = SIGNLESS_LAPLACIAN if name == "signless" else name
+    if kind not in KINDS:
         raise CliError(f"unknown matrix kind {name!r}")
-    return kinds[name]
+    return kind
 
 
 def _graph_source(args) -> Graph:
@@ -127,8 +125,6 @@ def cmd_analyze(args) -> int:
     g = _graph_source(args)
     kind = _matrix_kind(args.matrix)
     pair = _parse_pairs(args.pairs, g)
-    if kind not in (LAPLACIAN, ADJACENCY):
-        raise CliError("pair analysis supports laplacian and adjacency kinds")
     if pair is None:
         reports = all_pair_reports(g, kind)
     else:
@@ -198,12 +194,10 @@ def cmd_trees(args) -> int:
     if not 2 <= args.max_n <= MAX_TREE_SWEEP_N:
         raise CliError(f"tree sweep supports 2 <= max-n <= {MAX_TREE_SWEEP_N}")
     kind = _matrix_kind(args.matrix)
-    if kind not in (LAPLACIAN, ADJACENCY):
-        raise CliError("tree sweep supports laplacian and adjacency kinds")
     rows = []
     total_yes = 0
-    # the Laplacian exclusion concerns trees on more than two vertices;
-    # the adjacency sweep includes the two known positive trees
+    # the Laplacian exclusion concerns trees on more than two vertices; the
+    # other kinds sweep from the one-edge path, a positive in each
     start_n = 3 if kind == LAPLACIAN else 2
     for n in range(start_n, args.max_n + 1):
         for t in gen_free_trees(n):

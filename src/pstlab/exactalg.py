@@ -461,29 +461,27 @@ def krylov_minpoly(vectors) -> IntPolynomial:
     one that depends on those before it, so a lazy iterable is never read
     past degree + 1 vectors.  The zero vector returns the constant 1.
     """
-    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vec, combo)
+    # a row is a reduced vector, then its combination of the (at most n + 1) draws
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row)
     for k, vec in enumerate(vectors):
-        combo = [0] * (k + 1)
-        combo[k] = 1
-        for pivot, bvec, bcombo in basis:
-            if vec[pivot]:
-                g = math.gcd(vec[pivot], bvec[pivot])
-                mul_v, mul_b = bvec[pivot] // g, vec[pivot] // g
-                vec = [mul_v * x - mul_b * y for x, y in zip(vec, bvec)]
-                combo = [mul_v * x for x in combo]
-                for i, y in enumerate(bcombo):
-                    combo[i] -= mul_b * y
-        if not any(vec):
-            poly = IntPolynomial(combo).primitive()
+        n = len(vec)
+        row = list(vec) + [0] * (n + 1)
+        row[n + k] = 1
+        for pivot, brow in basis:
+            if row[pivot]:
+                g = math.gcd(row[pivot], brow[pivot])
+                mul_r, mul_b = brow[pivot] // g, row[pivot] // g
+                row = [mul_r * x - mul_b * y for x, y in zip(row, brow)]
+        if not any(row[:n]):
+            poly = IntPolynomial(row[n:]).primitive()
             if not poly.is_monic():
                 raise AssertionError("minimal polynomial failed to be monic")
             return poly
-        g = math.gcd(*vec, *combo)
+        g = math.gcd(*row)
         if g > 1:
-            vec = [x // g for x in vec]
-            combo = [x // g for x in combo]
-        pivot = next(i for i, x in enumerate(vec) if x)
-        basis.append((pivot, vec, combo))
+            row = [x // g for x in row]
+        pivot = next(i for i, x in enumerate(row) if x)
+        basis.append((pivot, row))
     raise ValueError("Krylov vectors ran out before a linear dependency")
 
 

@@ -21,12 +21,14 @@ from .generate import canonical_form, gen_free_trees, MAX_CANONICAL_N
 from .graphs import Graph, bipartition, find_twins, laplacian, adjacency, parse_graph6, write_graph6
 from .pst import (
     MIXED_DELTA,
+    NO,
     NON_INTEGER_SUPPORT,
     NOT_STRONGLY_COSPECTRAL,
     PARITY_VIOLATION,
     QUADRATIC_MIXED_A,
     RESIDUAL_FACTOR,
     UNDECIDED,
+    YES,
     PSTReport,
     all_pair_reports,
     laplacian_pst,
@@ -459,13 +461,24 @@ def _support_value_check(minpoly: IntPolynomial, eig) -> bool:
 def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
     """Re-validate a negative or undecided verdict from scratch.
 
-    Projections are recomputed through the spectral profiles (a different
-    code path from the polynomial-split production route) and the stored
-    certificate's violated condition is checked against them.
+    The verdict must be the one the certificate backs: undecided for one
+    quadratic-mixed-a witness (a + b sqrt(d))/2 with a != 0, negative for
+    every other certificate, never positive.  Projections are recomputed
+    through the spectral profiles (a different code path from the
+    polynomial-split production route) and the stored certificate's
+    violated condition is checked against them.
     """
     cert = report.certificate
     if cert is None:
         return False, "no certificate on a non-positive report"
+    sole = cert.witnesses[0] if len(cert.witnesses) == 1 else None
+    out_of_scope = (cert.kind == QUADRATIC_MIXED_A
+                    and isinstance(sole, QuadraticEig) and sole.a != 0)
+    expected = UNDECIDED if out_of_scope else NO
+    if report.verdict != expected:
+        names = {YES: "positive", NO: "negative", UNDECIDED: "undecided"}
+        return False, (f"a {cert.kind} certificate of this shape is {names[expected]}, "
+                       f"not {names.get(report.verdict, repr(report.verdict))}")
     kind, u, v = report.matrix_kind, report.u, report.v
     word = report.graph6
     pu = _cached_profile(word, kind, u)
@@ -525,11 +538,8 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
             return True, "two rational parts confirmed"
         if ints and quads and 2 * ints[0].value != quads[0].a:
             return True, "integer eigenvalue off the rational part confirmed"
-        if len(quads) == 1 and quads[0].a != 0:
-            # one rational part a != 0 is out of the decider's scope, and
-            # a bipartite support, closed under negation, never has it
-            if report.verdict != UNDECIDED:
-                return False, "one nonzero rational part is undecided, not negative"
+        if out_of_scope:
+            # a bipartite support never has one rational part a != 0 (see decide)
             if bipartition(g) is not None:
                 return False, "undecided verdict on a bipartite graph"
             return True, "out-of-scope support shape confirmed"

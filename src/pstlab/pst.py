@@ -1,4 +1,4 @@
-"""Exact perfect-state-transfer decisions for Laplacian and adjacency walks.
+"""Exact perfect-state-transfer decisions for the walks of spectral.KINDS.
 
 A pair (u, v) admits perfect state transfer under exp(itM) exactly when
 u, v are strongly cospectral, the support eigenvalues have the right
@@ -23,6 +23,7 @@ from .exactalg import IntPolynomial, factor_support, krylov_minpoly, mat_vec, po
 from .graphs import Graph, bipartition, write_graph6
 from .spectral import (
     ADJACENCY,
+    KINDS,
     LAPLACIAN,
     IntegerEig,
     QuadraticEig,
@@ -121,9 +122,8 @@ class PSTReport:
 
 
 def _validate_kind(kind: str) -> None:
-    if kind not in (LAPLACIAN, ADJACENCY):
-        raise ValueError(f"pair decisions support the {LAPLACIAN} and {ADJACENCY} "
-                         f"kinds, not {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"unknown matrix kind {kind!r}")
 
 
 def _validate_pair(g: Graph, u: int, v: int) -> None:
@@ -224,31 +224,34 @@ def _cospectrality_gate(ctx: _SpectralContext, u: int, v: int,
 
 def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
     """Decide perfect state transfer between u and v under exp(itM), where M
-    is the Laplacian or the adjacency matrix of g.
+    is the Laplacian L, the adjacency matrix A or the signless Laplacian
+    Q = D + A of g (spectral.KINDS).
 
     After the strong-cospectrality gate, the decision cascades on the
     algebraic form of the support: residual factors are immediate
-    negatives; Laplacian supports must be integers; adjacency supports must
-    be integers or pure multiples b sqrt(delta)/2 of one sqrt(delta), with
-    mixed extensions and mixed rational parts as negatives.  A support with
-    one rational part a != 0, (a +- b sqrt(delta))/2, is undecided; it
-    occurs only on non-bipartite graphs, because a bipartite support is
-    closed under negation and so holds the rational parts a and -a.  Each
-    support value c (b/2 for b sqrt(delta)/2) is then measured from the
-    reference value r whose eigenvalue Perron-Frobenius puts in the plus
-    class, 0 = min for the Laplacian and theta_0 = max for the adjacency
-    matrix.  Yes requires (|c - r|/g) even on the plus class and odd on the
-    minus class, g the gcd of all |c - r|; the transfer then happens at
-    t = pi/(g sqrt(delta)) with phase exp(i pi r/g).
+    negatives; L supports must be integers; A and Q supports must be
+    integers or pure multiples b sqrt(delta)/2 of one sqrt(delta), with
+    mixed extensions and mixed rational parts as negatives, and one
+    rational part a != 0, (a +- b sqrt(delta))/2, undecided.  Each support
+    value c (b/2 for b sqrt(delta)/2) is then measured from the reference
+    value r whose eigenvalue Perron-Frobenius puts in the plus class: 0 =
+    min for L, and max for A and Q, nonnegative and irreducible on a
+    connected graph.  Yes requires (|c - r|/g) even on the plus class and
+    odd on the minus class, g the gcd of all |c - r|; the transfer then
+    happens at t = pi/(g sqrt(delta)) with phase exp(i pi r/g).
 
-    The pairs of one graph share a spectral context, kept for the last few
-    (graph, kind) pairs: each vertex's Krylov vectors M^j e_u are made
-    once, and those of e_u -+ e_v are their differences and sums, so a
-    pair costs no matrix product; minimal polynomials of e_u and the ids
-    of their factorizations are made once per vertex too.  The gate's
-    witness comes from those ids (see _cospectrality_gate), so a gated
-    pair factors nothing.  The context holds only what the graph and kind
-    determine, so it cannot change an answer.
+    Undecided never happens on a bipartite graph.  With D = diag(+-1) by
+    colour class, D A D = -A, so an A support is closed under negation and
+    a != 0 brings -a along; Q = D L D, so Q verdicts are L verdicts and 0
+    (eigenvector D 1) is in every Q support.  Either way a != 0 is refused
+    as quadratic-mixed-a first.  Off bipartite graphs A and Q can be
+    undecided.
+
+    The pairs of one graph and kind share a _SpectralContext, kept for the
+    last few (graph, kind) pairs, so a pair costs no matrix product and a
+    gated pair factors nothing (see _cospectrality_gate).  The context
+    holds only what the graph and kind determine, so it cannot change an
+    answer.
     """
     _validate_kind(kind)
     _validate_pair(g, u, v)
@@ -300,11 +303,6 @@ def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
         if bad_int:
             return refuse(QUADRATIC_MIXED_A, (bad_int[0], quad_ids[0]),
                           "integer eigenvalue off the common rational part of the support")
-        # a != 0 never gets here on a bipartite graph: there D A D = -A for
-        # D = diag(+-1) by colour class, so E_{-theta} = D E_theta D and the
-        # support of u (plus and minus ids together) is closed under
-        # negation; with (a + b sqrt(delta))/2 it holds (-a - b sqrt(delta))/2,
-        # a second rational part that is refused above
         if a != 0:
             return refuse(QUADRATIC_MIXED_A, (quad_ids[0],),
                           "no decision procedure for quadratic supports with "

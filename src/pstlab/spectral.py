@@ -29,6 +29,7 @@ from .graphs import Graph, adjacency, laplacian, signless_laplacian
 LAPLACIAN = "laplacian"
 ADJACENCY = "adjacency"
 SIGNLESS_LAPLACIAN = "signless_laplacian"
+KINDS = (LAPLACIAN, ADJACENCY, SIGNLESS_LAPLACIAN)
 
 
 def matrix_of(g: Graph, kind: str) -> list[list[int]]:
@@ -202,14 +203,9 @@ def classify_by_minpolys(g: Graph, kind: str, u: int, v: int):
     if u == v:
         raise ValueError("classify_by_minpolys requires u != v")
     m = matrix_of(g, kind)
-    n = g.n
-    diff = [0] * n
-    diff[u], diff[v] = 1, -1
-    summ = [0] * n
-    summ[u] = summ[v] = 1
-    poly_minus = vector_minpoly(m, diff)
-    poly_plus = vector_minpoly(m, summ)
-    return poly_minus, poly_plus
+    e_u, e_v = unit_vector(g.n, u), unit_vector(g.n, v)
+    return (vector_minpoly(m, [a - b for a, b in zip(e_u, e_v)]),
+            vector_minpoly(m, [a + b for a, b in zip(e_u, e_v)]))
 
 
 def cospectrality_profile(g: Graph, kind: str, u: int, v: int,

@@ -9,7 +9,8 @@ bitmask twin search, trial division by every candidate quadratic
 instead of the divisor-pruned factor search, a Lagrange product over
 the other support roots instead of the Krylov-basis eigenprojection,
 Euclid over Fraction coefficients instead of pseudo-division in Z[x],
-and a full factorization of the shared factor instead of the decider's
+a Krylov elimination that reduces each combination in a loop of its own
+instead of as the tail of one row with its vector, and a full factorization of the shared factor instead of the decider's
 search among the support ids of the two vertices.
 
 The helpers at the end are checks that only tests use: a polynomial from
@@ -288,6 +289,36 @@ def _find_quadratic_factor_brute(q: IntPolynomial, bound: int):
             if quad_poly.divides(q):
                 return s, t
     return None
+
+
+def krylov_minpoly_two_loop(vectors) -> IntPolynomial:
+    """The fraction-free Krylov elimination with each basis vector's
+    combination of the draws kept beside it and reduced by a loop of its
+    own; same pivots, gcd reduction and lazy draw as krylov_minpoly."""
+    basis: list[tuple[int, list[int], list[int]]] = []  # (pivot, vec, combo)
+    for k, vec in enumerate(vectors):
+        combo = [0] * (k + 1)
+        combo[k] = 1
+        for pivot, bvec, bcombo in basis:
+            if vec[pivot]:
+                g = math.gcd(vec[pivot], bvec[pivot])
+                mul_v, mul_b = bvec[pivot] // g, vec[pivot] // g
+                vec = [mul_v * x - mul_b * y for x, y in zip(vec, bvec)]
+                combo = [mul_v * x for x in combo]
+                for i, y in enumerate(bcombo):
+                    combo[i] -= mul_b * y
+        if not any(vec):
+            poly = IntPolynomial(combo).primitive()
+            if not poly.is_monic():
+                raise AssertionError("minimal polynomial failed to be monic")
+            return poly
+        g = math.gcd(*vec, *combo)
+        if g > 1:
+            vec = [x // g for x in vec]
+            combo = [x // g for x in combo]
+        pivot = next(i for i, x in enumerate(vec) if x)
+        basis.append((pivot, vec, combo))
+    raise ValueError("Krylov vectors ran out before a linear dependency")
 
 
 def apply_poly(m, coeffs, v) -> list:

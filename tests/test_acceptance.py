@@ -39,6 +39,7 @@ from pstlab.graphs import (
     find_twins,
     hypercube,
     laplacian,
+    parse_graph6,
     path_graph,
     signless_laplacian,
     write_graph6,
@@ -64,6 +65,7 @@ from pstlab.pst import (
 from pstlab.spectral import (
     ADJACENCY,
     LAPLACIAN,
+    SIGNLESS_LAPLACIAN,
     IntegerEig,
     QuadraticEig,
     ResidualEig,
@@ -92,9 +94,24 @@ TWIN_COUNTS_7 = {"tau_power_of_two": 83, "pow2_with_small_twins": 67,
                  "ruled_out_reading_no_admissible_pair": 78}
 RULED_OUT_8 = {"ruled_out_reading_small_twins": 278,
                "ruled_out_reading_no_admissible_pair": 324}
-# Wall-clock budget for deciding and replaying the four 40-vertex pairs of
-# TestCriterion9ScaleBudget (about 2.5 s on a 2-vCPU x86-64 box).
+# Wall-clock budget for each test of TestCriterion9ScaleBudget: the four
+# 40-vertex pairs take about 2.5 s and the graph6-limit pairs with the
+# hypercube:5 positives about 1.4 s on a 2-vCPU x86-64 box.
 SCALE_BUDGET_S = 30.0
+# Signless Laplacian verdict.certificate counts over connected graphs on
+# 2..7 vertices and free trees on 2..10 (TestCriterion10SignlessLaplacian).
+SIGNLESS_COUNTS = {
+    "connected": {"yes.none": 3, "no.not-strongly-cospectral": 18431,
+                  "no.residual-factor": 1184, "no.quadratic-mixed-a": 120,
+                  "no.mixed-delta": 69, "no.parity-violation": 37,
+                  "undecided.quadratic-mixed-a": 2},
+    "trees": {"yes.none": 1, "no.not-strongly-cospectral": 7205,
+              "no.residual-factor": 234, "no.quadratic-mixed-a": 16,
+              "no.mixed-delta": 16, "no.parity-violation": 1},
+}
+# pairs of bipartite graphs compared between the signless Laplacian and the
+# Laplacian (TestCriterion10SignlessLaplacian)
+BIPARTITE_SIGNLESS_PAIRS = 9039
 # (report count, sha256 of the compact sorted-key JSON list of the reports)
 REPORT_DIGESTS = {
     "small corpus": (3866, "1383e6daef23dfbcb8362fb4e316a1a58bc828d56b300f570f331dec7e53b234"),
@@ -147,6 +164,18 @@ def tree_sweep_reports():
                 out[LAPLACIAN].extend((t, r) for r in all_pair_reports(t, LAPLACIAN))
             out[ADJACENCY].extend((t, r) for r in all_pair_reports(t, ADJACENCY))
     return out
+
+
+@pytest.fixture(scope="module")
+def signless_reports(corpus_by_n):
+    """Every signless Laplacian pair report over connected graphs on 2..7
+    vertices and over free trees on 2..10."""
+    return {
+        "connected": [(g, r) for n in range(2, 8) for g in corpus_by_n[n]
+                      for r in all_pair_reports(g, SIGNLESS_LAPLACIAN)],
+        "trees": [(t, r) for n in range(2, 11) for t in gen_free_trees(n)
+                  for r in all_pair_reports(t, SIGNLESS_LAPLACIAN)],
+    }
 
 
 @pytest.fixture(scope="module")
@@ -634,3 +663,87 @@ class TestCriterion9ScaleBudget:
         report_line(9, ok, f"4 pairs on 40 vertices decided and replayed in "
                            f"{elapsed:.1f}s (budget {SCALE_BUDGET_S:.0f}s)")
         assert ok, (elapsed, results)
+
+    def test_graph6_limit_pairs_within_budget(self):
+        """At graph6's limit of 62 vertices, the end pair of path:62 and the
+        antipodal pair of cycle:62, each read back from its graph6 word, are
+        decided negative in both kinds with a residual-factor certificate
+        that replays; the 16 antipodal pairs of hypercube:5 are positive in
+        both kinds and pass the numeric oracle; all within SCALE_BUDGET_S."""
+        start = time.perf_counter()
+        results = []
+        for g, u, v in ((path_graph(62), 0, 61), (cycle_graph(62), 0, 31)):
+            g = parse_graph6(write_graph6(g))
+            for kind in (LAPLACIAN, ADJACENCY):
+                r = decide(g, kind, u, v)
+                replayed, why = replay_certificate(g, r)
+                results.append((g.n, kind, r.verdict == "no"
+                                and r.certificate.kind == "residual-factor" and replayed, why))
+        cube = hypercube(5)
+        for kind in (LAPLACIAN, ADJACENCY):
+            for u in range(16):
+                r = decide(cube, kind, u, u ^ 31)
+                confirmed, why = verify_positive_report(cube, r, ORACLE_TOLERANCE)
+                results.append((cube.n, kind, r.yes and confirmed, why))
+        elapsed = time.perf_counter() - start
+        ok = all(passed for _, _, passed, _ in results) and elapsed <= SCALE_BUDGET_S
+        report_line(9, ok, f"4 pairs on 62 vertices and 32 hypercube:5 positives "
+                           f"decided and checked in {elapsed:.1f}s "
+                           f"(budget {SCALE_BUDGET_S:.0f}s)")
+        assert ok, (elapsed, [r for r in results if not r[2]])
+
+
+class TestCriterion10SignlessLaplacian:
+    """The signless Laplacian Q = D + A is decided with the adjacency
+    cascade and reference (see decide)."""
+
+    def test_verdicts_checked_and_counted(self, signless_reports):
+        """Every Q positive of connected n <= 7 and free trees n <= 10
+        passes the numeric oracle, every other report replays, and the
+        verdict x certificate counts are pinned."""
+        got, failures, undecided = {}, [], []
+        for corpus, reports in signless_reports.items():
+            counts = {}
+            for g, r in reports:
+                key = f"{r.verdict}.{r.certificate.kind if r.certificate else 'none'}"
+                counts[key] = counts.get(key, 0) + 1
+                if r.yes:
+                    ok, why = verify_positive_report(g, r, ORACLE_TOLERANCE)
+                else:
+                    ok, why = replay_certificate(g, r)
+                if not ok:
+                    failures.append((r.graph6, r.u, r.v, why))
+                if r.verdict == "undecided":
+                    undecided.append((r.graph6, r.u, r.v))
+            got[corpus] = counts
+        ok = (not failures and got == SIGNLESS_COUNTS
+              and sorted(undecided) == [("E?~w", 4, 5), ("E`~o", 4, 5)])
+        report_line(10, ok, f"signless Laplacian verdicts {got}, "
+                            f"{len(failures)} check failures")
+        assert ok, (got, failures[:5], undecided)
+
+    def test_bipartite_verdicts_equal_laplacian(self, signless_reports, tree_sweep_reports):
+        """Q = D L D on a bipartite graph, D = diag(+-1) by colour class, so
+        |exp(itQ)_{vu}| = |exp(itL)_{vu}| and every pair gets the same
+        verdict in both kinds: on the bipartite graphs of both corpora, on
+        hypercubes up to dimension 4 and on even cycles up to 12."""
+        laplacian_verdicts = {(r.graph6, r.u, r.v): r.verdict
+                              for _, r in tree_sweep_reports[LAPLACIAN]}
+        families = [hypercube(k) for k in range(1, 5)] + [cycle_graph(n) for n in range(4, 13, 2)]
+        pairs = [(g, r) for reports in signless_reports.values() for g, r in reports]
+        pairs += [(g, r) for g in families for r in all_pair_reports(g, SIGNLESS_LAPLACIAN)]
+        compared, differing = 0, []
+        for g, r in pairs:
+            if bipartition(g) is None:
+                continue
+            key = (r.graph6, r.u, r.v)
+            if key not in laplacian_verdicts:
+                laplacian_verdicts.update(((lap.graph6, lap.u, lap.v), lap.verdict)
+                                          for lap in all_pair_reports(g, LAPLACIAN))
+            compared += 1
+            if r.verdict != laplacian_verdicts[key]:
+                differing.append(key)
+        ok = not differing and compared == BIPARTITE_SIGNLESS_PAIRS
+        report_line(10, ok, f"signless Laplacian and Laplacian verdicts agree on "
+                            f"{compared} bipartite pairs, {len(differing)} differ")
+        assert ok, (compared, differing[:5])

@@ -78,10 +78,20 @@ class TestAnalyze:
                              "--pairs", "all")
         assert code == 2
 
-    def test_signless_kind_exit_2(self, capsys):
+    def test_signless_kind_accepted(self, capsys):
+        # C4 is bipartite, so its Q verdicts are its L verdicts
+        code, out, _ = run_cli(capsys, "analyze", "--family", "cycle:4",
+                               "--matrix", "signless", "--pairs", "all",
+                               "--format", "jsonl")
+        assert code == 0
+        reports = [json.loads(line) for line in out.strip().splitlines()]
+        assert {r["kind"] for r in reports} == {"signless_laplacian"}
+        assert [(r["u"], r["v"]) for r in reports if r["verdict"] == "yes"] == [(0, 2), (1, 3)]
+
+    def test_unknown_kind_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--g6", "A_", "--pairs", "0,1",
-                               "--matrix", "signless")
-        assert code == 2 and "laplacian and adjacency" in err
+                               "--matrix", "bogus")
+        assert code == 2 and "unknown matrix kind 'bogus'" in err
 
     def test_directory_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--file", str(tmp_path),
@@ -194,10 +204,13 @@ class TestTrees:
                              "--matrix", "laplacian")
         assert code == 2
 
-    def test_signless_kind_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "trees", "--max-n", "4",
-                               "--matrix", "signless")
-        assert code == 2 and "laplacian and adjacency" in err
+    def test_signless_kind_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "trees", "--max-n", "6",
+                               "--matrix", "signless", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["matrix"] == "signless_laplacian"
+        assert [(r["graph6"], r["u"], r["v"]) for r in payload["yes_reports"]] == [("A_", 0, 1)]
 
 
 class TestSimulate:

@@ -10,12 +10,14 @@ from pstlab.exactalg import (
     charpoly,
     det_bareiss,
     factor_support,
+    krylov_minpoly,
     mat_vec,
     poly_gcd,
     quad,
     rank_mod_p,
     squarefree_part,
     sturm_count,
+    unit_vector,
     vector_minpoly,
 )
 from pstlab.graphs import (
@@ -27,6 +29,7 @@ from pstlab.graphs import (
 )
 from pstlab.spectral import (
     ADJACENCY,
+    KINDS,
     LAPLACIAN,
     classify_by_minpolys,
     eigenvalue_bound,
@@ -36,6 +39,7 @@ from pstlab.spectral import (
 from oracles import (
     det_cofactor,
     factor_support_brute,
+    krylov_minpoly_two_loop,
     poly_from_roots,
     poly_gcd_fraction,
     reconstruct_factorization,
@@ -131,6 +135,29 @@ class TestVectorMinpoly:
                 assert r.is_zero()
                 checked += 1
         assert checked > 400
+
+    def test_matches_two_loop_elimination(self, corpus6):
+        """krylov_minpoly against the elimination that reduces each
+        combination apart from its vector, on every e_u and e_u -+ e_v of
+        corpus6 in every kind, and of path:11 and cycle:24."""
+        def powers(m, v):
+            while True:
+                yield v
+                v = mat_vec(m, v)
+
+        checked = 0
+        for g in list(corpus6) + [path_graph(11), cycle_graph(24)]:
+            units = [unit_vector(g.n, u) for u in range(g.n)]
+            starts = units + [[a + sign * b for a, b in zip(units[u], units[v])]
+                              for u in range(g.n) for v in range(u + 1, g.n)
+                              for sign in (-1, 1)]
+            for kind in KINDS:
+                m = matrix_of(g, kind)
+                for start in starts:
+                    assert (krylov_minpoly(powers(m, start))
+                            == krylov_minpoly_two_loop(powers(m, start))), (g.n, kind, start)
+                    checked += 1
+        assert checked == 3 * (810 + 2 * 1933 + 11 + 2 * 55 + 24 + 2 * 276)
 
     def test_fraction_input_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -41,13 +42,14 @@ from pstlab.pst import (
     NO,
     QUADRATIC_MIXED_A,
     UNDECIDED,
+    YES,
     Certificate,
     PSTReport,
     all_pair_reports,
     laplacian_pst,
     pst_search,
 )
-from pstlab.spectral import ADJACENCY, LAPLACIAN, QuadraticEig
+from pstlab.spectral import ADJACENCY, KINDS, LAPLACIAN, QuadraticEig
 
 from oracles import spanning_trees_brute
 
@@ -309,6 +311,24 @@ class TestCertificateReplay:
             assert ok == (not bipartite), why
             if bipartite:
                 assert "bipartite" in why
+
+    def test_forged_verdicts_rejected(self, corpus6):
+        """A negative report replays only under its own verdict.  decide
+        emits the one-witness a != 0 quadratic-mixed-a shape only as
+        undecided, so every negative of corpus6, in each kind, is rejected
+        when its verdict is changed to yes or to undecided."""
+        forged = 0
+        for g in corpus6:
+            for kind in KINDS:
+                for r in all_pair_reports(g, kind):
+                    if r.verdict != NO:
+                        continue
+                    for verdict, name in ((YES, "positive"), (UNDECIDED, "undecided")):
+                        ok, why = replay_certificate(g, replace(r, verdict=verdict))
+                        assert not ok and why.endswith(f"is negative, not {name}"), (
+                            r.graph6, kind, r.u, r.v, verdict, why)
+                        forged += 1
+        assert forged == 2 * 5784
 
     def test_missing_certificate_rejected(self):
         r = laplacian_pst(path_graph(4), 0, 1)

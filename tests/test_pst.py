@@ -30,8 +30,8 @@ from pstlab.pst import (
 )
 from pstlab.spectral import (
     ADJACENCY,
+    KINDS,
     LAPLACIAN,
-    SIGNLESS_LAPLACIAN,
     IntegerEig,
     ResidualEig,
     classify_by_minpolys,
@@ -112,13 +112,15 @@ class TestLaplacianDecider:
                 all_pair_reports(split, kind)
 
     def test_unknown_kinds_rejected(self):
-        # the parity reference (the eigenvalue Perron-Frobenius puts in the
-        # plus class) is argued for L and A only, so no other kind may fall
-        # through to the cascade
-        with pytest.raises(ValueError, match="signless_laplacian"):
-            decide(path_graph(2), SIGNLESS_LAPLACIAN, 0, 1)
-        with pytest.raises(ValueError, match="signless_laplacian"):
-            all_pair_reports(path_graph(2), SIGNLESS_LAPLACIAN)
+        # every name in spectral.KINDS is decided, the signless Laplacian
+        # with the adjacency cascade; any other name fails first
+        for kind in KINDS:
+            assert decide(path_graph(2), kind, 0, 1).yes
+            assert [r.yes for r in all_pair_reports(path_graph(2), kind)] == [True]
+        with pytest.raises(ValueError, match="unknown matrix kind 'bogus'"):
+            decide(Graph(3, [(0, 1)]), "bogus", 1, 1)
+        with pytest.raises(ValueError, match="unknown matrix kind 'bogus'"):
+            all_pair_reports(path_graph(2), "bogus")
         with pytest.raises(ValueError, match="bogus"):
             pst_search(path_graph(3), "bogus")
         with pytest.raises(ValueError, match="bogus"):

@@ -1,5 +1,5 @@
 """Every public name in src/pstlab has a caller in the package or is kept
-on purpose in the README.
+on purpose in the README, and only spectral lists the matrix kinds.
 
 A public function, class or method counts as reached when its name
 appears as a Name or an Attribute somewhere in src/pstlab outside its own
@@ -13,6 +13,7 @@ import re
 from pathlib import Path
 
 import pstlab
+from pstlab import spectral
 
 PACKAGE = Path(pstlab.__file__).resolve().parent
 README = PACKAGE.parent.parent / "README.md"
@@ -71,3 +72,32 @@ def test_every_public_name_is_reached_or_kept_in_readme():
     assert not unreached, ("public names with no caller in src/pstlab and no "
                            f"README entry: {unreached}")
 
+
+def _names_a_kind(node, constants) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in constants
+    if isinstance(node, ast.Attribute):
+        return node.attr in constants
+    return isinstance(node, ast.Constant) and node.value in spectral.KINDS
+
+
+def test_only_spectral_lists_the_matrix_kinds():
+    """spectral.KINDS is the one list of matrix kinds: outside spectral.py
+    no `in` or `not in` tests membership of a literal tuple, list or set
+    holding a kind constant or a kind's name."""
+    constants = {name for name, value in vars(spectral).items()
+                 if name.isupper() and isinstance(value, str) and value in spectral.KINDS}
+    assert constants == {"LAPLACIAN", "ADJACENCY", "SIGNLESS_LAPLACIAN"}
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            for op, right in zip(node.ops, node.comparators):
+                if (isinstance(op, (ast.In, ast.NotIn))
+                        and isinstance(right, (ast.Tuple, ast.List, ast.Set))
+                        and any(_names_a_kind(e, constants) for e in right.elts)):
+                    copies.append(f"{path.name}:{node.lineno}")
+    assert not copies, f"membership tests against a second list of kinds: {copies}"
