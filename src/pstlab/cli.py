@@ -1,8 +1,9 @@
 """Command-line interface: analyze, survey, trees, simulate, generate.
 
-Exit codes: 0 success, 1 failed assertion (golden-count or internal check),
-2 configuration or parse errors.  Machine formats (json, jsonl, csv) emit
-nothing but the payload on stdout.
+Exit codes: 0 success, 1 failed golden-count assertion or internal failure
+(named with its command), 2 configuration or parse errors, which the
+commands validate before any work starts.  Machine formats (json, jsonl,
+csv) emit nothing but the payload on stdout.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ import os
 import sys
 from typing import Optional
 
-from .generate import MAX_CONNECTED_N, gen_connected_graphs, gen_free_trees, stream_from_file
+from .generate import (
+    MAX_CONNECTED_N,
+    MAX_TREE_N,
+    gen_connected_graphs,
+    gen_free_trees,
+    stream_from_file,
+)
 from .graphs import Graph, Graph6ParseError, construct, parse_graph6, write_graph6
 from .harness import (
     MAX_TREE_SWEEP_N,
@@ -123,6 +130,8 @@ def _human_report(r) -> str:
 
 def cmd_analyze(args) -> int:
     g = _graph_source(args)
+    if not g.is_connected():
+        raise CliError("perfect state transfer analysis rejects disconnected graphs")
     kind = _matrix_kind(args.matrix)
     pair = _parse_pairs(args.pairs, g)
     if pair is None:
@@ -234,12 +243,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.what == "trees":
-        stream = gen_free_trees(args.n)
+        gen, limit, label = gen_free_trees, MAX_TREE_N, "tree"
     elif args.what == "graphs":
-        stream = gen_connected_graphs(args.n)
+        gen, limit, label = gen_connected_graphs, MAX_CONNECTED_N, "connected"
     else:
         raise CliError("generate knows 'trees' and 'graphs'")
-    for g in stream:
+    if not 1 <= args.n <= limit:
+        raise CliError(f"{label} generation limited to 1 <= n <= {limit}")
+    for g in gen(args.n):
         print(write_graph6(g))
     return 0
 
@@ -312,11 +323,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (CliError, Graph6ParseError, ValueError, OSError) as exc:
+    except (CliError, Graph6ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal assertion failed: {exc}", file=sys.stderr)
+    except (AssertionError, ValueError) as exc:
+        print(f"internal failure in {args.command}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
 
 

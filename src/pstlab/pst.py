@@ -136,10 +136,10 @@ def _validate_pair(g: Graph, u: int, v: int) -> None:
 class _SpectralContext:
     """What decide reuses across the pairs of one graph and kind: the
     matrix, the graph6 word, the eigenvalue bound and, per vertex u, the
-    Krylov vectors M^j e_u, the minimal polynomial of e_u and the integer
-    and quadratic eigenvalue ids of its factorization, each computed on
-    first use.  Building one checks that g is connected, once per graph and
-    kind rather than once per pair."""
+    Krylov vectors M^j e_u, the minimal polynomial of e_u and every
+    eigenvalue id of its factorization, each computed on first use.  This
+    is the one place decide factors anything.  Building one checks that g
+    is connected, once per graph and kind rather than once per pair."""
 
     def __init__(self, g: Graph, kind: str):
         if not g.is_connected():
@@ -149,7 +149,7 @@ class _SpectralContext:
         self.bound = eigenvalue_bound(g, kind)
         self._krylov = [[unit_vector(g.n, u)] for u in range(g.n)]
         self._minpolys: dict[int, IntPolynomial] = {}
-        self._split_ids: dict[int, tuple] = {}
+        self._support_ids: dict[int, tuple] = {}
 
     def krylov(self, u: int):
         """M^j e_u for j = 0, 1, ..., each product made once and kept."""
@@ -175,12 +175,12 @@ class _SpectralContext:
                               for ku, kv in zip(self.krylov(u), self.krylov(v)))
         return minus, plus
 
-    def split_ids(self, u: int) -> tuple:
-        """The integer and quadratic ids of factor_support(minpoly of e_u)."""
-        if u not in self._split_ids:
-            ids = ids_from_factorization(factor_support(self.minpoly(u), self.bound))
-            self._split_ids[u] = tuple(e for e in ids if not isinstance(e, ResidualEig))
-        return self._split_ids[u]
+    def support_ids(self, u: int) -> tuple:
+        """Every id of factor_support(minpoly of e_u), sorted, residual last."""
+        if u not in self._support_ids:
+            fac = factor_support(self.minpoly(u), self.bound)
+            self._support_ids[u] = tuple(ids_from_factorization(fac))
+        return self._support_ids[u]
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,6 +194,15 @@ def _is_root(eig, poly: IntPolynomial) -> bool:
     # (a +- b sqrt(delta))/2 are the roots of x^2 - a x + (a^2 - b^2 delta)/4
     norm = (eig.a * eig.a - eig.b * eig.b * eig.delta) // 4
     return IntPolynomial((norm, -eig.a, 1)).divides(poly)
+
+
+def _ids_of(poly: IntPolynomial, ids: tuple) -> tuple:
+    """factor_support(poly)'s ids from the sorted ids of a squarefree multiple:
+    poly's integer and quadratic roots, then its gcd with the residual."""
+    out = tuple(e for e in ids if not isinstance(e, ResidualEig) and _is_root(e, poly))
+    if isinstance(ids[-1], ResidualEig) and (rest := poly_gcd(ids[-1].poly, poly)).degree >= 1:
+        out += (ResidualEig(rest),)
+    return out
 
 
 def _cospectrality_gate(ctx: _SpectralContext, u: int, v: int,
@@ -214,8 +223,8 @@ def _cospectrality_gate(ctx: _SpectralContext, u: int, v: int,
     shared = poly_gcd(poly_minus, poly_plus)
     if shared == IntPolynomial.one():
         return None
-    candidates = sorted(set(ctx.split_ids(u)) | set(ctx.split_ids(v)),
-                        key=lambda e: e.sort_key())
+    candidates = sorted({e for w in (u, v) for e in ctx.support_ids(w)
+                         if not isinstance(e, ResidualEig)}, key=lambda e: e.sort_key())
     witness = next((e for e in candidates if _is_root(e, shared)), ResidualEig(shared))
     return Certificate(NOT_STRONGLY_COSPECTRAL, (witness,),
                        "projections at the witness match neither sign",
@@ -248,8 +257,8 @@ def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
     undecided.
 
     The pairs of one graph and kind share a _SpectralContext, kept for the
-    last few (graph, kind) pairs, so a pair costs no matrix product and a
-    gated pair factors nothing (see _cospectrality_gate).  The context
+    last few (graph, kind) pairs, so a pair costs no matrix product and
+    factors nothing (see _cospectrality_gate and _ids_of).  The context
     holds only what the graph and kind determine, so it cannot change an
     answer.
     """
@@ -262,10 +271,7 @@ def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
     cert = _cospectrality_gate(ctx, u, v, poly_minus, poly_plus, minpoly_u)
     if cert is not None:
         return PSTReport(g6, kind, u, v, NO, cert)
-    fac_minus = factor_support(poly_minus, ctx.bound)
-    fac_plus = factor_support(poly_plus, ctx.bound)
-    plus_ids = tuple(ids_from_factorization(fac_plus))
-    minus_ids = tuple(ids_from_factorization(fac_minus))
+    plus_ids, minus_ids = (_ids_of(p, ctx.support_ids(u)) for p in (poly_plus, poly_minus))
 
     def refuse(cert_kind, witnesses, detail, verdict=NO, **kw):
         return PSTReport(g6, kind, u, v, verdict,
@@ -273,10 +279,9 @@ def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
                                      poly_minus, poly_plus, minpoly_u, **kw),
                          plus_set=plus_ids, minus_set=minus_ids)
 
-    for fac in (fac_plus, fac_minus):
-        if fac.residual.degree >= 1:
-            return refuse(RESIDUAL_FACTOR, (ResidualEig(fac.residual),),
-                          "support contains non-quadratic irrational eigenvalues")
+    if residuals := [e for e in plus_ids + minus_ids if isinstance(e, ResidualEig)]:
+        return refuse(RESIDUAL_FACTOR, residuals[:1],
+                      "support contains non-quadratic irrational eigenvalues")
 
     classified = [(e, True) for e in plus_ids] + [(e, False) for e in minus_ids]
     quad_ids = [e for e, _ in classified if isinstance(e, QuadraticEig)]

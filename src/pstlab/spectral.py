@@ -43,13 +43,20 @@ def matrix_of(g: Graph, kind: str) -> list[list[int]]:
 
 
 def eigenvalue_bound(g: Graph, kind: str) -> int:
-    """Integer bound on |eigenvalue| for the chosen matrix."""
+    """Integer bound, at least 1, on |eigenvalue| for the chosen matrix.
+
+    Gershgorin puts every eigenvalue of L and of Q in [0, 2 maxdeg], and
+    lambda_max(L) <= n besides; Perron-Frobenius bounds |eigenvalue| of A
+    by its spectral radius, at most maxdeg.  factor_support's quadratic
+    search grows with the cube of the bound, so a sparse graph pays for
+    its degree rather than its order."""
+    maxdeg = max(g.degree(u) for u in range(g.n))
     if kind == LAPLACIAN:
-        return g.n
+        return max(min(g.n, 2 * maxdeg), 1)
     if kind == ADJACENCY:
-        return max(g.n - 1, 1)
+        return max(maxdeg, 1)
     if kind == SIGNLESS_LAPLACIAN:
-        return 2 * g.n
+        return max(2 * maxdeg, 1)
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 

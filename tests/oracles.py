@@ -11,7 +11,9 @@ the other support roots instead of the Krylov-basis eigenprojection,
 Euclid over Fraction coefficients instead of pseudo-division in Z[x],
 a Krylov elimination that reduces each combination in a loop of its own
 instead of as the tail of one row with its vector, and a full factorization of the shared factor instead of the decider's
-search among the support ids of the two vertices.
+search among the support ids of the two vertices, a factorization of each
+sign class instead of the decider's split of the support ids of u, and
+the root bound from the order instead of the degree.
 
 The helpers at the end are checks that only tests use: a polynomial from
 its roots, the product a factorization splits, strong cospectrality read
@@ -38,6 +40,9 @@ from pstlab.exactalg import (
 from pstlab.generate import canonical_form
 from pstlab.graphs import Graph
 from pstlab.spectral import (
+    ADJACENCY,
+    LAPLACIAN,
+    SIGNLESS_LAPLACIAN,
     EigenvalueId,
     IntegerEig,
     QuadraticEig,
@@ -266,6 +271,21 @@ def gate_witness_factor_support(shared: IntPolynomial, bound: int) -> Eigenvalue
     """Witness of a failed strong-cospectrality gate: the least eigenvalue
     id of the factorization of gcd(poly_minus, poly_plus)."""
     return ids_from_factorization(factor_support(shared, bound))[0]
+
+
+def pair_ids_factor_support(poly_minus: IntPolynomial, poly_plus: IntPolynomial,
+                            bound: int) -> tuple[tuple, tuple]:
+    """Plus and minus classes of a strongly cospectral pair as two
+    factorizations of their own, (ids of poly_plus, ids of poly_minus),
+    in place of the decider's split of the ids of u."""
+    return (tuple(ids_from_factorization(factor_support(poly_plus, bound))),
+            tuple(ids_from_factorization(factor_support(poly_minus, bound))))
+
+
+def eigenvalue_bound_by_order(g: Graph, kind: str) -> int:
+    """Root bound from the order alone: lambda_max(L) <= n, |theta| <= n - 1
+    for A (at least 1) and Q <= 2n, looser than the degree bound."""
+    return {LAPLACIAN: g.n, ADJACENCY: max(g.n - 1, 1), SIGNLESS_LAPLACIAN: 2 * g.n}[kind]
 
 
 def _find_quadratic_factor_brute(q: IntPolynomial, bound: int):

@@ -77,10 +77,12 @@ from pstlab.spectral import (
 )
 
 from oracles import (
+    eigenvalue_bound_by_order,
     free_tree_count_prufer,
     free_tree_counts_otter,
     gate_witness_factor_support,
     minpoly_split_is_cospectral,
+    pair_ids_factor_support,
     projection_sum,
     residual_remainder,
     sign_class_annihilators,
@@ -176,6 +178,14 @@ def signless_reports(corpus_by_n):
         "trees": [(t, r) for n in range(2, 11) for t in gen_free_trees(n)
                   for r in all_pair_reports(t, SIGNLESS_LAPLACIAN)],
     }
+
+
+@pytest.fixture(scope="module")
+def seven_reports(corpus_by_n):
+    """Every Laplacian and adjacency pair report over connected graphs on 7
+    vertices."""
+    return [(g, r) for g in corpus_by_n[7] for kind in (LAPLACIAN, ADJACENCY)
+            for r in all_pair_reports(g, kind)]
 
 
 @pytest.fixture(scope="module")
@@ -604,6 +614,42 @@ class TestCriterion7OracleDiscipline:
             gated[witness_type] = gated.get(witness_type, 0) + 1
         ok = not failures and len(gated) == 3
         report_line(7, ok, f"gate witnesses against factor_support: {gated}, "
+                           f"{len(failures)} failures")
+        assert ok, failures[:5]
+
+    def test_sign_classes_match_factor_support(self, seven_reports, small_corpus_reports,
+                                               tree_sweep_reports, signless_reports):
+        """Past the gate, the plus and minus sets that decide splits off the
+        support ids of u are the factorizations of poly_plus and poly_minus
+        on every yes pair and every certificate other than
+        not-strongly-cospectral: connected n <= 7, free trees n <= 10 and
+        path:24, cycle:24, hypercube:5, in all three kinds."""
+        families = [(g, r) for g in (path_graph(24), cycle_graph(24), hypercube(5))
+                    for kind in (LAPLACIAN, ADJACENCY, SIGNLESS_LAPLACIAN)
+                    for r in all_pair_reports(g, kind)]
+        everything = (small_corpus_reports + seven_reports
+                      + tree_sweep_reports[LAPLACIAN] + tree_sweep_reports[ADJACENCY]
+                      + signless_reports["connected"] + signless_reports["trees"] + families)
+        checked = {}
+        residual_minus = 0
+        failures = []
+        for g, r in everything:
+            if r.yes:
+                poly_minus, poly_plus = classify_by_minpolys(g, r.matrix_kind, r.u, r.v)
+            elif r.certificate.kind != NOT_STRONGLY_COSPECTRAL:
+                poly_minus, poly_plus = r.certificate.poly_minus, r.certificate.poly_plus
+            else:
+                continue
+            expected = pair_ids_factor_support(poly_minus, poly_plus,
+                                               eigenvalue_bound_by_order(g, r.matrix_kind))
+            if (r.plus_set, r.minus_set) != expected:
+                failures.append((r.graph6, r.matrix_kind, r.u, r.v, expected))
+            cert_kind = r.certificate.kind if r.certificate else "yes"
+            checked[cert_kind] = checked.get(cert_kind, 0) + 1
+            residual_minus += any(isinstance(e, ResidualEig) for e in expected[1])
+        ok = not failures and len(checked) == 6 and residual_minus > 0
+        report_line(7, ok, f"sign classes against factor_support: {checked}, "
+                           f"{residual_minus} with a residual minus part, "
                            f"{len(failures)} failures")
         assert ok, failures[:5]
 

@@ -93,6 +93,20 @@ class TestAnalyze:
                                "--matrix", "bogus")
         assert code == 2 and "unknown matrix kind 'bogus'" in err
 
+    def test_disconnected_graph_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", "--g6", "B?")
+        assert code == 2 and out == ""
+        assert err == "error: perfect state transfer analysis rejects disconnected graphs\n"
+
+    def test_internal_value_error_exits_1_naming_the_command(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ValueError("factor_support requires distinct roots")
+
+        monkeypatch.setattr("pstlab.cli.decide", broken)
+        code, _, err = run_cli(capsys, "analyze", "--family", "path:3", "--pairs", "0,2")
+        assert code == 1
+        assert "analyze" in err and "factor_support requires distinct roots" in err
+
     def test_directory_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "analyze", "--file", str(tmp_path),
                                "--pairs", "all")
@@ -259,6 +273,12 @@ class TestGenerate:
         code, out, _ = run_cli(capsys, "generate", "graphs", "--n", "4")
         assert code == 0
         assert len(out.strip().splitlines()) == 6
+
+    def test_sizes_outside_the_limits_exit_2(self, capsys):
+        for what, n, message in (("graphs", "9", "connected generation limited to 1 <= n <= 8"),
+                                 ("trees", "0", "tree generation limited to 1 <= n <= 16")):
+            code, out, err = run_cli(capsys, "generate", what, "--n", n)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "generate", "trees", "--n", "7")

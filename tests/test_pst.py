@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pstlab.exactalg import unit_vector, vector_minpoly
+from pstlab.exactalg import factor_support, unit_vector, vector_minpoly
 from pstlab.graphs import (
     Graph,
     complete_graph,
@@ -15,6 +15,7 @@ from pstlab.graphs import (
     hypercube,
     path_graph,
     star_graph,
+    write_graph6,
 )
 from pstlab.pst import (
     PSTReport,
@@ -326,6 +327,34 @@ class TestSpectralContext:
         assert len(jobs) == 3866
         assert shuffled == in_order
         assert cold == in_order
+
+    def test_factor_support_once_per_vertex(self, corpus6, monkeypatch):
+        """decide factors nothing per pair: over all pairs of a graph and
+        kind, factor_support runs at most once per vertex, for the minimal
+        polynomial of e_u that the context caches."""
+        calls = []
+
+        def counted(p, bound):
+            calls.append(p)
+            return factor_support(p, bound)
+
+        monkeypatch.setattr("pstlab.pst.factor_support", counted)
+        graphs = corpus6 + [cycle_graph(4), cycle_graph(6), path_graph(9), hypercube(3)]
+        for kind in KINDS:
+            for g in graphs:
+                _context.cache_clear()
+                calls.clear()
+                all_pair_reports(g, kind)
+                assert len(calls) <= g.n, (write_graph6(g), kind, len(calls))
+
+    def test_support_ids_match_support_profile(self, corpus6):
+        """The context's ids of each vertex, residual last, are those of the
+        checker's support profile, found by its own Krylov route."""
+        for kind in KINDS:
+            for g in corpus6:
+                ctx = _SpectralContext(g, kind)
+                for u in range(g.n):
+                    assert list(ctx.support_ids(u)) == support_profile(g, kind, u).support
 
 
 class TestBipartitePhaseCheck:

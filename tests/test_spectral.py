@@ -1,18 +1,23 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from pstlab.exactalg import (
     IntPolynomial,
+    factor_support,
     poly_gcd,
     quad,
     unit_vector,
     vector_minpoly,
 )
+from pstlab.generate import gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
     Graph,
+    complete_graph,
     complete_minus_edge,
     cycle_graph,
+    hypercube,
     path_graph,
     star_graph,
 )
@@ -32,6 +37,7 @@ from pstlab.spectral import (
 )
 
 from oracles import (
+    eigenvalue_bound_by_order,
     factor_support_brute,
     minpoly_split_is_cospectral,
     poly_from_roots,
@@ -40,6 +46,37 @@ from oracles import (
     residual_remainder,
     sign_class_annihilators,
 )
+
+
+def _bound_corpus():
+    graphs = [g for n in range(1, 8) for g in gen_connected_graphs(n)]
+    graphs += [t for n in range(1, 11) for t in gen_free_trees(n)]
+    graphs += [path_graph(n) for n in range(1, 25)] + [cycle_graph(n) for n in range(3, 25)]
+    graphs += [complete_graph(n) for n in range(1, 9)] + [hypercube(5)]
+    return graphs
+
+
+class TestEigenvalueBound:
+    """The degree bound covers the spectrum and leaves every vertex's
+    factorization as the order bound of the oracle gives it."""
+
+    def test_covers_the_spectrum_and_keeps_factorizations(self):
+        factored = {}
+        for g in _bound_corpus():
+            for kind in (LAPLACIAN, ADJACENCY, SIGNLESS_LAPLACIAN):
+                bound = eigenvalue_bound(g, kind)
+                order_bound = eigenvalue_bound_by_order(g, kind)
+                m = matrix_of(g, kind)
+                radius = max(abs(np.linalg.eigvalsh(np.array(m, dtype=float))))
+                assert 1 <= bound <= order_bound and radius <= bound + 1e-9, (g, kind)
+                for u in range(g.n):
+                    q = vector_minpoly(m, unit_vector(g.n, u))
+                    factored.setdefault((q, bound, order_bound), (g, kind, u))
+        for (q, bound, order_bound), where in factored.items():
+            tight, loose = factor_support(q, bound), factor_support(q, order_bound)
+            assert (tight.integer_roots, tight.quadratic_roots, tight.residual) == (
+                loose.integer_roots, loose.quadratic_roots, loose.residual), where
+        assert len(factored) > 1000
 
 
 class TestSupportProfile:
