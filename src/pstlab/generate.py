@@ -3,9 +3,13 @@
 Three sources feed the survey harness: free trees from a level-sequence
 successor, connected graphs from vertex augmentation with canonical
 deduplication, and graph6 files.  Every generator yields one representative
-per isomorphism class in a deterministic order.  The canonical form is the
-least graph6 word that a colour-refinement search reaches; the words come
-from graphs.py's one graph6 encoder, so this module packs no bits itself.
+per isomorphism class in a deterministic order.  Augmentation tries a
+parent's neighbour masks in increasing order, and only the least mask of
+each orbit under the parent's automorphisms: the other masks give children
+isomorphic to one already tried, so the emitted words and their order are
+those of trying every mask.  The canonical form is the least graph6 word
+that a colour-refinement search reaches; the words come from graphs.py's
+one graph6 encoder, so this module packs no bits itself.
 """
 
 from __future__ import annotations
@@ -45,13 +49,19 @@ def _refine(adj, n: int, colours: list[int]) -> list[int]:
 
 
 def canonical_form(g: Graph) -> str:
-    """Canonical graph6 word: equal iff graphs are isomorphic (n <= 16).
+    """Canonical graph6 word: equal iff graphs are isomorphic (n <= 16)."""
+    return _canonical_search(g)[0]
+
+
+def _canonical_search(g: Graph) -> tuple[str, list[list[int]]]:
+    """The canonical word of g and the automorphisms the search met.
 
     The word is the least graph6 word over the vertex orders that colour
     refinement leaves: ties branch over the first non-singleton cell, and
     each leaf's word is compared as a string, which for a fixed n is the
     order of the bit streams.  Automorphisms discovered from equal-word
-    leaves prune sibling branches that a known symmetry already covers.
+    leaves prune sibling branches that a known symmetry already covers;
+    each is returned as sigma with sigma[v] the image of vertex v.
     """
     if g.n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form limited to n <= {MAX_CANONICAL_N}")
@@ -109,7 +119,7 @@ def canonical_form(g: Graph) -> str:
 
     rec(_refine(adj, n, [0] * n))
     assert best_word is not None
-    return best_word
+    return best_word, autos
 
 
 # -- free trees --------------------------------------------------------------
@@ -210,17 +220,50 @@ def gen_free_trees(n: int) -> Iterator[Graph]:
 
 # -- connected graphs --------------------------------------------------------
 
+def _orbit_least_masks(new: int, autos: list[list[int]]) -> list[int]:
+    """The neighbour masks 1..2^new - 1 that are least in their orbit under
+    the group that the permutations in autos generate, in increasing order.
+
+    A union-find over masks merges each mask with its image under every
+    generator and keeps the least mask of a class as its root; an image is
+    that of the mask without its lowest bit plus the image of that bit.
+    """
+    root = list(range(1 << new))
+
+    def find(m: int) -> int:
+        while root[m] != m:
+            root[m] = root[root[m]]
+            m = root[m]
+        return m
+
+    for sigma in autos:
+        image = [0] * (1 << new)
+        for mask in range(1, 1 << new):
+            low = mask & -mask
+            image[mask] = image[mask ^ low] | 1 << sigma[low.bit_length() - 1]
+            a, b = find(mask), find(image[mask])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [m for m in range(1, 1 << new) if find(m) == m]
+
+
 def _connected_level(prev: list[Graph], n: int) -> list[Graph]:
     """Extend each (n-1)-vertex connected graph by one vertex, dedup by
     canonical form.  Every connected n-vertex graph has a non-cut vertex,
     so extending connected parents with nonempty neighbour sets is complete.
+
+    Orbit rule: a parent's neighbour mask is tried only when it is the least
+    mask in its orbit under the automorphisms that the parent's canonical
+    search met.  Another mask of that orbit gives a child isomorphic to the
+    least mask's child, which this parent's loop has already tried, so its
+    word is already in seen: skipping it drops no word and moves none.
     """
     seen: set[str] = set()
     out: list[Graph] = []
     new = n - 1
     for parent in prev:
         base = list(parent.edges)
-        for mask in range(1, 1 << new):
+        for mask in _orbit_least_masks(new, _canonical_search(parent)[1]):
             edges = base + [(u, new) for u in range(new) if mask >> u & 1]
             child = Graph(n, edges)
             key = canonical_form(child)

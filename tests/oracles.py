@@ -13,7 +13,10 @@ a Krylov elimination that reduces each combination in a loop of its own
 instead of as the tail of one row with its vector, and a full factorization of the shared factor instead of the decider's
 search among the support ids of the two vertices, a factorization of each
 sign class instead of the decider's split of the support ids of u, and
-the root bound from the order instead of the degree.
+the root bound from the order instead of the degree, every neighbour mask
+of every parent instead of the least mask of each automorphism orbit, and
+every vertex permutation instead of the automorphisms a canonical search
+meets.
 
 The helpers at the end are checks that only tests use: a polynomial from
 its roots, the product a factorization splits, strong cospectrality read
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Optional
 
 from pstlab.exactalg import (
@@ -38,7 +41,7 @@ from pstlab.exactalg import (
     squarefree_part,
 )
 from pstlab.generate import canonical_form
-from pstlab.graphs import Graph
+from pstlab.graphs import Graph, parse_graph6
 from pstlab.spectral import (
     ADJACENCY,
     LAPLACIAN,
@@ -176,6 +179,46 @@ def connected_graph_count_brute(n: int) -> int:
         if g.is_connected():
             seen.add(canonical_form(g))
     return len(seen)
+
+
+def connected_level_all_masks(prev: list[Graph], n: int) -> list[Graph]:
+    """One augmentation level trying every nonempty neighbour mask of every
+    parent, dedup by canonical form, in the order generation emits."""
+    seen = set()
+    out = []
+    new = n - 1
+    for parent in prev:
+        base = list(parent.edges)
+        for mask in range(1, 1 << new):
+            edges = base + [(u, new) for u in range(new) if mask >> u & 1]
+            key = canonical_form(Graph(n, edges))
+            if key not in seen:
+                seen.add(key)
+                out.append(parse_graph6(key))
+    return out
+
+
+def automorphism_count_brute(g: Graph) -> int:
+    """The order of the automorphism group, by trying every permutation."""
+    edges = {frozenset(e) for e in g.edges}
+    return sum(1 for p in permutations(range(g.n))
+               if all(frozenset((p[a], p[b])) in edges for a, b in g.edges))
+
+
+def permutation_group_order(gens: list[list[int]], n: int) -> int:
+    """The order of the group that gens generate, by closing the identity
+    under composition with each generator."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for sigma in gens:
+            q = tuple(sigma[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
 
 
 def two_colourable_brute(g: Graph) -> bool:

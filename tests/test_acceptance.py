@@ -591,14 +591,12 @@ class TestCriterion7OracleDiscipline:
                            f"{len(failures)} failures")
         assert ok, failures[:5]
 
-    def test_gate_witness_matches_factor_support(self, corpus_by_n, tree_sweep_reports,
+    def test_gate_witness_matches_factor_support(self, seven_reports, tree_sweep_reports,
                                                  small_corpus_reports):
         """The gate's witness, found among the support ids of u and v, is
         the first id of the factorization of the shared factor on every
         gated pair of connected n <= 7 and free trees n <= 10."""
-        seven = [(g, r) for g in corpus_by_n[7] for kind in (LAPLACIAN, ADJACENCY)
-                 for r in all_pair_reports(g, kind)]
-        everything = (small_corpus_reports + seven
+        everything = (small_corpus_reports + seven_reports
                       + tree_sweep_reports[LAPLACIAN] + tree_sweep_reports[ADJACENCY])
         gated = {}
         failures = []

@@ -4,7 +4,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pstlab import generate
 from pstlab.generate import (
+    _canonical_search,
+    _connected_level,
     canonical_form,
     gen_connected_graphs,
     gen_free_trees,
@@ -22,9 +25,12 @@ from pstlab.graphs import (
 )
 
 from oracles import (
+    automorphism_count_brute,
     connected_graph_count_brute,
+    connected_level_all_masks,
     free_tree_count_prufer,
     free_tree_counts_otter,
+    permutation_group_order,
     rooted_tree_counts,
 )
 
@@ -103,6 +109,16 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             canonical_form(cycle_graph(17))
 
+    def test_search_automorphisms_generate_the_group(self):
+        # the orbit rule of augmentation merges masks along these
+        for n in range(1, 7):
+            for g in gen_connected_graphs(n):
+                autos = _canonical_search(g)[1]
+                for sigma in autos:
+                    assert g.relabel(sigma) == g, (write_graph6(g), sigma)
+                assert (permutation_group_order(autos, n)
+                        == automorphism_count_brute(g)), write_graph6(g)
+
 
 class TestFreeTrees:
     @pytest.mark.parametrize("n,count", sorted(FREE_TREE_COUNTS.items()))
@@ -167,8 +183,28 @@ class TestConnectedGraphs:
             assert len(forms) == CONNECTED_COUNTS[n]
 
     def test_emitted_in_canonical_labelling(self):
-        for g in gen_connected_graphs(5):
-            assert write_graph6(g) == canonical_form(g)
+        for n in range(1, 8):
+            for g in gen_connected_graphs(n):
+                assert write_graph6(g) == canonical_form(g)
+
+    def test_orbit_pruning_matches_all_masks(self):
+        """Each level emits the words of trying every mask, in the same
+        order."""
+        prev = [Graph(1)]
+        for n in range(2, 8):
+            expected = connected_level_all_masks(prev, n)
+            assert ([write_graph6(g) for g in _connected_level(prev, n)]
+                    == [write_graph6(g) for g in expected]), n
+            prev = expected
+
+    def test_one_child_per_mask_orbit(self, monkeypatch):
+        # Aut(K6) = S6 moves any mask onto any other of its popcount
+        calls = []
+        monkeypatch.setattr(generate, "canonical_form",
+                            lambda g: calls.append(g) or canonical_form(g))
+        children = _connected_level([complete_graph(6)], 7)
+        assert len(calls) == 6
+        assert len(children) == 6
 
     def test_range_check(self):
         for n in (0, 9):
