@@ -156,36 +156,22 @@ def _tree_from_levels(levels: list[int]) -> Graph:
     return Graph(len(levels), edges)
 
 
-def _centroids(g: Graph) -> list[int]:
-    """One or two vertices minimizing the largest remaining component."""
-    n = g.n
-    size = [1] * n
-    order: list[int] = []
-    seen = [False] * n
-    stack = [(0, -1)]
-    parents = [-1] * n
-    while stack:
-        u, par = stack.pop()
-        seen[u] = True
-        order.append(u)
-        parents[u] = par
-        for w in g.neighbours(u):
-            if not seen[w]:
-                stack.append((w, u))
-    for u in reversed(order):
-        if parents[u] != -1:
-            size[parents[u]] += size[u]
-    best, arg = None, []
-    for u in range(n):
-        heaviest = n - size[u]
-        for w in g.neighbours(u):
-            if parents[w] == u:
-                heaviest = max(heaviest, size[w])
-        if best is None or heaviest < best:
-            best, arg = heaviest, [u]
-        elif heaviest == best:
-            arg.append(u)
-    return arg
+def _centres(g: Graph) -> list[int]:
+    """The one or two vertices left after stripping a tree's leaves layer
+    by layer; every automorphism fixes them."""
+    degree = [g.degree(u) for u in range(g.n)]
+    layer = [u for u in range(g.n) if degree[u] <= 1]
+    left = g.n
+    while left > 2:
+        left -= len(layer)
+        inner = []
+        for u in layer:
+            for w in g.neighbours(u):
+                degree[w] -= 1
+                if degree[w] == 1:
+                    inner.append(w)
+        layer = inner
+    return layer
 
 
 def _ahu_string(g: Graph, root: int, banned: int) -> str:
@@ -194,7 +180,9 @@ def _ahu_string(g: Graph, root: int, banned: int) -> str:
 
 
 def _free_tree_certificate(g: Graph) -> str:
-    cs = _centroids(g)
+    """AHU string of the tree rooted at its centre; two centres give the
+    sorted strings of the two halves, joined by "|"."""
+    cs = _centres(g)
     if len(cs) == 1:
         return _ahu_string(g, cs[0], -1)
     a, b = cs

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from multiprocessing import Pool
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .exactalg import IntPolynomial, charpoly, det_bareiss, factor_support, poly_gcd, sturm_count
 from .generate import canonical_form, gen_free_trees, MAX_CANONICAL_N
@@ -48,6 +48,8 @@ from .spectral import (
 
 # largest tree order the tree sweeps run to; gen_free_trees goes to MAX_TREE_N
 MAX_TREE_SWEEP_N = 12
+# a positive verdict's numeric fidelity must reach 1 - FIDELITY_TOLERANCE
+FIDELITY_TOLERANCE = 1e-9
 
 
 def power_of_two(x: int) -> bool:
@@ -224,35 +226,40 @@ def check_bipartite_lmax(corpus: Iterable[Graph]) -> CheckResult:
                        violations)
 
 
-def check_trees_no_lpst(max_n: int) -> CheckResult:
-    """No free tree on 3..max_n vertices admits Laplacian transfer."""
+def _free_trees(min_n: int, max_n: int) -> Iterator[Graph]:
+    """Every free tree on min_n..max_n vertices, in generation order."""
     if max_n > MAX_TREE_SWEEP_N:
         raise ValueError(f"tree sweep capped at {MAX_TREE_SWEEP_N} vertices")
+    for n in range(min_n, max_n + 1):
+        yield from gen_free_trees(n)
+
+
+def check_trees_no_lpst(max_n: int) -> CheckResult:
+    """No free tree on 3..max_n vertices admits Laplacian transfer."""
     violations = []
     trees = 0
     pairs = 0
     sc_pairs = 0
-    for n in range(3, max_n + 1):
-        for t in gen_free_trees(n):
-            trees += 1
-            for report in all_pair_reports(t, LAPLACIAN):
-                pairs += 1
-                u, v = report.u, report.v
-                if report.yes:
+    for t in _free_trees(3, max_n):
+        trees += 1
+        twins = {(p.u, p.v) for p in find_twins(t)}
+        for report in all_pair_reports(t, LAPLACIAN):
+            pairs += 1
+            u, v = report.u, report.v
+            if report.yes:
+                violations.append(
+                    f"{write_graph6(t)}: Laplacian transfer ({u},{v})")
+            elif report.certificate.kind != NOT_STRONGLY_COSPECTRAL:
+                sc_pairs += 1
+                # a single minus eigenvalue makes (e_u - e_v)/2 an
+                # eigenvector, which forces a twin pair; residual ids
+                # bundle several eigenvalues and are exempt
+                if (len(report.minus_set) == 1
+                        and isinstance(report.minus_set[0], IntegerEig)
+                        and (u, v) not in twins):
                     violations.append(
-                        f"{write_graph6(t)}: Laplacian transfer ({u},{v})")
-                elif report.certificate.kind != NOT_STRONGLY_COSPECTRAL:
-                    sc_pairs += 1
-                    # a single minus eigenvalue makes (e_u - e_v)/2 an
-                    # eigenvector, which forces a twin pair; residual ids
-                    # bundle several eigenvalues and are exempt
-                    if (len(report.minus_set) == 1
-                            and isinstance(report.minus_set[0], IntegerEig)):
-                        twins = {(p.u, p.v) for p in find_twins(t)}
-                        if (u, v) not in twins:
-                            violations.append(
-                                f"{write_graph6(t)}: singleton minus class "
-                                f"on a non-twin pair ({u},{v})")
+                        f"{write_graph6(t)}: singleton minus class "
+                        f"on a non-twin pair ({u},{v})")
     return CheckResult("trees-no-laplacian-pst", not violations,
                        {"trees": trees, "pairs": pairs,
                         "strongly_cospectral_pairs": sc_pairs},
@@ -260,56 +267,50 @@ def check_trees_no_lpst(max_n: int) -> CheckResult:
 
 
 def tree_perfect_matching(g: Graph) -> Optional[list[tuple[int, int]]]:
-    """The unique perfect matching of a tree via forced leaf pairing, or
-    None; leaf pairing is forced at each step, which certifies uniqueness."""
+    """The perfect matching of a tree as sorted pairs, or None.  Taken
+    leaves first along a BFS order from vertex 0, a vertex that none of
+    its children took must pair with its parent, so the matching is
+    unique when it exists."""
     if not g.is_connected() or g.edge_count() != g.n - 1:
         raise ValueError("perfect matching routine requires a tree")
-    if g.n % 2:
-        return None
-    alive = set(range(g.n))
-    adj = {u: set(g.neighbours(u)) for u in range(g.n)}
-    matching = []
-    while alive:
-        leaf = next((u for u in alive if len(adj[u]) == 1), None)
-        if leaf is None:
-            return None  # isolated vertex left behind
-        partner = next(iter(adj[leaf]))
-        matching.append((min(leaf, partner), max(leaf, partner)))
-        for x in (leaf, partner):
-            alive.discard(x)
-        for w in list(adj[partner]):
-            adj[w].discard(partner)
-        adj[leaf].clear()
-        adj[partner].clear()
-        if any(u in alive and not adj[u] for u in range(g.n) if u in alive):
-            return None
-    return matching
+    parent = {0: None}
+    order = [0]
+    for u in order:
+        for w in g.neighbours(u):
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    mate = {}
+    for u in reversed(order):
+        if u not in mate:
+            p = parent[u]
+            if p is None or p in mate:
+                return None
+            mate[u], mate[p] = p, u
+    return sorted((u, w) for u, w in mate.items() if u < w)
 
 
 def check_unique_matching_no_apst(max_n: int) -> CheckResult:
     """Trees with a perfect matching have unimodular adjacency determinant
     and no adjacency transfer."""
-    if max_n > MAX_TREE_SWEEP_N:
-        raise ValueError(f"tree sweep capped at {MAX_TREE_SWEEP_N} vertices")
     violations = []
     matched_trees = 0
     trees = 0
-    for n in range(4, max_n + 1):
-        for t in gen_free_trees(n):
-            trees += 1
-            det = det_bareiss(adjacency(t))
-            matching = tree_perfect_matching(t)
-            if det not in (-1, 0, 1):
-                violations.append(f"{write_graph6(t)}: det A = {det}")
-            if (det != 0) != (matching is not None):
+    for t in _free_trees(4, max_n):
+        trees += 1
+        det = det_bareiss(adjacency(t))
+        matching = tree_perfect_matching(t)
+        if det not in (-1, 0, 1):
+            violations.append(f"{write_graph6(t)}: det A = {det}")
+        if (det != 0) != (matching is not None):
+            violations.append(
+                f"{write_graph6(t)}: invertibility and matching disagree")
+        if matching is not None:
+            matched_trees += 1
+            for report in pst_search(t, ADJACENCY):
                 violations.append(
-                    f"{write_graph6(t)}: invertibility and matching disagree")
-            if matching is not None:
-                matched_trees += 1
-                for report in pst_search(t, ADJACENCY):
-                    violations.append(
-                        f"{write_graph6(t)}: adjacency transfer "
-                        f"({report.u},{report.v}) despite a perfect matching")
+                    f"{write_graph6(t)}: adjacency transfer "
+                    f"({report.u},{report.v}) despite a perfect matching")
     return CheckResult("unique-matching-no-apst", not violations,
                        {"trees": trees, "with_matching": matched_trees},
                        violations)
@@ -446,8 +447,8 @@ def aggregate_to_csv(agg: dict) -> str:
 # -- independent certificate replay ------------------------------------------
 
 @lru_cache(maxsize=100_000)
-def _cached_profile(word: str, kind: str, u: int):
-    return support_profile(parse_graph6(word), kind, u)
+def _cached_profile(g: Graph, kind: str, u: int):
+    return support_profile(g, kind, u)
 
 
 def _support_value_check(minpoly: IntPolynomial, eig) -> bool:
@@ -461,13 +462,17 @@ def _support_value_check(minpoly: IntPolynomial, eig) -> bool:
 def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
     """Re-validate a negative or undecided verdict from scratch.
 
-    The verdict must be the one the certificate backs: undecided for one
-    quadratic-mixed-a witness (a + b sqrt(d))/2 with a != 0, negative for
-    every other certificate, never positive.  Projections are recomputed
-    through the spectral profiles (a different code path from the
-    polynomial-split production route) and the stored certificate's
-    violated condition is checked against them.
+    A report whose graph6 word is not g's is refused before anything else,
+    and every fact is then read from g.  The verdict must be the one the
+    certificate backs: undecided for one quadratic-mixed-a witness
+    (a + b sqrt(d))/2 with a != 0, negative for every other certificate,
+    never positive.  Projections are recomputed through the spectral
+    profiles (a different code path from the polynomial-split production
+    route) and the stored certificate's violated condition is checked
+    against them.
     """
+    if report.graph6 != write_graph6(g):
+        return False, "the report was made for another graph"
     cert = report.certificate
     if cert is None:
         return False, "no certificate on a non-positive report"
@@ -480,9 +485,8 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         return False, (f"a {cert.kind} certificate of this shape is {names[expected]}, "
                        f"not {names.get(report.verdict, repr(report.verdict))}")
     kind, u, v = report.matrix_kind, report.u, report.v
-    word = report.graph6
-    pu = _cached_profile(word, kind, u)
-    pv = _cached_profile(word, kind, v)
+    pu = _cached_profile(g, kind, u)
+    pv = _cached_profile(g, kind, v)
 
     if cert.kind == NOT_STRONGLY_COSPECTRAL:
         witness = cert.witnesses[0]
@@ -592,13 +596,12 @@ def _parity_data(kind: str, prof) -> tuple[int, dict]:
     return gg, values
 
 
-def verify_positive_report(g: Graph, report: PSTReport,
-                           tolerance: float = 1e-9) -> tuple[bool, str]:
+def verify_positive_report(g: Graph, report: PSTReport) -> tuple[bool, str]:
     """Numeric oracle confirmation of a positive verdict."""
     if not report.yes:
         return False, "not a positive report"
     fid = numeric_fidelity(g, report.matrix_kind, report.u, report.v,
                            report.time_value())
-    if fid < 1 - tolerance:
-        return False, f"fidelity {fid} below 1 - {tolerance}"
+    if fid < 1 - FIDELITY_TOLERANCE:
+        return False, f"fidelity {fid} below 1 - {FIDELITY_TOLERANCE}"
     return True, f"fidelity {fid}"

@@ -18,6 +18,7 @@ from typing import Optional, Union
 from .exactalg import (
     IntPolynomial,
     factor_support,
+    krylov_minpoly,
     mat_vec,
     poly_gcd,
     quad,
@@ -166,15 +167,18 @@ def support_profile(g: Graph, kind: str, u: int) -> SupportProfile:
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} out of range")
     m = matrix_of(g, kind)
-    e_u = unit_vector(g.n, u)
-    q = vector_minpoly(m, e_u)
+    krylov = [unit_vector(g.n, u)]  # M^j e_u, each product made once
+
+    def powers():
+        while True:
+            yield krylov[-1]
+            krylov.append(mat_vec(m, krylov[-1]))
+
+    q = krylov_minpoly(powers())  # draws M^j e_u for j <= deg q
     fac = factor_support(q, eigenvalue_bound(g, kind))
     ids = ids_from_factorization(fac)
     residual = fac.residual if fac.residual.degree >= 1 else None
-    krylov = [e_u]
-    for _ in range(q.degree - 1):
-        krylov.append(mat_vec(m, krylov[-1]))
-    krylov_rows = list(zip(*krylov))  # row i holds (M^j e_u)_i for j < deg q
+    krylov_rows = list(zip(*krylov[:q.degree]))  # row i holds (M^j e_u)_i for j < deg q
     projections = {eig: _krylov_projection(q, krylov_rows, eig)
                    for eig in ids if not isinstance(eig, ResidualEig)}
     return SupportProfile(kind, u, q, ids, projections, residual)

@@ -13,6 +13,7 @@ from pstlab.graphs import (
     hypercube,
     laplacian,
     one_sum_chain,
+    parse_graph6,
     path_graph,
     star_graph,
     write_graph6,
@@ -40,6 +41,8 @@ from pstlab.harness import (
 )
 from pstlab.pst import (
     NO,
+    NOT_STRONGLY_COSPECTRAL,
+    PARITY_VIOLATION,
     QUADRATIC_MIXED_A,
     UNDECIDED,
     YES,
@@ -329,6 +332,22 @@ class TestCertificateReplay:
                             r.graph6, kind, r.u, r.v, verdict, why)
                         forged += 1
         assert forged == 2 * 5784
+
+    def test_report_for_another_graph_refused(self):
+        """A report replays only against the graph it was made for: each of
+        these confirms against its own graph, and the profiles of the other
+        graph would confirm it too, but the graph6 words differ."""
+        dfw = parse_graph6("DFw")
+        sign = laplacian_pst(path_graph(4), 0, 1)
+        parity = laplacian_pst(dfw, 3, 4)
+        assert sign.certificate.kind == NOT_STRONGLY_COSPECTRAL
+        assert parity.certificate.kind == PARITY_VIOLATION
+        for report, own, other in ((sign, path_graph(4), cycle_graph(4)),
+                                   (sign, path_graph(4), complete_graph(4)),
+                                   (parity, dfw, path_graph(5))):
+            assert replay_certificate(own, report)[0]
+            ok, why = replay_certificate(other, report)
+            assert not ok and why == "the report was made for another graph", why
 
     def test_missing_certificate_rejected(self):
         r = laplacian_pst(path_graph(4), 0, 1)

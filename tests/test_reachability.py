@@ -1,5 +1,6 @@
 """Every public name in src/pstlab has a caller in the package or is kept
-on purpose in the README, and only spectral lists the matrix kinds.
+on purpose in the README, only spectral lists the matrix kinds, and the
+replay route names nothing of the decider it checks.
 
 A public function, class or method counts as reached when its name
 appears as a Name or an Attribute somewhere in src/pstlab outside its own
@@ -101,3 +102,32 @@ def test_only_spectral_lists_the_matrix_kinds():
                         and any(_names_a_kind(e, constants) for e in right.elts)):
                     copies.append(f"{path.name}:{node.lineno}")
     assert not copies, f"membership tests against a second list of kinds: {copies}"
+
+
+# the replay route: each body must stay clear of the decider
+CHECKERS = {
+    "harness.py": {"replay_certificate", "_parity_data", "_support_value_check",
+                   "_cached_profile"},
+    "spectral.py": {"support_profile", "cospectrality_profile", "classify_by_minpolys"},
+}
+DECIDER = {"decide", "laplacian_pst", "adjacency_pst", "all_pair_reports", "pst_search",
+           "_context", "_SpectralContext", "_ids_of", "_is_root", "_cospectrality_gate"}
+
+
+def test_checkers_reference_no_decider_code():
+    """Simplifying must not merge the checker into the checked: no body of
+    the replay route names the decider or its cached spectral context."""
+    pst_tree = ast.parse((PACKAGE / "pst.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in pst_tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert DECIDER <= defined, f"decider names no longer in pst.py: {DECIDER - defined}"
+    found, leaks = set(), []
+    for module, names in CHECKERS.items():
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in names:
+                found.add(node.name)
+                used = set(_used_names(ast.walk(node))) & DECIDER
+                leaks += [f"{module}: {node.name} uses {name}" for name in sorted(used)]
+    assert found == set().union(*CHECKERS.values())
+    assert not leaks, f"the replay route reaches into the decider: {leaks}"
