@@ -165,7 +165,9 @@ def cmd_survey(args) -> int:
         label = args.file
     else:
         raise CliError("survey needs --n or --file")
-    records, agg = run_survey(graphs, with_pst=args.pst, workers=workers)
+    # the built-in corpus comes in canonical labelling (gen_connected_graphs)
+    records, agg = run_survey(graphs, with_pst=args.pst, workers=workers,
+                              _canonical_input=args.n is not None)
     if args.out:
         write_survey_jsonl(records, args.out)
     agg_view = {"source": label, **agg}

@@ -188,12 +188,22 @@ class IntPolynomial:
         self.coeffs = tuple(int(c) for c in cs)
 
     @classmethod
+    def _of(cls, cs: list[int]) -> "IntPolynomial":
+        """The polynomial of cs, a list of Python ints that this module's
+        arithmetic made; trims trailing zeros, skips the int() copy."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
+
+    @classmethod
     def zero(cls) -> "IntPolynomial":
-        return cls(())
+        return cls._of([])
 
     @classmethod
     def one(cls) -> "IntPolynomial":
-        return cls((1,))
+        return cls._of([1])
 
     @classmethod
     def x_minus(cls, root: int) -> "IntPolynomial":
@@ -222,13 +232,13 @@ class IntPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial(out)
+        return IntPolynomial._of(out)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             out[i] -= c
-        return IntPolynomial(out)
+        return IntPolynomial._of(out)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
@@ -238,7 +248,7 @@ class IntPolynomial:
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial._of(out)
 
     def pseudo_divmod(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Sign-preserving pseudo-division: (q, r) with |lc|^k * self =
@@ -259,7 +269,7 @@ class IntPolynomial:
                 q[i - dd] = c
                 for j, b in enumerate(divisor.coeffs):
                     rem[i - dd + j] -= c * b
-        return IntPolynomial(q), IntPolynomial(rem)
+        return IntPolynomial._of(q), IntPolynomial._of(rem)
 
     def divides(self, other: "IntPolynomial") -> bool:
         if self.is_zero():
@@ -270,7 +280,7 @@ class IntPolynomial:
         return r.is_zero()
 
     def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return IntPolynomial._of([i * c for i, c in enumerate(self.coeffs) if i > 0])
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -281,7 +291,7 @@ class IntPolynomial:
         c = self.content()
         if self.coeffs[-1] < 0:
             c = -c
-        return IntPolynomial(x // c for x in self.coeffs)
+        return IntPolynomial._of([x // c for x in self.coeffs])
 
     def __eq__(self, other):
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -342,7 +352,7 @@ def sturm_count(p: IntPolynomial, lo: Union[int, Fraction],
     while not chain[-1].is_zero():
         r = chain[-2].pseudo_divmod(chain[-1])[1]
         h = r.content() or 1
-        chain.append(IntPolynomial(-x // h for x in r.coeffs))
+        chain.append(IntPolynomial._of([-x // h for x in r.coeffs]))
     chain.pop()
 
     def variations(x):

@@ -26,25 +26,33 @@ MAX_CONNECTED_N = 8
 
 # -- canonical form ----------------------------------------------------------
 
+def _refine_round(adj, n: int, colours: list[int]) -> list[int]:
+    """One round of colour refinement: each vertex's new colour is the
+    dense rank of its colour and the multiset of its neighbours' colours."""
+    sigs = []
+    for v in range(n):
+        mask = adj[v]
+        neigh = []
+        u = 0
+        while mask:
+            if mask & 1:
+                neigh.append(colours[u])
+            mask >>= 1
+            u += 1
+        neigh.sort()
+        sigs.append((colours[v], tuple(neigh)))
+    ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [ids[s] for s in sigs]
+
+
 def _refine(adj, n: int, colours: list[int]) -> list[int]:
-    """Stable colour refinement: colour + multiset of neighbour colours."""
+    """Stable colour refinement.  A discrete colouring (n distinct dense
+    ranks, ordered by the old colours first) is returned at once: the next
+    round would give it back unchanged."""
     while True:
-        sigs = []
-        for v in range(n):
-            mask = adj[v]
-            neigh = []
-            u = 0
-            while mask:
-                if mask & 1:
-                    neigh.append(colours[u])
-                mask >>= 1
-                u += 1
-            neigh.sort()
-            sigs.append((colours[v], tuple(neigh)))
-        ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ids[s] for s in sigs]
-        if new == colours:
-            return colours
+        new = _refine_round(adj, n, colours)
+        if new == colours or len(set(new)) == n:
+            return new
         colours = new
 
 

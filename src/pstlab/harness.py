@@ -16,7 +16,7 @@ from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional
 
-from .exactalg import IntPolynomial, charpoly, det_bareiss, factor_support, poly_gcd, sturm_count
+from .exactalg import IntPolynomial, det_bareiss, factor_support, poly_gcd
 from .generate import canonical_form, gen_free_trees, MAX_CANONICAL_N
 from .graphs import Graph, bipartition, find_twins, laplacian, adjacency, parse_graph6, write_graph6
 from .pst import (
@@ -171,24 +171,81 @@ def check_power_of_two_eigenvalue(g: Graph, u: int, v: int) -> CheckResult:
                        [f"minus eigenvalue {x} is not a power of two" for x in bad])
 
 
+def _semidefinite_singular(m) -> Optional[bool]:
+    """None when the symmetric integer matrix m is not positive
+    semidefinite, else whether it is singular.
+
+    Fraction-free symmetric elimination: each step pivots on a positive
+    diagonal entry of the remaining block, whose entries are then the
+    Schur complement scaled by the product of the pivots (Bareiss division
+    stays exact under principal pivoting), so semidefiniteness and rank
+    carry over to the block.  A negative diagonal entry rules
+    semidefiniteness out; a block with only zeros on its diagonal is
+    semidefinite only if it is zero, and is then singular.
+    """
+    a = [list(row) for row in m]
+    live = list(range(len(a)))
+    prev = 1
+    while live:
+        pivot = None
+        for i in live:
+            if a[i][i] < 0:
+                return None
+            if pivot is None and a[i][i] > 0:
+                pivot = i
+        if pivot is None:
+            if any(a[i][j] for i in live for j in live):
+                return None
+            return True
+        live.remove(pivot)
+        row_p, piv = a[pivot], a[pivot][pivot]
+        for i in live:
+            row_i, aip = a[i], a[i][pivot]
+            for j in live:
+                row_i[j] = (piv * row_i[j] - aip * row_p[j]) // prev
+        prev = piv
+    return False
+
+
 def _integer_lmax(g: Graph) -> Optional[int]:
     """The largest Laplacian eigenvalue if it is an integer, else None,
-    decided exactly: split the integer roots off the characteristic
-    polynomial, then no root of the residual cofactor may exceed the
-    largest of them (root count by Sturm sequences, no floating point)."""
-    p = charpoly(laplacian(g))
-    top = 0
-    for cand in range(0, g.n + 1):
-        while p(cand) == 0:
-            p, _ = p.pseudo_divmod(IntPolynomial.x_minus(cand))
-            top = cand
-    if p.degree >= 1 and sturm_count(p, top, g.n + 1) != 0:
-        return None
-    return top
+    decided exactly.  kI - L is positive semidefinite exactly when
+    k >= lambda_max, so lambda_max is an integer iff the least such k
+    makes kI - L singular.  Bisection finds that k in (Delta, hi]: the
+    largest degree Delta is below lambda_max on a graph with an edge
+    (Grone and Merris 1994), and hi = min(n, max over edges uv of
+    d_u + d_v) is at least lambda_max (Anderson and Morley 1985).  An
+    edgeless graph gives 0."""
+    deg = [g.degree(u) for u in range(g.n)]
+    lo = max(deg)
+    if lo == 0:
+        return 0
+    # from the neighbour lists, not g.edges: that caches a frozenset on
+    # every graph of a corpus that outlives the survey
+    hi = min(g.n, max(deg[u] + deg[v] for u in range(g.n) for v in g.neighbours(u)))
+    lap = laplacian(g)
+
+    def shifted(k: int) -> list[list[int]]:
+        return [[k - x if i == j else -x for j, x in enumerate(row)]
+                for i, row in enumerate(lap)]
+
+    singular = None  # of kI - L at k = hi, once tested
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        verdict = _semidefinite_singular(shifted(mid))
+        if verdict is None:
+            lo = mid
+        else:
+            hi, singular = mid, verdict
+    if singular is None:
+        singular = _semidefinite_singular(shifted(hi))
+    return hi if singular else None
 
 
 def lmax_is_integer(g: Graph) -> bool:
-    """Whether the largest Laplacian eigenvalue is an integer (exact)."""
+    """Whether the largest Laplacian eigenvalue is an integer, decided
+    exactly by bisection on the semidefiniteness of kI - L (see
+    :func:`_integer_lmax`)."""
     return _integer_lmax(g) is not None
 
 
@@ -350,12 +407,17 @@ class SurveyRecord:
         }
 
 
-def survey_record(g: Graph, with_pst: bool = False) -> SurveyRecord:
+def survey_record(g: Graph, with_pst: bool = False,
+                  _canonical_input: bool = False) -> SurveyRecord:
+    """The survey facts of one graph, recorded under its canonical word;
+    _canonical_input says g is already in canonical labelling, as the
+    built-in corpus is, so its own word is that word."""
     connected = g.is_connected()
     tau = spanning_tree_count(g) if connected else 0
     twins = find_twins(g)
     rec = SurveyRecord(
-        graph6=canonical_form(g) if g.n <= MAX_CANONICAL_N else write_graph6(g),
+        graph6=(canonical_form(g) if g.n <= MAX_CANONICAL_N and not _canonical_input
+                else write_graph6(g)),
         n=g.n,
         spanning_trees=tau,
         tau_odd=tau % 2 == 1,
@@ -374,18 +436,18 @@ def survey_record(g: Graph, with_pst: bool = False) -> SurveyRecord:
     return rec
 
 
-def _survey_worker(args: tuple[str, bool]) -> SurveyRecord:
-    word, with_pst = args
-    return survey_record(parse_graph6(word), with_pst)
+def _survey_worker(args: tuple[str, bool, bool]) -> SurveyRecord:
+    word, with_pst, canonical_input = args
+    return survey_record(parse_graph6(word), with_pst, canonical_input)
 
 
 def survey_records(graphs: Iterable[Graph], with_pst: bool = False,
-                   workers: int = 1) -> list[SurveyRecord]:
+                   workers: int = 1, _canonical_input: bool = False) -> list[SurveyRecord]:
     """Per-graph records, optionally computed by a process pool; the record
     order follows the input order regardless of the worker count."""
     if workers <= 1:
-        return [survey_record(g, with_pst) for g in graphs]
-    words = [(write_graph6(g), with_pst) for g in graphs]
+        return [survey_record(g, with_pst, _canonical_input) for g in graphs]
+    words = [(write_graph6(g), with_pst, _canonical_input) for g in graphs]
     chunk = max(1, len(words) // (workers * 8))
     with Pool(workers) as pool:
         return list(pool.imap(_survey_worker, words, chunksize=chunk))
@@ -423,10 +485,10 @@ def _maybe_sum(records, attr):
     return sum(v for v in values if v is not None)
 
 
-def run_survey(graphs: Iterable[Graph], with_pst: bool = False,
-               workers: int = 1) -> tuple[list[SurveyRecord], dict]:
+def run_survey(graphs: Iterable[Graph], with_pst: bool = False, workers: int = 1,
+               _canonical_input: bool = False) -> tuple[list[SurveyRecord], dict]:
     """Per-graph records plus their aggregate counts."""
-    records = survey_records(graphs, with_pst, workers)
+    records = survey_records(graphs, with_pst, workers, _canonical_input)
     return records, aggregate_records(records)
 
 

@@ -16,7 +16,8 @@ sign class instead of the decider's split of the support ids of u, and
 the root bound from the order instead of the degree, every neighbour mask
 of every parent instead of the least mask of each automorphism orbit, and
 every vertex permutation instead of the automorphisms a canonical search
-meets.
+meets, and the characteristic polynomial's integer roots and a Sturm count
+of its cofactor instead of bisection on the semidefiniteness of kI - L.
 
 The helpers at the end are checks that only tests use: a polynomial from
 its roots, the product a factorization splits, strong cospectrality read
@@ -35,13 +36,15 @@ from typing import Optional
 from pstlab.exactalg import (
     IntPolynomial,
     SupportFactorization,
+    charpoly,
     factor_support,
     mat_vec,
     poly_gcd,
     squarefree_part,
+    sturm_count,
 )
 from pstlab.generate import canonical_form
-from pstlab.graphs import Graph, parse_graph6
+from pstlab.graphs import Graph, laplacian, parse_graph6
 from pstlab.spectral import (
     ADJACENCY,
     LAPLACIAN,
@@ -329,6 +332,22 @@ def eigenvalue_bound_by_order(g: Graph, kind: str) -> int:
     """Root bound from the order alone: lambda_max(L) <= n, |theta| <= n - 1
     for A (at least 1) and Q <= 2n, looser than the degree bound."""
     return {LAPLACIAN: g.n, ADJACENCY: max(g.n - 1, 1), SIGNLESS_LAPLACIAN: 2 * g.n}[kind]
+
+
+def integer_lmax_charpoly(g: Graph) -> Optional[int]:
+    """The largest Laplacian eigenvalue if it is an integer, else None:
+    split the integer roots 0..n off the characteristic polynomial, then no
+    root of the residual cofactor may exceed the largest of them (root
+    count by Sturm sequences)."""
+    p = charpoly(laplacian(g))
+    top = 0
+    for cand in range(0, g.n + 1):
+        while p(cand) == 0:
+            p, _ = p.pseudo_divmod(IntPolynomial.x_minus(cand))
+            top = cand
+    if p.degree >= 1 and sturm_count(p, top, g.n + 1) != 0:
+        return None
+    return top
 
 
 def _find_quadratic_factor_brute(q: IntPolynomial, bound: int):

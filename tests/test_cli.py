@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 from pstlab.cli import GOLDEN_COUNTS_8, GOLDEN_RULED_OUT_8, _assert_golden_counts, main
+from pstlab.generate import canonical_form, gen_connected_graphs
+from pstlab.graphs import parse_graph6, write_graph6
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +159,33 @@ class TestSurvey:
                                "--workers", "1", "--format", "json")
         assert code == 0
         assert json.loads(out)["connected"] == 2
+
+    def test_built_in_corpus_records_canonical_words(self, capsys, tmp_path):
+        """survey --n records each generated graph's own word, which must
+        be its canonical form."""
+        out_path = tmp_path / "recs.jsonl"
+        code, _, _ = run_cli(capsys, "survey", "--n", "7", "--workers", "2",
+                             "--out", str(out_path), "--format", "json")
+        assert code == 0
+        words = [json.loads(line)["graph6"] for line in out_path.read_text().splitlines()]
+        assert len(words) == 853
+        assert all(w == canonical_form(parse_graph6(w)) for w in words)
+
+    def test_relabelled_file_records_canonical_words(self, capsys, tmp_path):
+        graphs = list(gen_connected_graphs(5))
+        relabelled = [g.relabel([(v + 1 + k) % g.n for v in range(g.n)])
+                      for k, g in enumerate(graphs)]
+        corpus = tmp_path / "relabelled.g6"
+        corpus.write_text("".join(write_graph6(g) + "\n" for g in relabelled))
+        want = [write_graph6(g) for g in graphs]
+        assert want != [write_graph6(g) for g in relabelled]
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"recs{workers}.jsonl"
+            code, _, _ = run_cli(capsys, "survey", "--file", str(corpus), "--workers",
+                                 workers, "--out", str(out_path), "--format", "json")
+            assert code == 0
+            got = [json.loads(line)["graph6"] for line in out_path.read_text().splitlines()]
+            assert got == want, workers
 
     def test_directory_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "survey", "--file", str(tmp_path),

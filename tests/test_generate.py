@@ -8,6 +8,7 @@ from pstlab import generate
 from pstlab.generate import (
     _canonical_search,
     _connected_level,
+    _refine_round,
     canonical_form,
     gen_connected_graphs,
     gen_free_trees,
@@ -118,6 +119,42 @@ class TestCanonicalForm:
                     assert g.relabel(sigma) == g, (write_graph6(g), sigma)
                 assert (permutation_group_order(autos, n)
                         == automorphism_count_brute(g)), write_graph6(g)
+
+
+class TestRefinement:
+    def test_result_is_stable(self, monkeypatch):
+        """_refine stops at a discrete colouring without confirming it; one
+        more round must still change nothing, at every node of the search."""
+        results = []
+        inner = generate._refine
+
+        def recorded(adj, n, colours):
+            out = inner(adj, n, colours)
+            results.append((adj, n, out))
+            return out
+
+        monkeypatch.setattr(generate, "_refine", recorded)
+        corpus = [g for n in range(1, 8) for g in gen_connected_graphs(n)]
+        corpus += [t for n in range(1, 11) for t in gen_free_trees(n)]
+        for g in corpus:
+            canonical_form(g)
+        assert len(results) > len(corpus)
+        for adj, n, colours in results:
+            assert _refine_round(adj, n, colours) == colours
+
+    def test_rounds_to_generate_n7_pinned(self, monkeypatch):
+        """A call count, not a timer.  Refinement that ran one more round
+        to confirm a discrete colouring took 44,466 rounds here."""
+        rounds = [0]
+
+        def counted(adj, n, colours):
+            rounds[0] += 1
+            return _refine_round(adj, n, colours)
+
+        monkeypatch.setattr(generate, "_refine_round", counted)
+        monkeypatch.setattr(generate, "_connected_cache", {})
+        assert sum(1 for _ in gen_connected_graphs(7)) == CONNECTED_COUNTS[7]
+        assert rounds[0] == 33747
 
 
 class TestFreeTrees:

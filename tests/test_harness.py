@@ -1,9 +1,13 @@
 import json
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from pstlab.exactalg import charpoly, rank_mod_p
+from pstlab import harness
 from pstlab.generate import gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
     Graph,
@@ -54,7 +58,7 @@ from pstlab.pst import (
 )
 from pstlab.spectral import ADJACENCY, KINDS, LAPLACIAN, QuadraticEig
 
-from oracles import spanning_trees_brute
+from oracles import integer_lmax_charpoly, spanning_trees_brute
 
 
 class TestSpanningTrees:
@@ -167,6 +171,51 @@ class TestPowerOfTwoEigenvalue:
             check_power_of_two_eigenvalue(cycle_graph(4), 0, 1)
 
 
+def labelled_graphs(max_n):
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+
+
+LMAX_CORPORA = {
+    "labelled n<=5, disconnected included": lambda: labelled_graphs(5),
+    "connected n<=8": lambda: (g for n in range(1, 9) for g in gen_connected_graphs(n)),
+    "trees n<=12": lambda: (t for n in range(1, 13) for t in gen_free_trees(n)),
+    "families": lambda: [path_graph(62), cycle_graph(62), star_graph(61), hypercube(5),
+                         complete_graph(16)],
+}
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices up to 8 x 8: Gram matrices B^T B
+    (semidefinite, singular when B has fewer rows than columns) and
+    arbitrary ones (mostly indefinite), each shifted by a small multiple
+    of I; hollow ones, whose zero diagonal leaves only the zero-block test;
+    any of them with a zero row and column spliced in."""
+    n = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["gram", "arbitrary", "hollow"]))
+    if shape == "gram":
+        entry = st.integers(-3, 3)
+        b = [[draw(entry) for _ in range(n)] for _ in range(draw(st.integers(0, n)))]
+        m = [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+    else:
+        entry = st.integers(-3, 3) if shape == "arbitrary" else st.integers(-1, 1)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + (shape == "hollow"), n):
+                m[i][j] = m[j][i] = draw(entry)
+    shift = draw(st.integers(-2, 2)) if shape != "hollow" else 0
+    for i in range(n):
+        m[i][i] += shift
+    if n < 8 and draw(st.booleans()):
+        at = draw(st.integers(0, n))
+        m = [row[:at] + [0] + row[at:] for row in m]
+        m.insert(at, [0] * (n + 1))
+    return m
+
+
 class TestLmaxIntegrality:
     def test_examples(self):
         assert lmax_is_integer(cycle_graph(4))
@@ -186,6 +235,65 @@ class TestLmaxIntegrality:
         res = check_bipartite_lmax(corpus6)
         assert res.passed
         assert res.details["bipartite"] == 1 + 1 + 1 + 3 + 5 + 17
+
+    @pytest.mark.parametrize("corpus", sorted(LMAX_CORPORA))
+    def test_bisection_matches_charpoly_oracle(self, corpus):
+        mismatches = [(write_graph6(g), got, want) for g in LMAX_CORPORA[corpus]()
+                      if (got := harness._integer_lmax(g)) != (want := integer_lmax_charpoly(g))]
+        assert not mismatches, mismatches[:5]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_elimination_matches_sympy_eigenvalues(self, data):
+        m = data.draw(symmetric_matrices())
+        eigenvalues = sympy.real_roots(sympy.Matrix(m).charpoly())
+        assert len(eigenvalues) == len(m)
+        negative = [e.is_negative for e in eigenvalues]
+        zero = [e.is_zero for e in eigenvalues]
+        assert None not in negative + zero
+        got = harness._semidefinite_singular(m)
+        assert (got is not None) == (not any(negative)), m
+        if got is not None:
+            assert got == any(zero), m
+
+
+class TestLmaxCost:
+    """Call counts, not timers: kI - L is eliminated once per bisection step
+    over (Delta, min(n, max d_u + d_v)], plus once when the upper end was
+    never tested."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        count = [0]
+        inner = harness._semidefinite_singular
+
+        def counted(m):
+            count[0] += 1
+            return inner(m)
+
+        monkeypatch.setattr(harness, "_semidefinite_singular", counted)
+        return count
+
+    def test_per_graph_bound(self, eliminations):
+        corpus = [g for n in range(2, 8) for g in gen_connected_graphs(n)]
+        corpus += [t for n in range(2, 11) for t in gen_free_trees(n)]
+        corpus += [path_graph(62), cycle_graph(62), hypercube(5), complete_graph(16)]
+        for g in corpus:
+            deg = [g.degree(u) for u in range(g.n)]
+            lo = max(deg)
+            hi = min(g.n, max(deg[u] + deg[v] for u, v in g.edges))
+            eliminations[0] = 0
+            harness._integer_lmax(g)
+            assert eliminations[0] <= (hi - lo - 1).bit_length() + 1, write_graph6(g)
+
+    def test_edgeless_graph_needs_none(self, eliminations):
+        assert harness._integer_lmax(Graph(3)) == 0
+        assert eliminations[0] == 0
+
+    def test_total_on_connected_n7_pinned(self, eliminations):
+        for g in gen_connected_graphs(7):
+            harness._integer_lmax(g)
+        assert eliminations[0] == 1619
 
 
 class TestTreeChecks:
