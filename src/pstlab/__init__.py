@@ -21,9 +21,11 @@ from .generate import (
     stream_from_file,
 )
 from .exactalg import (
+    IntegerEig,
     IntPolynomial,
     QuadExt,
-    SupportFactorization,
+    QuadraticEig,
+    ResidualEig,
     charpoly,
     det_bareiss,
     factor_support,
@@ -36,9 +38,6 @@ from .spectral import (
     LAPLACIAN,
     SIGNLESS_LAPLACIAN,
     CospectralityProfile,
-    IntegerEig,
-    QuadraticEig,
-    ResidualEig,
     SupportProfile,
     classify_by_minpolys,
     cospectrality_profile,

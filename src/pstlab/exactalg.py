@@ -5,12 +5,15 @@ Python ints or Fractions, polynomials carry arbitrary-precision integer
 coefficients, and scalars extend to Q(sqrt(d)) where needed.  No floating
 point anywhere.  Polynomial Euclid (gcd, Sturm chains) stays in Z[x]:
 one sign-preserving pseudo-division, with each remainder divided by its
-content, so no rational coefficients arise.
+content, so no rational coefficients arise.  The Krylov sequence v, m v,
+m^2 v, ... is drawn through one lazy walk, and factor_support names the
+roots it splits off by eigenvalue ids.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -453,14 +456,19 @@ def vector_minpoly(m, v) -> IntPolynomial:
     if not (all(isinstance(x, int) for row in m for x in row)
             and all(isinstance(x, int) for x in v)):
         raise ValueError("vector_minpoly requires an integer matrix and vector")
+    return krylov_minpoly(krylov_vectors(m, [v]))
 
-    def powers():
-        w = v
-        while True:
-            yield w
-            w = mat_vec(m, w)
 
-    return krylov_minpoly(powers())
+def krylov_vectors(m, vectors: list):
+    """v, m v, m^2 v, ... for vectors = [v] or any longer prefix of that
+    sequence: each product is made on its first draw and appended to
+    vectors, so a later walk over the same list makes none again."""
+    j = 0
+    while True:
+        if j == len(vectors):
+            vectors.append(mat_vec(m, vectors[-1]))
+        yield vectors[j]
+        j += 1
 
 
 def krylov_minpoly(vectors) -> IntPolynomial:
@@ -495,25 +503,70 @@ def krylov_minpoly(vectors) -> IntPolynomial:
     raise ValueError("Krylov vectors ran out before a linear dependency")
 
 
-class SupportFactorization:
-    """Split of a monic squarefree polynomial into integer roots, quadratic
-    conjugate pairs (a +/- b sqrt(d))/2, and a residual with neither."""
+@dataclass(frozen=True)
+class IntegerEig:
+    """An integer eigenvalue."""
+    value: int
 
-    __slots__ = ("integer_roots", "quadratic_roots", "residual")
+    def exact(self):
+        return self.value
 
-    def __init__(self, integer_roots, quadratic_roots, residual: IntPolynomial):
-        self.integer_roots = sorted(integer_roots)
-        self.quadratic_roots = sorted(quadratic_roots)
-        self.residual = residual
+    def approx(self) -> float:
+        return float(self.value)
 
-    def __repr__(self):
-        return (f"SupportFactorization(int={self.integer_roots}, "
-                f"quad={self.quadratic_roots}, residual={self.residual})")
+    def sort_key(self):
+        return (self.approx(), 0, self.value, 0, 0)
+
+    def to_json(self):
+        return {"type": "integer", "value": self.value}
 
 
-def factor_support(p: IntPolynomial, root_bound: int) -> SupportFactorization:
-    """Extract all integer roots and all monic quadratic factors with
-    conjugate irrational real roots inside [-root_bound, root_bound].
+@dataclass(frozen=True)
+class QuadraticEig:
+    """Eigenvalue (a + b*sqrt(delta))/2 with b != 0; the sign of b
+    distinguishes the two algebraic conjugates."""
+    a: int
+    b: int
+    delta: int
+
+    def exact(self):
+        return quad(Fraction(self.a, 2), Fraction(self.b, 2), self.delta)
+
+    def approx(self) -> float:
+        return (self.a + self.b * math.sqrt(self.delta)) / 2
+
+    def sort_key(self):
+        return (self.approx(), 1, self.a, self.b, self.delta)
+
+    def to_json(self):
+        return {"type": "quadratic", "a": self.a, "b": self.b, "delta": self.delta}
+
+
+@dataclass(frozen=True)
+class ResidualEig:
+    """Stand-in for the roots of a monic factor with no integer or
+    quadratic roots (degree >= 3); exact values are not represented."""
+    poly: IntPolynomial
+
+    def approx(self) -> float:
+        return math.inf
+
+    def sort_key(self):
+        return (math.inf, 2, self.poly.coeffs, 0, 0)
+
+    def to_json(self):
+        return {"type": "residual", "coeffs": list(self.poly.coeffs)}
+
+
+EigenvalueId = Union[IntegerEig, QuadraticEig, ResidualEig]
+
+
+def factor_support(p: IntPolynomial, root_bound: int) -> list[EigenvalueId]:
+    """The eigenvalue ids of the roots of p, sorted, residual last: every
+    integer root and both conjugates (s +/- b sqrt(d))/2 of every monic
+    quadratic factor x^2 - s x + t with irrational real roots inside
+    [-root_bound, root_bound], then the cofactor with neither, if it is
+    not constant.
 
     The quadratic search is exhaustive within the bound, so the residual
     genuinely has no monic integer factor of degree <= 2 with roots in
@@ -529,9 +582,9 @@ def factor_support(p: IntPolynomial, root_bound: int) -> SupportFactorization:
         raise ValueError("factor_support requires distinct roots")
     bound = int(root_bound)
     q = p
-    integer_roots = []
+    ids: list[EigenvalueId] = []
     if q.degree >= 1 and q.coeffs[0] == 0:
-        integer_roots.append(0)
+        ids.append(IntegerEig(0))
         q, _ = q.pseudo_divmod(IntPolynomial((0, 1)))
     c0 = q.coeffs[0] if q.degree >= 0 else 1
     for cand in range(-bound, bound + 1):
@@ -539,18 +592,18 @@ def factor_support(p: IntPolynomial, root_bound: int) -> SupportFactorization:
             continue
         if c0 % cand == 0 and q(cand) == 0:
             q, _ = q.pseudo_divmod(IntPolynomial.x_minus(cand))
-            integer_roots.append(cand)
-    quadratic_roots = []
+            ids.append(IntegerEig(cand))
     while q.degree >= 2:
         hit = _find_quadratic_factor(q, bound)
         if hit is None:
             break
         s, t = hit
         q, _ = q.pseudo_divmod(IntPolynomial((t, -s, 1)))
-        disc = s * s - 4 * t
-        b, d = squarefree_part(disc)
-        quadratic_roots.append((s, b, d))
-    return SupportFactorization(integer_roots, quadratic_roots, q)
+        b, d = squarefree_part(s * s - 4 * t)
+        ids += [QuadraticEig(s, b, d), QuadraticEig(s, -b, d)]
+    if q.degree >= 1:
+        ids.append(ResidualEig(q))
+    return sorted(ids, key=lambda e: e.sort_key())
 
 
 def _find_quadratic_factor(q: IntPolynomial, bound: int):

@@ -28,7 +28,7 @@ class Graph6ParseError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1 or n > MAX_VERTICES:
@@ -43,15 +43,12 @@ class Graph:
             adj[v] |= 1 << u
         self.adj = tuple(adj)
         self.n = n
-        self._edges = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        if self._edges is None:
-            self._edges = frozenset(
-                (u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                if self.adj[u] >> v & 1)
-        return self._edges
+        """The edges (u, v), u < v, built from adj on each call."""
+        return frozenset((u, v) for u in range(self.n) for v in range(u + 1, self.n)
+                         if self.adj[u] >> v & 1)
 
     def edge_count(self) -> int:
         return sum(bin(a).count("1") for a in self.adj) // 2

@@ -41,6 +41,7 @@ from .spectral import (
     IntegerEig,
     QuadraticEig,
     ResidualEig,
+    classify_by_minpolys,
     cospectrality_profile,
     eigenvalue_bound,
     support_profile,
@@ -220,8 +221,6 @@ def _integer_lmax(g: Graph) -> Optional[int]:
     lo = max(deg)
     if lo == 0:
         return 0
-    # from the neighbour lists, not g.edges: that caches a frozenset on
-    # every graph of a corpus that outlives the survey
     hi = min(g.n, max(deg[u] + deg[v] for u in range(g.n) for v in g.neighbours(u)))
     lap = laplacian(g)
 
@@ -538,6 +537,8 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
     cert = report.certificate
     if cert is None:
         return False, "no certificate on a non-positive report"
+    if not cert.witnesses:
+        return False, "the certificate names no witness"
     sole = cert.witnesses[0] if len(cert.witnesses) == 1 else None
     out_of_scope = (cert.kind == QUADRATIC_MIXED_A
                     and isinstance(sole, QuadraticEig) and sole.a != 0)
@@ -556,8 +557,18 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         if witness in set_u.symmetric_difference(set_v):
             return True, "support difference confirmed"
         if isinstance(witness, ResidualEig):
-            if pu.residual is None or poly_gcd(witness.poly, pu.residual).degree < 1:
-                return False, "residual witness does not meet the support"
+            # a root of one residual that the other lacks is in one support
+            # only; a root shared by the minimal polynomials of e_u -+ e_v
+            # has projections of e_u and e_v that match neither sign
+            ru, rv = (p.residual or IntPolynomial.one() for p in (pu, pv))
+            if ru != rv:
+                common = poly_gcd(ru, rv)
+                if any(poly_gcd(witness.poly, r.pseudo_divmod(common)[0]).degree >= 1
+                       for r in (ru, rv)):
+                    return True, "residual support difference confirmed"
+            shared = poly_gcd(*classify_by_minpolys(g, kind, u, v, {u: pu, v: pv}))
+            if poly_gcd(witness.poly, shared).degree < 1:
+                return False, "residual witness meets no mismatch"
             return True, "residual-level mismatch confirmed"
         if witness not in set_u:
             return False, "witness outside both supports"
@@ -568,6 +579,8 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
 
     if cert.kind == NON_INTEGER_SUPPORT:
         witness = cert.witnesses[0]
+        if kind != LAPLACIAN:
+            return False, "only a Laplacian support must be integral"
         if not isinstance(witness, QuadraticEig) or witness.b == 0:
             return False, "witness is not irrational"
         if not _support_value_check(pu.minpoly, witness):
@@ -576,16 +589,19 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
 
     if cert.kind == RESIDUAL_FACTOR:
         witness = cert.witnesses[0]
-        if not isinstance(witness, ResidualEig) or witness.poly.degree < 3:
-            return False, "residual witness of degree below 3"
-        if not witness.poly.divides(pu.minpoly * pv.minpoly):
+        w = witness.poly if isinstance(witness, ResidualEig) else IntPolynomial.one()
+        if w.degree < 3 or not w.is_monic() or poly_gcd(w, w.derivative()).degree >= 1:
+            return False, "residual witness is not monic and squarefree of degree 3 or more"
+        if not w.divides(pu.minpoly * pv.minpoly):
             return False, "residual does not divide the support polynomial"
-        refac = factor_support(witness.poly, eigenvalue_bound(g, kind))
-        if refac.integer_roots or refac.quadratic_roots:
+        if not isinstance(factor_support(w, eigenvalue_bound(g, kind))[0], ResidualEig):
             return False, "claimed residual has small factors"
         return True, "irreducible-beyond-quadratic residual confirmed"
 
     if cert.kind == MIXED_DELTA:
+        if (len(cert.witnesses) != 2
+                or not all(isinstance(w, QuadraticEig) for w in cert.witnesses)):
+            return False, "witnesses are not two quadratic eigenvalues"
         w1, w2 = cert.witnesses
         if w1.delta == w2.delta:
             return False, "witnesses share an extension"
@@ -616,12 +632,9 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         prof = cospectrality_profile(g, kind, u, v, profiles={u: pu, v: pv})
         if not prof.strongly_cospectral:
             return False, "pair is not strongly cospectral after all"
-        in_plus = witness in prof.plus_set
-        in_minus = witness in prof.minus_set
-        if cert.claimed_class == "plus" and not in_plus:
-            return False, "witness is not plus-classified"
-        if cert.claimed_class == "minus" and not in_minus:
-            return False, "witness is not minus-classified"
+        claimed = {"plus": prof.plus_set, "minus": prof.minus_set}.get(cert.claimed_class)
+        if claimed is None or witness not in claimed:
+            return False, f"witness is not {cert.claimed_class}-classified"
         gg, scaled = _parity_data(kind, prof)
         if gg != cert.gcd_value:
             return False, f"gcd mismatch: recomputed {gg}, stored {cert.gcd_value}"

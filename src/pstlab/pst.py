@@ -19,19 +19,19 @@ from typing import Optional
 
 import numpy as np
 
-from .exactalg import IntPolynomial, factor_support, krylov_minpoly, mat_vec, poly_gcd, unit_vector
-from .graphs import Graph, bipartition, write_graph6
-from .spectral import (
-    ADJACENCY,
-    KINDS,
-    LAPLACIAN,
+from .exactalg import (
     IntegerEig,
+    IntPolynomial,
     QuadraticEig,
     ResidualEig,
-    eigenvalue_bound,
-    ids_from_factorization,
-    matrix_of,
+    factor_support,
+    krylov_minpoly,
+    krylov_vectors,
+    poly_gcd,
+    unit_vector,
 )
+from .graphs import Graph, bipartition, write_graph6
+from .spectral import ADJACENCY, KINDS, LAPLACIAN, eigenvalue_bound, matrix_of
 
 YES = "yes"
 NO = "no"
@@ -153,13 +153,7 @@ class _SpectralContext:
 
     def krylov(self, u: int):
         """M^j e_u for j = 0, 1, ..., each product made once and kept."""
-        vecs = self._krylov[u]
-        j = 0
-        while True:
-            if j == len(vecs):
-                vecs.append(mat_vec(self.matrix, vecs[-1]))
-            yield vecs[j]
-            j += 1
+        return krylov_vectors(self.matrix, self._krylov[u])
 
     def minpoly(self, u: int) -> IntPolynomial:
         if u not in self._minpolys:
@@ -178,8 +172,7 @@ class _SpectralContext:
     def support_ids(self, u: int) -> tuple:
         """Every id of factor_support(minpoly of e_u), sorted, residual last."""
         if u not in self._support_ids:
-            fac = factor_support(self.minpoly(u), self.bound)
-            self._support_ids[u] = tuple(ids_from_factorization(fac))
+            self._support_ids[u] = tuple(factor_support(self.minpoly(u), self.bound))
         return self._support_ids[u]
 
 

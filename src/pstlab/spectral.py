@@ -10,20 +10,22 @@ a full eigendecomposition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exactalg import (
+    EigenvalueId,
+    IntegerEig,
     IntPolynomial,
+    QuadraticEig,
+    ResidualEig,
     factor_support,
     krylov_minpoly,
+    krylov_vectors,
     mat_vec,
     poly_gcd,
-    quad,
     unit_vector,
-    vector_minpoly,
 )
 from .graphs import Graph, adjacency, laplacian, signless_laplacian
 
@@ -61,74 +63,6 @@ def eigenvalue_bound(g: Graph, kind: str) -> int:
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class IntegerEig:
-    """An integer eigenvalue."""
-    value: int
-
-    def exact(self):
-        return self.value
-
-    def approx(self) -> float:
-        return float(self.value)
-
-    def sort_key(self):
-        return (self.approx(), 0, self.value, 0, 0)
-
-    def to_json(self):
-        return {"type": "integer", "value": self.value}
-
-
-@dataclass(frozen=True)
-class QuadraticEig:
-    """Eigenvalue (a + b*sqrt(delta))/2 with b != 0; the sign of b
-    distinguishes the two algebraic conjugates."""
-    a: int
-    b: int
-    delta: int
-
-    def exact(self):
-        return quad(Fraction(self.a, 2), Fraction(self.b, 2), self.delta)
-
-    def approx(self) -> float:
-        return (self.a + self.b * math.sqrt(self.delta)) / 2
-
-    def sort_key(self):
-        return (self.approx(), 1, self.a, self.b, self.delta)
-
-    def to_json(self):
-        return {"type": "quadratic", "a": self.a, "b": self.b, "delta": self.delta}
-
-
-@dataclass(frozen=True)
-class ResidualEig:
-    """Stand-in for the roots of a monic factor with no integer or
-    quadratic roots (degree >= 3); exact values are not represented."""
-    poly: IntPolynomial
-
-    def approx(self) -> float:
-        return math.inf
-
-    def sort_key(self):
-        return (math.inf, 2, self.poly.coeffs, 0, 0)
-
-    def to_json(self):
-        return {"type": "residual", "coeffs": list(self.poly.coeffs)}
-
-
-EigenvalueId = Union[IntegerEig, QuadraticEig, ResidualEig]
-
-
-def ids_from_factorization(fac) -> list[EigenvalueId]:
-    ids: list[EigenvalueId] = [IntegerEig(r) for r in fac.integer_roots]
-    for a, b, d in fac.quadratic_roots:
-        ids.append(QuadraticEig(a, b, d))
-        ids.append(QuadraticEig(a, -b, d))
-    if fac.residual.degree >= 1:
-        ids.append(ResidualEig(fac.residual))
-    return sorted(ids, key=lambda e: e.sort_key())
-
-
 @dataclass
 class SupportProfile:
     matrix_kind: str
@@ -137,6 +71,7 @@ class SupportProfile:
     support: list  # EigenvalueId, sorted ascending, residual last
     projections: dict  # EigenvalueId -> exact vector (Fraction/QuadExt entries)
     residual: Optional[IntPolynomial]  # None when the support splits fully
+    krylov: list  # M^j e_u for j <= deg minpoly, extended by later walks
 
 
 def _krylov_projection(q: IntPolynomial, krylov_rows, eig: EigenvalueId):
@@ -166,57 +101,46 @@ def support_profile(g: Graph, kind: str, u: int) -> SupportProfile:
         raise ValueError("support_profile requires a connected graph")
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} out of range")
-    m = matrix_of(g, kind)
-    krylov = [unit_vector(g.n, u)]  # M^j e_u, each product made once
-
-    def powers():
-        while True:
-            yield krylov[-1]
-            krylov.append(mat_vec(m, krylov[-1]))
-
-    q = krylov_minpoly(powers())  # draws M^j e_u for j <= deg q
-    fac = factor_support(q, eigenvalue_bound(g, kind))
-    ids = ids_from_factorization(fac)
-    residual = fac.residual if fac.residual.degree >= 1 else None
+    krylov = [unit_vector(g.n, u)]
+    q = krylov_minpoly(krylov_vectors(matrix_of(g, kind), krylov))  # M^j e_u, j <= deg q
+    ids = factor_support(q, eigenvalue_bound(g, kind))
+    residual = ids[-1].poly if isinstance(ids[-1], ResidualEig) else None
     krylov_rows = list(zip(*krylov[:q.degree]))  # row i holds (M^j e_u)_i for j < deg q
     projections = {eig: _krylov_projection(q, krylov_rows, eig)
                    for eig in ids if not isinstance(eig, ResidualEig)}
-    return SupportProfile(kind, u, q, ids, projections, residual)
-
-
-NOT_COSPECTRAL = "not_cospectral"
-STRONGLY_COSPECTRAL = "strongly_cospectral"
+    return SupportProfile(kind, u, q, ids, projections, residual, krylov)
 
 
 @dataclass
 class CospectralityProfile:
-    matrix_kind: str
-    u: int
-    v: int
-    status: str
-    witness: Optional[EigenvalueId]
+    strongly_cospectral: bool
+    witness: Optional[EigenvalueId]  # None when strongly cospectral
     plus_set: list
     minus_set: list
 
-    @property
-    def strongly_cospectral(self) -> bool:
-        return self.status == STRONGLY_COSPECTRAL
 
-
-def classify_by_minpolys(g: Graph, kind: str, u: int, v: int):
+def classify_by_minpolys(g: Graph, kind: str, u: int, v: int,
+                         profiles: Optional[dict] = None):
     """Minimal polynomials of e_u - e_v and e_u + e_v.
 
     Their root sets are the eigenvalues whose projections of e_u and e_v
     differ, respectively do not cancel; u and v are strongly cospectral
     exactly when the two are coprime and multiply to the minimal polynomial
-    of e_u.
+    of e_u.  The Krylov vectors of e_u -+ e_v are the differences and sums
+    of those of e_u and e_v, which support profiles keyed by vertex, when
+    passed, already hold.
     """
     if u == v:
         raise ValueError("classify_by_minpolys requires u != v")
     m = matrix_of(g, kind)
-    e_u, e_v = unit_vector(g.n, u), unit_vector(g.n, v)
-    return (vector_minpoly(m, [a - b for a, b in zip(e_u, e_v)]),
-            vector_minpoly(m, [a + b for a, b in zip(e_u, e_v)]))
+    starts = [profiles[w].krylov if profiles is not None else [unit_vector(g.n, w)]
+              for w in (u, v)]
+
+    def minpoly(sign: int) -> IntPolynomial:
+        walks = zip(*(krylov_vectors(m, vectors) for vectors in starts))
+        return krylov_minpoly([a + sign * b for a, b in zip(ku, kv)] for ku, kv in walks)
+
+    return minpoly(-1), minpoly(1)
 
 
 def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
@@ -242,8 +166,7 @@ def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
         pv = support_profile(g, kind, v)
 
     def not_cospectral(witness):
-        return CospectralityProfile(kind, u, v, NOT_COSPECTRAL, witness,
-                                    [], [])
+        return CospectralityProfile(False, witness, [], [])
 
     set_u = set(pu.support)
     set_v = set(pv.support)
@@ -266,7 +189,7 @@ def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
 
     if pu.residual is not None:
         rr = pu.residual
-        poly_minus, poly_plus = classify_by_minpolys(g, kind, u, v)
+        poly_minus, poly_plus = classify_by_minpolys(g, kind, u, v, {u: pu, v: pv})
         r_minus = poly_gcd(rr, poly_minus)
         r_plus = poly_gcd(rr, poly_plus)
         if r_minus * r_plus != rr:
@@ -276,5 +199,4 @@ def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
         if r_minus.degree >= 1:
             minus.append(ResidualEig(r_minus))
 
-    return CospectralityProfile(kind, u, v, STRONGLY_COSPECTRAL, None,
-                                plus, minus)
+    return CospectralityProfile(True, None, plus, minus)

@@ -35,7 +35,6 @@ from typing import Optional
 
 from pstlab.exactalg import (
     IntPolynomial,
-    SupportFactorization,
     charpoly,
     factor_support,
     mat_vec,
@@ -54,7 +53,6 @@ from pstlab.spectral import (
     QuadraticEig,
     ResidualEig,
     SupportProfile,
-    ids_from_factorization,
     support_profile,
 )
 
@@ -280,9 +278,11 @@ def twin_statistics(graphs) -> dict:
     return counts
 
 
-def factor_support_brute(p: IntPolynomial, root_bound: int) -> SupportFactorization:
+def factor_support_brute(p: IntPolynomial, root_bound: int) -> list:
     """``factor_support`` by plain trial division: every (s, t) in the
-    root-bound box is tried by dividing q by x^2 - s x + t."""
+    root-bound box is tried by dividing q by x^2 - s x + t.  The ids are
+    listed integer roots first, then each conjugate pair, residual last,
+    and sorted by value only at the end."""
     if not p.is_monic():
         raise ValueError("factor_support requires a monic polynomial")
     if p.degree >= 1 and not poly_gcd_fraction(p, p.derivative()) == IntPolynomial.one():
@@ -310,13 +310,25 @@ def factor_support_brute(p: IntPolynomial, root_bound: int) -> SupportFactorizat
         disc = s * s - 4 * t
         b, d = squarefree_part(disc)
         quadratic_roots.append((s, b, d))
-    return SupportFactorization(integer_roots, quadratic_roots, q)
+    return split_ids(integer_roots, quadratic_roots, q)
+
+
+def split_ids(integer_roots, quadratic_roots, residual: IntPolynomial) -> list:
+    """The sorted eigenvalue ids of a split: IntegerEig(r) per integer root,
+    QuadraticEig(a, +-b, d) per conjugate pair (a +- b sqrt(d))/2 given as
+    (a, b, d), and ResidualEig(residual) unless residual is constant."""
+    ids = [IntegerEig(r) for r in integer_roots]
+    for a, b, d in quadratic_roots:
+        ids += [QuadraticEig(a, b, d), QuadraticEig(a, -b, d)]
+    if residual.degree >= 1:
+        ids.append(ResidualEig(residual))
+    return sorted(ids, key=lambda e: e.sort_key())
 
 
 def gate_witness_factor_support(shared: IntPolynomial, bound: int) -> EigenvalueId:
     """Witness of a failed strong-cospectrality gate: the least eigenvalue
     id of the factorization of gcd(poly_minus, poly_plus)."""
-    return ids_from_factorization(factor_support(shared, bound))[0]
+    return factor_support(shared, bound)[0]
 
 
 def pair_ids_factor_support(poly_minus: IntPolynomial, poly_plus: IntPolynomial,
@@ -324,8 +336,8 @@ def pair_ids_factor_support(poly_minus: IntPolynomial, poly_plus: IntPolynomial,
     """Plus and minus classes of a strongly cospectral pair as two
     factorizations of their own, (ids of poly_plus, ids of poly_minus),
     in place of the decider's split of the ids of u."""
-    return (tuple(ids_from_factorization(factor_support(poly_plus, bound))),
-            tuple(ids_from_factorization(factor_support(poly_minus, bound))))
+    return (tuple(factor_support(poly_plus, bound)),
+            tuple(factor_support(poly_minus, bound)))
 
 
 def eigenvalue_bound_by_order(g: Graph, kind: str) -> int:
@@ -579,17 +591,23 @@ def poly_from_roots(roots) -> IntPolynomial:
     return p
 
 
-def reconstruct_factorization(fac: SupportFactorization) -> IntPolynomial:
-    """The polynomial a ``SupportFactorization`` splits: its linear
-    factors, one quadratic per conjugate pair, and the residual."""
-    p = poly_from_roots(fac.integer_roots)
-    for a, b, d in fac.quadratic_roots:
-        # minimal polynomial of (a + b sqrt(d))/2: x^2 - a x + (a^2 - b^2 d)/4
-        t4 = a * a - b * b * d
-        if t4 % 4:
-            raise AssertionError("quadratic pair with non-integral norm")
-        p = p * IntPolynomial((t4 // 4, -a, 1))
-    return p * fac.residual
+def reconstruct_factorization(ids) -> IntPolynomial:
+    """The polynomial whose roots the eigenvalue ids of ``factor_support``
+    name: a linear factor per integer id, one quadratic per conjugate pair
+    (taken at its id with b > 0), and each residual."""
+    p = IntPolynomial.one()
+    for e in ids:
+        if isinstance(e, IntegerEig):
+            p = p * IntPolynomial.x_minus(e.value)
+        elif isinstance(e, ResidualEig):
+            p = p * e.poly
+        elif e.b > 0:
+            # minimal polynomial of (a +- b sqrt(d))/2: x^2 - a x + (a^2 - b^2 d)/4
+            t4 = e.a * e.a - e.b * e.b * e.delta
+            if t4 % 4:
+                raise AssertionError("quadratic pair with non-integral norm")
+            p = p * IntPolynomial((t4 // 4, -e.a, 1))
+    return p
 
 
 def minpoly_split_is_cospectral(poly_minus: IntPolynomial,

@@ -73,7 +73,6 @@ from pstlab.spectral import (
     classify_by_minpolys,
     cospectrality_profile,
     eigenvalue_bound,
-    ids_from_factorization,
     support_profile,
 )
 
@@ -483,8 +482,7 @@ class TestCriterion6PropertySuites:
                 flipped = [c if (p.degree - i) % 2 == 0 else -c
                            for i, c in enumerate(p.coeffs)]
                 assert p.coeffs == tuple(flipped)
-                ids = {e for e in ids_from_factorization(
-                           factor_support(p, eigenvalue_bound(g, ADJACENCY)))
+                ids = {e for e in factor_support(p, eigenvalue_bound(g, ADJACENCY))
                        if not isinstance(e, ResidualEig)}
                 negated = {IntegerEig(-e.value) if isinstance(e, IntegerEig)
                            else QuadraticEig(-e.a, -e.b, e.delta) for e in ids}

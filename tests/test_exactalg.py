@@ -5,12 +5,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pstlab.exactalg import (
+    IntegerEig,
     IntPolynomial,
     QuadExt,
+    QuadraticEig,
+    ResidualEig,
     charpoly,
     det_bareiss,
     factor_support,
     krylov_minpoly,
+    krylov_vectors,
     mat_vec,
     poly_gcd,
     quad,
@@ -44,6 +48,7 @@ from oracles import (
     poly_gcd_fraction,
     reconstruct_factorization,
     spanning_trees_brute,
+    split_ids,
     sturm_count_fraction,
 )
 
@@ -166,31 +171,82 @@ class TestVectorMinpoly:
             vector_minpoly(identity(2), [F(1), 0])
 
 
+def _mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+class TestKrylovVectors:
+    """The one Krylov sequence behind vector_minpoly, support_profile and
+    the decider's spectral context, against M^j v read off explicit
+    integer matrix powers M^j."""
+
+    def test_matches_explicit_matrix_powers(self, corpus6):
+        checked = 0
+        for g in list(corpus6) + [path_graph(24)]:
+            for kind in KINDS:
+                m = matrix_of(g, kind)
+                powers = [identity(g.n)]
+                for _ in range(g.n):
+                    powers.append(_mat_mul(powers[-1], m))
+                units = [unit_vector(g.n, u) for u in range(g.n)]
+                starts = units + [[a + sign * b for a, b in zip(units[0], units[-1])]
+                                  for sign in (-1, 1) if g.n > 1]
+                for start in starts:
+                    want = [_dense_mat_vec(p, start) for p in powers]
+                    vectors = [start]
+                    assert [v for _, v in zip(want, krylov_vectors(m, vectors))] == want
+                    assert vectors == want
+                    checked += 1
+        assert checked == 3 * (810 + 2 * 142 + 26)
+
+    def test_extends_lazily_and_reuses_what_it_made(self):
+        m = laplacian(path_graph(24))
+        vectors = [unit_vector(24, 0)]
+        first = krylov_vectors(m, vectors)
+        drawn = [next(first) for _ in range(5)]
+        assert len(vectors) == 5
+        again = [next(krylov_vectors(m, vectors)) for _ in range(1)]
+        assert again[0] is drawn[0]
+        second = krylov_vectors(m, vectors)
+        assert all(next(second) is v for v in drawn) and len(vectors) == 5
+        assert next(second) == mat_vec(m, drawn[-1]) and len(vectors) == 6
+        assert next(first) is vectors[5]
+
+
 class TestFactorSupport:
     def test_integer_only(self):
-        fac = factor_support(IntPolynomial((0, -2, 1)), 2)
-        assert fac.integer_roots == [0, 2]
-        assert fac.quadratic_roots == []
-        assert fac.residual == IntPolynomial.one()
+        ids = factor_support(IntPolynomial((0, -2, 1)), 2)
+        assert [e for e in ids if isinstance(e, IntegerEig)] == [IntegerEig(0), IntegerEig(2)]
+        assert not any(isinstance(e, QuadraticEig) for e in ids)
+        assert not any(isinstance(e, ResidualEig) for e in ids)
 
     def test_pure_quadratic_pair(self):
         # x^3 - 2x = x (x^2 - 2): roots 0 and +/- sqrt(2) = (0 +/- 2 sqrt(2))/2
-        fac = factor_support(IntPolynomial((0, -2, 0, 1)), 2)
-        assert fac.integer_roots == [0]
-        assert fac.quadratic_roots == [(0, 2, 2)]
-        assert fac.residual == IntPolynomial.one()
+        ids = factor_support(IntPolynomial((0, -2, 0, 1)), 2)
+        assert [e for e in ids if isinstance(e, IntegerEig)] == [IntegerEig(0)]
+        assert [e for e in ids if isinstance(e, QuadraticEig)] == [
+            QuadraticEig(0, -2, 2), QuadraticEig(0, 2, 2)]
+        assert not any(isinstance(e, ResidualEig) for e in ids)
 
     def test_irreducible_cubic_stays_residual(self):
         p = IntPolynomial((1, -3, -1, 1))
-        fac = factor_support(p, 3)
-        assert fac.integer_roots == []
-        assert fac.quadratic_roots == []
-        assert fac.residual == p
+        ids = factor_support(p, 3)
+        assert not any(isinstance(e, IntegerEig) for e in ids)
+        assert not any(isinstance(e, QuadraticEig) for e in ids)
+        assert ids == [ResidualEig(p)]
 
     def test_golden_ratio_pair(self):
         # x^2 - x - 1: roots (1 +/- sqrt(5))/2
-        fac = factor_support(IntPolynomial((-1, -1, 1)), 2)
-        assert fac.quadratic_roots == [(1, 1, 5)]
+        ids = factor_support(IntPolynomial((-1, -1, 1)), 2)
+        assert ids == [QuadraticEig(1, -1, 5), QuadraticEig(1, 1, 5)]
+
+    def test_ids_sorted_by_value_residual_last(self):
+        # x (x^2 - 2) (x^3 - 3x - 1): 0, +/- sqrt(2), and a residual cubic
+        cubic = IntPolynomial((-1, -3, 0, 1))
+        ids = factor_support(IntPolynomial((0, -2, 0, 1)) * cubic, 2)
+        assert ids == [QuadraticEig(0, -2, 2), IntegerEig(0), QuadraticEig(0, 2, 2),
+                       ResidualEig(cubic)]
 
     def test_reconstruction(self, corpus6):
         for g in corpus6:
@@ -200,8 +256,7 @@ class TestFactorSupport:
             for u in range(g.n):
                 e = [1 if i == u else 0 for i in range(g.n)]
                 p = vector_minpoly(m, e)
-                fac = factor_support(p, g.n)
-                assert reconstruct_factorization(fac) == p
+                assert reconstruct_factorization(factor_support(p, g.n)) == p
 
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
@@ -271,9 +326,7 @@ class TestFactorSearchOracle:
         for p, bound in corpus6_support_polys:
             fast = factor_support(p, bound)
             slow = factor_support_brute(p, bound)
-            assert fast.integer_roots == slow.integer_roots, p
-            assert fast.quadratic_roots == slow.quadratic_roots, p
-            assert fast.residual == slow.residual, p
+            assert fast == slow, p
 
     def test_matches_sympy_on_corpus6(self, corpus6_support_polys):
         sympy = pytest.importorskip("sympy")
@@ -295,21 +348,16 @@ class TestFactorSearchOracle:
                     quads.append((s, *squarefree_part(s * s - 4 * t)))
                 else:
                     rest = rest * IntPolynomial(cs)
-            fac = factor_support(p, bound)
-            assert fac.integer_roots == sorted(ints), p
-            assert fac.quadratic_roots == sorted(quads), p
-            assert fac.residual == rest, p
+            assert factor_support(p, bound) == split_ids(ints, quads, rest), p
 
     @given(split_polynomials())
     @settings(max_examples=150, deadline=None)
     def test_constructed_products(self, case):
         p, bound, roots, quads, residual = case
-        fac = factor_support(p, bound)
-        assert fac.integer_roots == sorted(roots)
-        assert fac.quadratic_roots == sorted(
-            (s, *squarefree_part(s * s - 4 * t)) for s, t in quads)
-        assert fac.residual == residual
-        assert reconstruct_factorization(fac) == p
+        ids = factor_support(p, bound)
+        assert ids == split_ids(roots, [(s, *squarefree_part(s * s - 4 * t))
+                                        for s, t in quads], residual)
+        assert reconstruct_factorization(ids) == p
 
 
 def _dense_mat_vec(m, v):

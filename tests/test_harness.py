@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from pstlab.exactalg import charpoly, rank_mod_p
+from pstlab.exactalg import IntPolynomial, charpoly, rank_mod_p
 from pstlab import harness
 from pstlab.generate import gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
@@ -45,19 +45,32 @@ from pstlab.harness import (
     write_survey_jsonl,
 )
 from pstlab.pst import (
+    MIXED_DELTA,
     NO,
+    NON_INTEGER_SUPPORT,
     NOT_STRONGLY_COSPECTRAL,
     PARITY_VIOLATION,
     QUADRATIC_MIXED_A,
+    RESIDUAL_FACTOR,
     UNDECIDED,
     YES,
     Certificate,
     PSTReport,
     all_pair_reports,
+    decide,
     laplacian_pst,
     pst_search,
 )
-from pstlab.spectral import ADJACENCY, KINDS, LAPLACIAN, QuadraticEig
+from pstlab.spectral import (
+    ADJACENCY,
+    KINDS,
+    LAPLACIAN,
+    SIGNLESS_LAPLACIAN,
+    IntegerEig,
+    QuadraticEig,
+    ResidualEig,
+    support_profile,
+)
 
 from oracles import integer_lmax_charpoly, spanning_trees_brute
 
@@ -363,11 +376,12 @@ class TestSurvey:
 
     def test_record_leaves_no_edge_set_cached(self):
         """The built-in corpus outlives a survey in the generator's cache, so
-        a record must not fill Graph's edge-set cache: on the 11,117 graphs
-        of n = 8 that cache raised the survey's peak RSS by 17 MB."""
+        a graph must hold no edge-set cache for a record to fill: on the
+        11,117 graphs of n = 8 such a cache raised the survey's peak RSS by
+        17 MB.  Graph keeps its order and neighbour masks only."""
         g = complete_minus_edge(6)
         survey_record(g)
-        assert g._edges is None
+        assert Graph.__slots__ == ("n", "adj") and not hasattr(g, "__dict__")
 
     def test_aggregate_csv(self):
         _, agg = run_survey(gen_connected_graphs(4))
@@ -387,9 +401,7 @@ class TestCertificateReplay:
     def test_all_negatives_replay_small(self, corpus6):
         replayed = 0
         for g in corpus6:
-            if g.n < 2 or g.n > 5:
-                continue
-            for kind in (LAPLACIAN, ADJACENCY):
+            for kind in KINDS:
                 for r in all_pair_reports(g, kind):
                     if r.verdict == "yes":
                         ok, why = verify_positive_report(g, r)
@@ -398,7 +410,7 @@ class TestCertificateReplay:
                         ok, why = replay_certificate(g, r)
                         assert ok, (r.graph6, kind, r.u, r.v, r.certificate.kind, why)
                         replayed += 1
-        assert replayed >= 400
+        assert replayed == 5784 + 2  # the negatives and two undecided reports
 
     def test_tree_negatives_replay(self):
         for t in gen_free_trees(6):
@@ -407,8 +419,72 @@ class TestCertificateReplay:
                     ok, why = replay_certificate(t, r)
                     assert ok, why
 
+    def test_residual_witness_needs_a_mismatch(self):
+        """On path:7 the Laplacian pair (0,6) is strongly cospectral, so a
+        residual witness that only meets the support of 0 is refused.  A
+        residual witness replays when it meets a factor of one residual that
+        the other lacks, or the gcd of the minimal polynomials of e_u -+ e_v."""
+        def forged(g, kind, u, v, witness):
+            return PSTReport(write_graph6(g), kind, u, v, NO,
+                             Certificate(NOT_STRONGLY_COSPECTRAL, (witness,), "forged"))
+
+        p7 = path_graph(7)
+        residual = support_profile(p7, LAPLACIAN, 0).residual
+        ok, why = replay_certificate(p7, forged(p7, LAPLACIAN, 0, 6, ResidualEig(residual)))
+        assert not ok and why == "residual witness meets no mismatch", why
+        g = parse_graph6("FQGOW")  # the residual of 6 is a proper factor of that of 0
+        ru, rv = (support_profile(g, LAPLACIAN, w).residual for w in (0, 6))
+        own, rest = ru.pseudo_divmod(rv)
+        assert rest.is_zero() and own.degree == 3
+        ok, why = replay_certificate(g, forged(g, LAPLACIAN, 0, 6, ResidualEig(own)))
+        assert ok and why == "residual support difference confirmed", why
+        g = parse_graph6("CN")  # equal residuals, split by neither sign
+        r = decide(g, ADJACENCY, 0, 3)
+        assert isinstance(r.certificate.witnesses[0], ResidualEig)
+        ok, why = replay_certificate(g, r)
+        assert ok and why == "residual-level mismatch confirmed", why
+
+    def test_integral_support_required_of_the_laplacian_only(self):
+        """On path:3, adjacency transfer joins the ends, whose support holds
+        (0 +- 2 sqrt(2))/2: an irrational witness refutes only L."""
+        g = path_graph(3)
+        assert decide(g, ADJACENCY, 0, 2).yes
+        witness = QuadraticEig(0, 2, 2)
+        for kind in (ADJACENCY, SIGNLESS_LAPLACIAN):
+            report = PSTReport(write_graph6(g), kind, 0, 2, NO,
+                               Certificate(NON_INTEGER_SUPPORT, (witness,), "forged"))
+            ok, why = replay_certificate(g, report)
+            assert not ok and why == "only a Laplacian support must be integral", why
+        real = decide(path_graph(4), LAPLACIAN, 0, 3)
+        assert real.certificate.kind == NON_INTEGER_SUPPORT
+        assert replay_certificate(path_graph(4), real)[0]
+
+    def test_malformed_witnesses_refused_not_raised(self):
+        g = cycle_graph(5)
+        for witnesses in ((IntegerEig(2), IntegerEig(-1)), (QuadraticEig(-1, 1, 5),), ()):
+            report = PSTReport(write_graph6(g), ADJACENCY, 0, 2, NO,
+                               Certificate(MIXED_DELTA, witnesses, "forged"))
+            ok, why = replay_certificate(g, report)
+            assert not ok, why
+        p7 = path_graph(7)
+        # vertex 6 of FQGOW has a cubic factor of the residual of path:7 as its residual
+        cubic = support_profile(parse_graph6("FQGOW"), LAPLACIAN, 6).residual
+        assert cubic.divides(support_profile(p7, LAPLACIAN, 0).residual)
+        for poly in (IntPolynomial((1, 0, 0, 2)), cubic * cubic):
+            report = PSTReport(write_graph6(p7), LAPLACIAN, 0, 6, NO,
+                               Certificate(RESIDUAL_FACTOR, (ResidualEig(poly),), "forged"))
+            ok, why = replay_certificate(p7, report)
+            assert not ok and "not monic and squarefree" in why, why
+        dfw = parse_graph6("DFw")
+        parity = laplacian_pst(dfw, 3, 4)
+        assert parity.certificate.kind == PARITY_VIOLATION
+        for claimed in ("neither", None):
+            forged = replace(parity, certificate=replace(parity.certificate,
+                                                          claimed_class=claimed))
+            ok, why = replay_certificate(dfw, forged)
+            assert not ok and why == f"witness is not {claimed}-classified", why
+
     def test_tampered_certificate_rejected(self):
-        from pstlab.spectral import IntegerEig
         r = laplacian_pst(path_graph(4), 0, 1)
         assert r.verdict == "no"
         r.certificate.witnesses = (IntegerEig(99),)
