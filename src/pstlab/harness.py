@@ -520,6 +520,18 @@ def _support_value_check(minpoly: IntPolynomial, eig) -> bool:
     return eig.poly.divides(minpoly)
 
 
+def _residual_fault(witness, pu, pv, min_degree: int) -> Optional[str]:
+    """Why witness is no monic squarefree factor, of degree min_degree or
+    more, of the product of the minimal polynomials of e_u and e_v; None
+    when it is one."""
+    w = witness.poly if isinstance(witness, ResidualEig) else IntPolynomial.one()
+    if w.degree < min_degree or not w.is_monic() or poly_gcd(w, w.derivative()).degree >= 1:
+        return f"residual witness is not monic and squarefree of degree {min_degree} or more"
+    if not w.divides(pu.minpoly * pv.minpoly):
+        return "residual does not divide the support polynomial"
+    return None
+
+
 def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
     """Re-validate a negative or undecided verdict from scratch.
 
@@ -557,6 +569,8 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         if witness in set_u.symmetric_difference(set_v):
             return True, "support difference confirmed"
         if isinstance(witness, ResidualEig):
+            if (fault := _residual_fault(witness, pu, pv, 1)) is not None:
+                return False, fault
             # a root of one residual that the other lacks is in one support
             # only; a root shared by the minimal polynomials of e_u -+ e_v
             # has projections of e_u and e_v that match neither sign
@@ -566,7 +580,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
                 if any(poly_gcd(witness.poly, r.pseudo_divmod(common)[0]).degree >= 1
                        for r in (ru, rv)):
                     return True, "residual support difference confirmed"
-            shared = poly_gcd(*classify_by_minpolys(g, kind, u, v, {u: pu, v: pv}))
+            shared = poly_gcd(*classify_by_minpolys(g, kind, u, v))
             if poly_gcd(witness.poly, shared).degree < 1:
                 return False, "residual witness meets no mismatch"
             return True, "residual-level mismatch confirmed"
@@ -589,12 +603,9 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
 
     if cert.kind == RESIDUAL_FACTOR:
         witness = cert.witnesses[0]
-        w = witness.poly if isinstance(witness, ResidualEig) else IntPolynomial.one()
-        if w.degree < 3 or not w.is_monic() or poly_gcd(w, w.derivative()).degree >= 1:
-            return False, "residual witness is not monic and squarefree of degree 3 or more"
-        if not w.divides(pu.minpoly * pv.minpoly):
-            return False, "residual does not divide the support polynomial"
-        if not isinstance(factor_support(w, eigenvalue_bound(g, kind))[0], ResidualEig):
+        if (fault := _residual_fault(witness, pu, pv, 3)) is not None:
+            return False, fault
+        if not isinstance(factor_support(witness.poly, eigenvalue_bound(g, kind))[0], ResidualEig):
             return False, "claimed residual has small factors"
         return True, "irreducible-beyond-quadratic residual confirmed"
 

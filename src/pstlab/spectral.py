@@ -26,6 +26,7 @@ from .exactalg import (
     mat_vec,
     poly_gcd,
     unit_vector,
+    vector_minpoly,
 )
 from .graphs import Graph, adjacency, laplacian, signless_laplacian
 
@@ -71,7 +72,6 @@ class SupportProfile:
     support: list  # EigenvalueId, sorted ascending, residual last
     projections: dict  # EigenvalueId -> exact vector (Fraction/QuadExt entries)
     residual: Optional[IntPolynomial]  # None when the support splits fully
-    krylov: list  # M^j e_u for j <= deg minpoly, extended by later walks
 
 
 def _krylov_projection(q: IntPolynomial, krylov_rows, eig: EigenvalueId):
@@ -108,7 +108,7 @@ def support_profile(g: Graph, kind: str, u: int) -> SupportProfile:
     krylov_rows = list(zip(*krylov[:q.degree]))  # row i holds (M^j e_u)_i for j < deg q
     projections = {eig: _krylov_projection(q, krylov_rows, eig)
                    for eig in ids if not isinstance(eig, ResidualEig)}
-    return SupportProfile(kind, u, q, ids, projections, residual, krylov)
+    return SupportProfile(kind, u, q, ids, projections, residual)
 
 
 @dataclass
@@ -119,28 +119,20 @@ class CospectralityProfile:
     minus_set: list
 
 
-def classify_by_minpolys(g: Graph, kind: str, u: int, v: int,
-                         profiles: Optional[dict] = None):
+def classify_by_minpolys(g: Graph, kind: str, u: int, v: int):
     """Minimal polynomials of e_u - e_v and e_u + e_v.
 
     Their root sets are the eigenvalues whose projections of e_u and e_v
     differ, respectively do not cancel; u and v are strongly cospectral
     exactly when the two are coprime and multiply to the minimal polynomial
-    of e_u.  The Krylov vectors of e_u -+ e_v are the differences and sums
-    of those of e_u and e_v, which support profiles keyed by vertex, when
-    passed, already hold.
+    of e_u.
     """
     if u == v:
         raise ValueError("classify_by_minpolys requires u != v")
     m = matrix_of(g, kind)
-    starts = [profiles[w].krylov if profiles is not None else [unit_vector(g.n, w)]
-              for w in (u, v)]
-
-    def minpoly(sign: int) -> IntPolynomial:
-        walks = zip(*(krylov_vectors(m, vectors) for vectors in starts))
-        return krylov_minpoly([a + sign * b for a, b in zip(ku, kv)] for ku, kv in walks)
-
-    return minpoly(-1), minpoly(1)
+    e_u, e_v = unit_vector(g.n, u), unit_vector(g.n, v)
+    return (vector_minpoly(m, [a - b for a, b in zip(e_u, e_v)]),
+            vector_minpoly(m, [a + b for a, b in zip(e_u, e_v)]))
 
 
 def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
@@ -189,7 +181,7 @@ def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
 
     if pu.residual is not None:
         rr = pu.residual
-        poly_minus, poly_plus = classify_by_minpolys(g, kind, u, v, {u: pu, v: pv})
+        poly_minus, poly_plus = classify_by_minpolys(g, kind, u, v)
         r_minus = poly_gcd(rr, poly_minus)
         r_plus = poly_gcd(rr, poly_plus)
         if r_minus * r_plus != rr:

@@ -443,6 +443,15 @@ class TestCertificateReplay:
         assert isinstance(r.certificate.witnesses[0], ResidualEig)
         ok, why = replay_certificate(g, r)
         assert ok and why == "residual-level mismatch confirmed", why
+        # the zero polynomial, or a factor with a root outside both supports,
+        # names no residual of the pair and is refused before any gcd
+        real = r.certificate.witnesses[0].poly
+        for forgery in (IntPolynomial(()), real * IntPolynomial.x_minus(100)):
+            for graph, kind, u, v in ((g, ADJACENCY, 0, 3), (p7, LAPLACIAN, 0, 6),
+                                      (parse_graph6("FQGOW"), LAPLACIAN, 0, 6)):
+                ok, why = replay_certificate(graph, forged(graph, kind, u, v,
+                                                           ResidualEig(forgery)))
+                assert not ok, (graph, forgery, why)
 
     def test_integral_support_required_of_the_laplacian_only(self):
         """On path:3, adjacency transfer joins the ends, whose support holds

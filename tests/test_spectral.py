@@ -243,25 +243,6 @@ class TestCospectrality:
 
 
 class TestClassifyByMinpolys:
-    def test_matches_per_vector_minpolys(self, corpus6):
-        """The walks of e_u -+ e_v, drawn from those of e_u and e_v, fresh
-        or from support profiles, against a walk of each vector of its own."""
-        checked = 0
-        for g in list(corpus6) + [path_graph(11)]:
-            for kind in (LAPLACIAN, ADJACENCY, SIGNLESS_LAPLACIAN):
-                m = matrix_of(g, kind)
-                profiles = {u: support_profile(g, kind, u) for u in range(g.n)}
-                for u in range(g.n):
-                    for v in range(u + 1, g.n):
-                        diff = [a - b for a, b in zip(unit_vector(g.n, u), unit_vector(g.n, v))]
-                        want = (vector_minpoly(m, diff),
-                                vector_minpoly(m, [a + 2 * b for a, b in
-                                                   zip(diff, unit_vector(g.n, v))]))
-                        assert classify_by_minpolys(g, kind, u, v) == want
-                        assert classify_by_minpolys(g, kind, u, v, profiles) == want
-                        checked += 1
-        assert checked == 3 * (1933 + 55)
-
     def test_c4_antipodal(self):
         pm, pp = classify_by_minpolys(cycle_graph(4), LAPLACIAN, 0, 2)
         assert pm == IntPolynomial((-2, 1))
