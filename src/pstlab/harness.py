@@ -4,13 +4,15 @@ Each check_* function re-derives one structural statement over a corpus and
 returns a CheckResult with explicit witnesses on failure.  run_survey
 produces per-graph records plus aggregate counts; replay_certificate is the
 independent validator for negative transfer verdicts, reconstructing the
-violated condition from freshly computed projections.
+violated condition from freshly computed supports and projections.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from multiprocessing import Pool
@@ -539,10 +541,11 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
     and every fact is then read from g.  The verdict must be the one the
     certificate backs: undecided for one quadratic-mixed-a witness
     (a + b sqrt(d))/2 with a != 0, negative for every other certificate,
-    never positive.  Projections are recomputed through the spectral
-    profiles (a different code path from the polynomial-split production
-    route) and the stored certificate's violated condition is checked
-    against them.
+    never positive.  The stored certificate's violated condition is checked
+    against the spectral profiles of u and v (a different code path from
+    the polynomial-split production route); a profile makes the projection
+    of an eigenvalue only when the check reads it, which only a
+    not-strongly-cospectral witness shared by both supports does.
     """
     if report.graph6 != write_graph6(g):
         return False, "the report was made for another graph"
@@ -586,7 +589,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
             return True, "residual-level mismatch confirmed"
         if witness not in set_u:
             return False, "witness outside both supports"
-        fu, fv = pu.projections[witness], pv.projections[witness]
+        fu, fv = pu.projection(witness), pv.projection(witness)
         if fu == fv or fu == [-x for x in fv]:
             return False, "witness projections agree after all"
         return True, "sign mismatch confirmed at the witness"
@@ -682,12 +685,58 @@ def _parity_data(kind: str, prof) -> tuple[int, dict]:
     return gg, values
 
 
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy runs on,
+    found among the libraries this process has mapped; None where numpy
+    uses another BLAS or the map cannot be read (outside Linux)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = sorted({fields[5] for fields in (line.rstrip("\n").split(None, 5) for line in fh)
+                            if len(fields) == 6 and "openblas" in fields[5].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the numeric oracle's LAPACK calls on one OpenBLAS thread.  From
+    n = 32 on, eigh hands work to OpenBLAS's worker threads, which then
+    spin for about 60 ms waiting for more; on a two-core box the exact
+    pure-Python code that follows runs up to twice as slowly meanwhile.
+    Matrices of at most 62 rows gain nothing from the threads."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def verify_positive_report(g: Graph, report: PSTReport) -> tuple[bool, str]:
     """Numeric oracle confirmation of a positive verdict."""
     if not report.yes:
         return False, "not a positive report"
-    fid = numeric_fidelity(g, report.matrix_kind, report.u, report.v,
-                           report.time_value())
+    with _one_blas_thread():
+        fid = numeric_fidelity(g, report.matrix_kind, report.u, report.v,
+                               report.time_value())
     if fid < 1 - FIDELITY_TOLERANCE:
         return False, f"fidelity {fid} below 1 - {FIDELITY_TOLERANCE}"
     return True, f"fidelity {fid}"

@@ -5,12 +5,12 @@ vertex u is the set of eigenvalues whose eigenprojection keeps a component
 of e_u; it equals the root set of the minimal polynomial q of e_u under M.
 Projections E_theta e_u are computed exactly over Q or Q(sqrt(d)) inside
 the Krylov space of e_u, as (q(x)/(x - theta))(M) e_u / q'(theta), never by
-a full eigendecomposition.
+a full eigendecomposition, and only for the eigenvalues a reader asks for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -70,8 +70,20 @@ class SupportProfile:
     u: int
     minpoly: IntPolynomial
     support: list  # EigenvalueId, sorted ascending, residual last
-    projections: dict  # EigenvalueId -> exact vector (Fraction/QuadExt entries)
     residual: Optional[IntPolynomial]  # None when the support splits fully
+    krylov_rows: list = field(repr=False)  # row i holds (M^j e_u)_i for j < deg minpoly
+    _projections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def projection(self, eig: EigenvalueId) -> list:
+        """E_theta e_u as an exact vector (Fraction/QuadExt entries) for an
+        integer or quadratic support id, made on the first request and kept;
+        KeyError for a residual id or one outside the support."""
+        vec = self._projections.get(eig)
+        if vec is None:
+            if isinstance(eig, ResidualEig) or eig not in self.support:
+                raise KeyError(eig)
+            vec = self._projections[eig] = _krylov_projection(self.minpoly, self.krylov_rows, eig)
+        return vec
 
 
 def _krylov_projection(q: IntPolynomial, krylov_rows, eig: EigenvalueId):
@@ -89,13 +101,14 @@ def _krylov_projection(q: IntPolynomial, krylov_rows, eig: EigenvalueId):
 
 
 def support_profile(g: Graph, kind: str, u: int) -> SupportProfile:
-    """Exact eigenvalue support of vertex u with projection vectors.
+    """Exact eigenvalue support of vertex u, with its projection vectors
+    on demand.
 
-    Projections are produced for integer and quadratic eigenvalues from
-    the integer Krylov vectors M^j e_u, j < deg q, where q is the minimal
-    polynomial of e_u; a residual factor (degree >= 3, no integer or
-    quadratic roots) is flagged and its component recovered as e_u minus
-    the rest.
+    The profile keeps the integer Krylov vectors M^j e_u, j < deg q, where
+    q is the minimal polynomial of e_u; the projection of an integer or
+    quadratic eigenvalue is made from them when it is first read.  A
+    residual factor (degree >= 3, no integer or quadratic roots) is
+    flagged and its component recovered as e_u minus the rest.
     """
     if not g.is_connected():
         raise ValueError("support_profile requires a connected graph")
@@ -105,10 +118,7 @@ def support_profile(g: Graph, kind: str, u: int) -> SupportProfile:
     q = krylov_minpoly(krylov_vectors(matrix_of(g, kind), krylov))  # M^j e_u, j <= deg q
     ids = factor_support(q, eigenvalue_bound(g, kind))
     residual = ids[-1].poly if isinstance(ids[-1], ResidualEig) else None
-    krylov_rows = list(zip(*krylov[:q.degree]))  # row i holds (M^j e_u)_i for j < deg q
-    projections = {eig: _krylov_projection(q, krylov_rows, eig)
-                   for eig in ids if not isinstance(eig, ResidualEig)}
-    return SupportProfile(kind, u, q, ids, projections, residual)
+    return SupportProfile(kind, u, q, ids, residual, list(zip(*krylov[:q.degree])))
 
 
 @dataclass
@@ -171,7 +181,7 @@ def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
     for eig in pu.support:
         if isinstance(eig, ResidualEig):
             continue
-        fu, fv = pu.projections[eig], pv.projections[eig]
+        fu, fv = pu.projection(eig), pv.projection(eig)
         if fu == fv:
             plus.append(eig)
         elif fu == [-x for x in fv]:

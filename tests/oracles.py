@@ -619,16 +619,24 @@ def minpoly_split_is_cospectral(poly_minus: IntPolynomial,
             and poly_minus * poly_plus == minpoly_u)
 
 
+def all_projections(prof: SupportProfile) -> dict:
+    """Every non-residual support id of a profile mapped to its projection,
+    in support order; makes each projection the profile has not made yet."""
+    return {eig: prof.projection(eig) for eig in prof.support
+            if not isinstance(eig, ResidualEig)}
+
+
 def projection_sum(prof: SupportProfile, n: int) -> list:
     """Sum of all represented projections of a support profile; conjugate
     pairs are added first so the total stays rational even across several
     extensions."""
     total = [Fraction(0)] * n
-    for eig, vec in prof.projections.items():
+    projections = all_projections(prof)
+    for eig, vec in projections.items():
         if isinstance(eig, QuadraticEig):
             if eig.b < 0:
                 continue
-            conj = prof.projections[QuadraticEig(eig.a, -eig.b, eig.delta)]
+            conj = projections[QuadraticEig(eig.a, -eig.b, eig.delta)]
             vec = [x + y for x, y in zip(vec, conj)]
         total = [t + x for t, x in zip(total, vec)]
     return total
@@ -650,9 +658,10 @@ def exact_transfer_vector(g: Graph, kind: str, u: int, plus_ids, minus_ids) -> l
     prof = support_profile(g, kind, u)
     if prof.residual is not None:
         raise ValueError("exact reconstruction needs a fully split support")
+    projections = all_projections(prof)
     out = [Fraction(0)] * g.n
     for eig in plus_ids:
-        out = [x + y for x, y in zip(out, prof.projections[eig])]
+        out = [x + y for x, y in zip(out, projections[eig])]
     for eig in minus_ids:
-        out = [x - y for x, y in zip(out, prof.projections[eig])]
+        out = [x - y for x, y in zip(out, projections[eig])]
     return out

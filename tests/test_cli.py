@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from pstlab.cli import GOLDEN_COUNTS_8, GOLDEN_RULED_OUT_8, _assert_golden_counts, main
 from pstlab.generate import canonical_form, gen_connected_graphs
@@ -51,6 +54,31 @@ class TestAnalyze:
         assert code == 0
         lines = [json.loads(line) for line in out.strip().splitlines()]
         assert any("support_of" in line for line in lines)
+
+    # sha256 of the stdout of analyze --show-support --format json, fixed
+    # before the support profiles made their projections on demand
+    SUPPORT_DIGESTS = {
+        ("cycle:24", "0,12", "laplacian"):
+            "31b1ecb2abeb31b4240d3d183a5c163af65e93ae2c7fc5ea2868dceb1a6ef586",
+        ("cycle:24", "0,12", "adjacency"):
+            "ef4f722fad1730212ed602e6cd5f79b5b3cb1f64a3ad988de0ec7632bda8236c",
+        ("cycle:24", "0,12", "signless_laplacian"):
+            "709527d76cc33b4dddbfe2f2431a9a98dc7a2cd737403fe1847cc0a66a75a5d5",
+        ("hypercube:5", "0,31", "laplacian"):
+            "832cb12e050298289376a96a68a785fa475602ac4c9b133fc76c2be0076e6073",
+        ("hypercube:5", "0,31", "adjacency"):
+            "b83eb84c62b14b4402b5d1c673155f8013d21974fb12c9d6798a71cdb06d2ee0",
+        ("hypercube:5", "0,31", "signless_laplacian"):
+            "d90ee0170ea68bbd5b0116929e9d7836047c8ea5e2a9f0bd31d0822df44cdf28",
+    }
+
+    @pytest.mark.parametrize("family,pairs,kind", sorted(SUPPORT_DIGESTS))
+    def test_show_support_bytes_pinned(self, capsys, family, pairs, kind):
+        code, out, _ = run_cli(capsys, "analyze", "--family", family, "--pairs", pairs,
+                               "--matrix", kind, "--show-support", "--format", "json")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.SUPPORT_DIGESTS[family, pairs, kind]
 
     def test_bad_graph6_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--g6", "!!bad!!",

@@ -1,13 +1,15 @@
 import json
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from pstlab.exactalg import IntPolynomial, charpoly, rank_mod_p
-from pstlab import harness
+from pstlab import harness, spectral
 from pstlab.generate import gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
     Graph,
@@ -556,6 +558,92 @@ class TestCertificateReplay:
         r.certificate = None
         ok, why = replay_certificate(path_graph(4), r)
         assert not ok
+
+
+class TestReplayProjectionCount:
+    """A replay makes only the projections its certificate reads: none for
+    a certificate about the minimal polynomials alone, at most the two at
+    the witness for a not-strongly-cospectral certificate whose witness is
+    integer or quadratic.  Counted by wrapping spectral._krylov_projection.
+    The replay cache is emptied for each graph and kind and before each
+    replay that must make none, so those replays build fresh profiles; a
+    profile that made every projection up front fails this."""
+
+    NO_PROJECTION = (RESIDUAL_FACTOR, NON_INTEGER_SUPPORT, MIXED_DELTA, QUADRATIC_MIXED_A)
+
+    def test_projections_made_per_replay(self, corpus6, monkeypatch):
+        made = []
+        original = spectral._krylov_projection
+
+        def counting(q, krylov_rows, eig):
+            made.append(eig)
+            return original(q, krylov_rows, eig)
+
+        monkeypatch.setattr(spectral, "_krylov_projection", counting)
+        seen = Counter()
+        for g in corpus6 + [path_graph(24), cycle_graph(24)]:
+            for kind in KINDS:
+                harness._cached_profile.cache_clear()
+                for r in all_pair_reports(g, kind):
+                    if r.verdict == YES:
+                        continue
+                    cert, witness = r.certificate.kind, r.certificate.witnesses[0]
+                    if cert in self.NO_PROJECTION:
+                        harness._cached_profile.cache_clear()
+                    made.clear()
+                    ok, why = replay_certificate(g, r)
+                    assert ok, why
+                    where = (r.graph6, kind, r.u, r.v, cert, made)
+                    if cert in self.NO_PROJECTION:
+                        assert made == [], where
+                        seen[cert] += 1
+                    elif cert == NOT_STRONGLY_COSPECTRAL and not isinstance(witness, ResidualEig):
+                        assert len(made) <= 2 and set(made) <= {witness}, where
+                        seen[type(witness).__name__] += 1
+        harness._cached_profile.cache_clear()
+        assert set(seen) == {*self.NO_PROJECTION, "IntegerEig", "QuadraticEig"}, seen
+        assert seen[RESIDUAL_FACTOR] >= 2 * 3 * 12, seen  # 12 per kind on path:24 and on cycle:24
+
+    def test_witness_outside_both_supports_refused(self):
+        """A not-strongly-cospectral witness in neither support is refused
+        before any projection is asked for, so it cannot raise."""
+        for g, kind, u, v in ((path_graph(4), LAPLACIAN, 0, 1), (path_graph(7), LAPLACIAN, 0, 6),
+                              (cycle_graph(24), ADJACENCY, 0, 12)):
+            for witness in (IntegerEig(99), QuadraticEig(0, 2, 7), QuadraticEig(1, -1, 5)):
+                report = PSTReport(write_graph6(g), kind, u, v, NO,
+                                   Certificate(NOT_STRONGLY_COSPECTRAL, (witness,), "forged"))
+                assert replay_certificate(g, report) == (False, "witness outside both supports")
+
+
+class TestNumericOracleThreads:
+    def test_oracle_runs_on_one_blas_thread(self, monkeypatch):
+        """verify_positive_report holds OpenBLAS to one thread while the
+        numeric oracle runs and gives the count back after it, also when
+        the body raises; numpy here links OpenBLAS, so its thread control
+        must be found."""
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        threads = harness._openblas_threads()
+        assert (threads is not None) == ("openblas" in blas.lower()), blas
+        count = threads[0] if threads else (lambda: None)
+        before = count()
+        seen = []
+        real = harness.numeric_fidelity
+
+        def spy(*args):
+            seen.append(count())
+            return real(*args)
+
+        monkeypatch.setattr(harness, "numeric_fidelity", spy)
+        g = hypercube(5)
+        for kind in (LAPLACIAN, ADJACENCY):
+            ok, why = verify_positive_report(g, decide(g, kind, 0, 31))
+            assert ok, why
+        assert seen == [1 if threads else None] * 2
+        assert count() == before
+        with pytest.raises(RuntimeError):
+            with harness._one_blas_thread():
+                raise RuntimeError("raised inside the limit")
+        assert count() == before
 
 
 class TestModularRankLaw:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -36,6 +37,7 @@ from pstlab.spectral import (
 )
 
 from oracles import (
+    all_projections,
     eigenvalue_bound_by_order,
     factor_support_brute,
     minpoly_split_is_cospectral,
@@ -80,19 +82,19 @@ class TestSupportProfile:
     def test_p2_laplacian(self):
         prof = support_profile(path_graph(2), LAPLACIAN, 0)
         assert prof.support == [IntegerEig(0), IntegerEig(2)]
-        assert prof.projections[IntegerEig(0)] == [F(1, 2), F(1, 2)]
-        assert prof.projections[IntegerEig(2)] == [F(1, 2), F(-1, 2)]
+        assert all_projections(prof)[IntegerEig(0)] == [F(1, 2), F(1, 2)]
+        assert all_projections(prof)[IntegerEig(2)] == [F(1, 2), F(-1, 2)]
 
     def test_c4_laplacian(self):
         prof = support_profile(cycle_graph(4), LAPLACIAN, 0)
         assert prof.support == [IntegerEig(0), IntegerEig(2), IntegerEig(4)]
-        assert prof.projections[IntegerEig(0)] == [F(1, 4)] * 4
+        assert all_projections(prof)[IntegerEig(0)] == [F(1, 4)] * 4
 
     def test_p3_adjacency_endpoint(self):
         prof = support_profile(path_graph(3), ADJACENCY, 0)
         assert prof.support == [QuadraticEig(0, -2, 2), IntegerEig(0),
                                 QuadraticEig(0, 2, 2)]
-        assert prof.projections[QuadraticEig(0, 2, 2)] == \
+        assert all_projections(prof)[QuadraticEig(0, 2, 2)] == \
             [F(1, 4), quad(0, F(1, 4), 2), F(1, 4)]
 
     def test_laplacian_zero_projection_is_uniform(self, corpus6):
@@ -100,7 +102,7 @@ class TestSupportProfile:
             if g.n < 2:
                 continue
             prof = support_profile(g, LAPLACIAN, 0)
-            assert prof.projections[IntegerEig(0)] == [F(1, g.n)] * g.n
+            assert all_projections(prof)[IntegerEig(0)] == [F(1, g.n)] * g.n
 
     def test_resolution_of_identity(self, corpus6):
         assertions = 0
@@ -122,7 +124,7 @@ class TestSupportProfile:
                 m = matrix_of(g, kind)
                 for u in range(g.n):
                     prof = support_profile(g, kind, u)
-                    for eig, vec in prof.projections.items():
+                    for eig, vec in all_projections(prof).items():
                         lam = eig.exact()
                         mv = [sum(m[i][j] * vec[j] for j in range(g.n))
                               for i in range(g.n)]
@@ -133,20 +135,27 @@ class TestSupportProfile:
             support_profile(Graph(3, [(0, 1)]), LAPLACIAN, 0)
 
 
-def assert_profile_matches_lagrange(g, kind, u):
+def assert_profile_matches_lagrange(g, kind, u, order=None):
     """The Krylov-basis projections equal the Lagrange-product oracle's in
-    support, value and entry type; returns the profile."""
+    support, value and entry type; returns the profile.  A fresh profile is
+    asked for its projections one at a time, in support order or in the
+    order order(ids) gives, and keeps each one it made."""
     prof = support_profile(g, kind, u)
     m = matrix_of(g, kind)
     e_u = unit_vector(g.n, u)
     assert prof.support == factor_support_brute(vector_minpoly(m, e_u),
                                                 eigenvalue_bound(g, kind))
     split = [e for e in prof.support if not isinstance(e, ResidualEig)]
-    assert list(prof.projections) == split
+    asked = split if order is None else order(list(split))
+    assert sorted(asked, key=split.index) == split
+    made = {eig: prof.projection(eig) for eig in asked}
+    projections = all_projections(prof)
+    assert list(projections) == split
     for eig in split:
         want = projection_lagrange(m, e_u, eig, [o for o in split if o != eig],
                                    prof.residual)
-        got = prof.projections[eig]
+        got = projections[eig]
+        assert got is made[eig]
         assert got == want
         if g.n > 1:  # on K1 the Lagrange product is empty and returns e_u's ints
             assert [type(x) for x in got] == [type(x) for x in want]
@@ -175,6 +184,35 @@ class TestKrylovProjectionAgainstLagrange:
             deltas = {e.delta for e in prof.support if isinstance(e, QuadraticEig)}
             mixed += deltas == {2, 3} and prof.residual is not None
         assert mixed >= 1
+
+
+class TestProjectionsOnDemand:
+    """Each projection is made when first asked for, whatever the order of
+    the requests, and only for an integer or quadratic support id."""
+
+    def test_request_order_does_not_matter(self, corpus6):
+        # reversed and shuffled requests take turns over the vertices, so
+        # each graph with an edge meets both orders in each kind
+        rng = random.Random("projections on demand")
+        orders = (lambda ids: ids[::-1], lambda ids: rng.sample(ids, len(ids)))
+        checked = 0
+        for g in corpus6 + [path_graph(24)]:
+            for kind in (LAPLACIAN, ADJACENCY, SIGNLESS_LAPLACIAN):
+                for u in range(g.n):
+                    assert_profile_matches_lagrange(g, kind, u, orders[u % 2])
+                    checked += 1
+        assert checked == 3 * (sum(g.n for g in corpus6) + 24)
+
+    def test_residual_or_foreign_id_raises_key_error(self):
+        prof = support_profile(path_graph(7), LAPLACIAN, 0)
+        assert prof.residual is not None
+        foreign = [IntegerEig(99), QuadraticEig(0, 2, 2), QuadraticEig(3, -1, 5),
+                   ResidualEig(IntPolynomial((1, 0, 0, 2))), ResidualEig(prof.residual)]
+        assert not any(eig in prof.support for eig in foreign[:-1])
+        assert prof.support[-1] == foreign[-1]
+        for eig in foreign:
+            with pytest.raises(KeyError):
+                prof.projection(eig)
 
 
 class TestCospectrality:
