@@ -14,6 +14,8 @@ import os
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .generate import (
     MAX_CONNECTED_N,
     MAX_TREE_N,
@@ -24,12 +26,13 @@ from .generate import (
 from .graphs import Graph, Graph6ParseError, construct, parse_graph6, write_graph6
 from .harness import (
     MAX_TREE_SWEEP_N,
+    _one_blas_thread,
     aggregate_to_csv,
     run_survey,
     write_survey_jsonl,
 )
-from .pst import YES, all_pair_reports, decide, numeric_fidelity, pst_search
-from .spectral import KINDS, LAPLACIAN, SIGNLESS_LAPLACIAN, support_profile
+from .pst import YES, all_pair_reports, decide, pst_search
+from .spectral import KINDS, LAPLACIAN, SIGNLESS_LAPLACIAN, matrix_of, support_profile
 
 GOLDEN_COUNTS_7 = {"connected": 853, "tau_odd": 339, "tau_power_of_two": 83,
                   "pow2_with_small_twins": 58}
@@ -237,9 +240,14 @@ def cmd_simulate(args) -> int:
     u, v = pair
     dt = args.t_max / (args.steps - 1)
     sys.stdout.write("t,fidelity\n")
-    for i in range(args.steps):
-        t = i * dt
-        sys.stdout.write(f"{t!r},{numeric_fidelity(g, kind, u, v, t)!r}\n")
+    # numeric_fidelity's amplitude from one eigh per run; one OpenBLAS
+    # thread, as for the numeric oracle, so no worker spins between steps
+    with _one_blas_thread():
+        eigvals, eigvecs = np.linalg.eigh(np.array(matrix_of(g, kind), dtype=float))
+        for i in range(args.steps):
+            t = i * dt
+            amp = (eigvecs * np.exp(1j * t * eigvals)) @ eigvecs.T
+            sys.stdout.write(f"{t!r},{float(abs(amp[v, u]) ** 2)!r}\n")
     return 0
 
 

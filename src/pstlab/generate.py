@@ -8,8 +8,12 @@ parent's neighbour masks in increasing order, and only the least mask of
 each orbit under the parent's automorphisms: the other masks give children
 isomorphic to one already tried, so the emitted words and their order are
 those of trying every mask.  The canonical form is the least graph6 word
-that a colour-refinement search reaches; the words come from graphs.py's
-one graph6 encoder, so this module packs no bits itself.
+that a colour-refinement search reaches.  The search carries an ordered
+partition into cells: it starts from the degree partition, each round
+splits only the cells of two or more vertices by their neighbours' cells,
+and refinement stops at the first round that splits nothing.  The words
+come from graphs.py's one graph6 encoder, so this module packs no bits
+itself.
 """
 
 from __future__ import annotations
@@ -26,34 +30,56 @@ MAX_CONNECTED_N = 8
 
 # -- canonical form ----------------------------------------------------------
 
-def _refine_round(adj, n: int, colours: list[int]) -> list[int]:
-    """One round of colour refinement: each vertex's new colour is the
-    dense rank of its colour and the multiset of its neighbours' colours."""
-    sigs = []
-    for v in range(n):
-        mask = adj[v]
-        neigh = []
-        u = 0
-        while mask:
-            if mask & 1:
-                neigh.append(colours[u])
-            mask >>= 1
-            u += 1
-        neigh.sort()
-        sigs.append((colours[v], tuple(neigh)))
-    ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
-    return [ids[s] for s in sigs]
+# The set bits of a byte, read as the low or the high byte of a neighbour
+# mask (n <= 16): nbrs[v] of a search in two table lookups.
+_LOW_BITS = [tuple(u for u in range(8) if b >> u & 1) for b in range(256)]
+_HIGH_BITS = [tuple(8 + u for u in bits) for bits in _LOW_BITS]
 
 
-def _refine(adj, n: int, colours: list[int]) -> list[int]:
-    """Stable colour refinement.  A discrete colouring (n distinct dense
-    ranks, ordered by the old colours first) is returned at once: the next
-    round would give it back unchanged."""
-    while True:
-        new = _refine_round(adj, n, colours)
-        if new == colours or len(set(new)) == n:
-            return new
-        colours = new
+def _refine_round(nbrs, cells: list[list[int]],
+                  colours: list[int]) -> tuple[list[list[int]], list[int]]:
+    """One round of colour refinement, cell by cell.
+
+    cells is the ordered partition, each cell in ascending vertex order,
+    and colours[v] the index of v's cell; nbrs[v] lists v's neighbours.
+    A cell of two or more vertices splits by the sorted tuple of each
+    vertex's neighbour colours, its parts taking its place in increasing
+    order of that tuple: the order of a dense rank of (old colour, tuple)
+    over all vertices, so a part's new colour is the number of parts made
+    before it.  A singleton cell keeps its place and builds no tuple.
+    """
+    colour_of = colours.__getitem__
+    new_cells: list[list[int]] = []
+    new_colours = [0] * len(colours)
+    for cell in cells:
+        if len(cell) == 1:
+            new_colours[cell[0]] = len(new_cells)
+            new_cells.append(cell)
+            continue
+        parts: dict[tuple[int, ...], list[int]] = {}
+        for v in cell:
+            key = tuple(sorted(map(colour_of, nbrs[v])))
+            parts.setdefault(key, []).append(v)
+        for key in sorted(parts):
+            part = parts[key]
+            c = len(new_cells)
+            for v in part:
+                new_colours[v] = c
+            new_cells.append(part)
+    return new_cells, new_colours
+
+
+def _refine(nbrs, cells: list[list[int]],
+            colours: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Stable colour refinement: rounds until one splits no cell, which
+    then gives its input back, or until every cell is a singleton."""
+    n = len(colours)
+    while len(cells) < n:
+        new_cells, new_colours = _refine_round(nbrs, cells, colours)
+        if len(new_cells) == len(cells):
+            break
+        cells, colours = new_cells, new_colours
+    return cells, colours
 
 
 def canonical_form(g: Graph) -> str:
@@ -65,31 +91,31 @@ def _canonical_search(g: Graph) -> tuple[str, list[list[int]]]:
     """The canonical word of g and the automorphisms the search met.
 
     The word is the least graph6 word over the vertex orders that colour
-    refinement leaves: ties branch over the first non-singleton cell, and
-    each leaf's word is compared as a string, which for a fixed n is the
-    order of the bit streams.  Automorphisms discovered from equal-word
-    leaves prune sibling branches that a known symmetry already covers;
-    each is returned as sigma with sigma[v] the image of vertex v.
+    refinement leaves.  The root refines the degree partition (cells in
+    increasing degree); a node branches over the vertices of its first
+    cell of two or more, individualising v by putting [v] just before the
+    rest of its cell and refining again.  A leaf's cells are singletons,
+    read in order; each leaf's word is compared as a string, which for a
+    fixed n is the order of the bit streams.  Automorphisms discovered
+    from equal-word leaves prune sibling branches that a known symmetry
+    already covers; each is returned as sigma with sigma[v] the image of
+    vertex v.
     """
     if g.n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form limited to n <= {MAX_CANONICAL_N}")
     n, adj = g.n, g.adj
+    nbrs = [_LOW_BITS[mask & 255] + _HIGH_BITS[mask >> 8] for mask in adj]
     best_word: Optional[str] = None
     best_order: Optional[list[int]] = None
     autos: list[list[int]] = []
 
-    def rec(colours: list[int]) -> None:
+    def rec(cells: list[list[int]], colours: list[int]) -> None:
         nonlocal best_word, best_order
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colours):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
+        for i, target in enumerate(cells):
+            if len(target) > 1:
                 break
-        if target is None:
-            order = sorted(range(n), key=colours.__getitem__)
+        else:
+            order = [cell[0] for cell in cells]
             word = _graph6_word(adj, order)
             if best_word is None or word < best_word:
                 best_word, best_order = word, order
@@ -102,7 +128,7 @@ def _canonical_search(g: Graph) -> tuple[str, list[list[int]]]:
         # Orbits of the group generated by the automorphisms that fix every
         # singleton: that group fixes this colouring, so a candidate in the
         # orbit of a tried vertex roots a subtree with the same leaf words.
-        fixed = [v for v, c in enumerate(colours) if len(cells[c]) == 1]
+        fixed = [cell[0] for cell in cells if len(cell) == 1]
         orbit = None  # orbit label per vertex, merged by relabelling
         merged = 0
         tried: list[int] = []
@@ -119,13 +145,21 @@ def _canonical_search(g: Graph) -> tuple[str, list[list[int]]]:
             if orbit is not None and any(orbit[u] == orbit[v] for u in tried):
                 continue
             tried.append(v)
-            split = [2 * c for c in colours]
-            for w in target:
-                if w != v:
-                    split[w] += 1
-            rec(_refine(adj, n, split))
+            rest = [w for w in target if w != v]
+            split = [c + 1 if c > i else c for c in colours]
+            for w in rest:
+                split[w] = i + 1
+            rec(*_refine(nbrs, cells[:i] + [[v], rest] + cells[i + 1:], split))
 
-    rec(_refine(adj, n, [0] * n))
+    by_degree: dict[int, list[int]] = {}
+    for v, mask in enumerate(adj):
+        by_degree.setdefault(mask.bit_count(), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    colours = [0] * n
+    for c, cell in enumerate(cells):
+        for v in cell:
+            colours[v] = c
+    rec(*_refine(nbrs, cells, colours))
     assert best_word is not None
     return best_word, autos
 

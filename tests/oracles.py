@@ -16,8 +16,11 @@ sign class instead of the decider's split of the support ids of u, and
 the root bound from the order instead of the degree, every neighbour mask
 of every parent instead of the least mask of each automorphism orbit, and
 every vertex permutation instead of the automorphisms a canonical search
-meets, and the characteristic polynomial's integer roots and a Sturm count
-of its cofactor instead of bisection on the semidefiniteness of kI - L.
+meets, a canonical search that ranks every vertex in every refinement
+round from the all-zero colouring instead of splitting only the cells
+that can split from the degree partition, and the characteristic
+polynomial's integer roots and a Sturm count of its cofactor instead of
+bisection on the semidefiniteness of kI - L.
 
 The helpers at the end are checks that only tests use: a polynomial from
 its roots, the product a factorization splits, strong cospectrality read
@@ -43,7 +46,7 @@ from pstlab.exactalg import (
     sturm_count,
 )
 from pstlab.generate import canonical_form
-from pstlab.graphs import Graph, laplacian, parse_graph6
+from pstlab.graphs import Graph, _graph6_word, laplacian, parse_graph6
 from pstlab.spectral import (
     ADJACENCY,
     LAPLACIAN,
@@ -220,6 +223,94 @@ def permutation_group_order(gens: list[list[int]], n: int) -> int:
                 group.add(q)
                 frontier.append(q)
     return len(group)
+
+
+def _refine_round_by_rank(adj, n: int, colours: list[int]) -> list[int]:
+    """One round of colour refinement over every vertex: each new colour is
+    the dense rank of the vertex's colour and the sorted tuple of its
+    neighbours' colours."""
+    sigs = []
+    for v in range(n):
+        mask = adj[v]
+        neigh = []
+        u = 0
+        while mask:
+            if mask & 1:
+                neigh.append(colours[u])
+            mask >>= 1
+            u += 1
+        neigh.sort()
+        sigs.append((colours[v], tuple(neigh)))
+    ids = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [ids[s] for s in sigs]
+
+
+def _refine_by_rounds(adj, n: int, colours: list[int]) -> list[int]:
+    """Rounds until one gives its input back, or the colouring is discrete."""
+    while True:
+        new = _refine_round_by_rank(adj, n, colours)
+        if new == colours or len(set(new)) == n:
+            return new
+        colours = new
+
+
+def canonical_search_by_rounds(g: Graph) -> tuple[str, list[list[int]]]:
+    """The canonical word and the automorphisms met, by a search that
+    refines from the all-zero colouring, ranks every vertex in every round
+    and rebuilds the cells from the colours at each node; individualising
+    v gives it colour 2c and the rest of its cell 2c + 1."""
+    n, adj = g.n, g.adj
+    best_word: Optional[str] = None
+    best_order: Optional[list[int]] = None
+    autos: list[list[int]] = []
+
+    def rec(colours: list[int]) -> None:
+        nonlocal best_word, best_order
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colours):
+            cells.setdefault(c, []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            order = sorted(range(n), key=colours.__getitem__)
+            word = _graph6_word(adj, order)
+            if best_word is None or word < best_word:
+                best_word, best_order = word, order
+            elif word == best_word:
+                sigma = [0] * n
+                for k in range(n):
+                    sigma[best_order[k]] = order[k]
+                autos.append(sigma)
+            return
+        fixed = [v for v, c in enumerate(colours) if len(cells[c]) == 1]
+        orbit = None
+        merged = 0
+        tried: list[int] = []
+        for v in target:
+            for sigma in autos[merged:]:
+                if all(sigma[w] == w for w in fixed):
+                    if orbit is None:
+                        orbit = list(range(n))
+                    for x in range(n):
+                        a, b = orbit[x], orbit[sigma[x]]
+                        if a != b:
+                            orbit = [a if o == b else o for o in orbit]
+            merged = len(autos)
+            if orbit is not None and any(orbit[u] == orbit[v] for u in tried):
+                continue
+            tried.append(v)
+            split = [2 * c for c in colours]
+            for w in target:
+                if w != v:
+                    split[w] += 1
+            rec(_refine_by_rounds(adj, n, split))
+
+    rec(_refine_by_rounds(adj, n, [0] * n))
+    assert best_word is not None
+    return best_word, autos
 
 
 def two_colourable_brute(g: Graph) -> bool:

@@ -304,6 +304,17 @@ class TestSimulate:
         first = float(out.strip().splitlines()[1].split(",")[1])
         assert first < 1e-12
 
+    def test_hypercube_curve_bytes_pinned(self, capsys):
+        # sha256 of the stdout of the 5-cube antipodal curve, fixed when
+        # every step built the matrix and its eigh again; one eigh per run
+        # must give the same bytes
+        code, out, _ = run_cli(capsys, "simulate", "--family", "hypercube:5",
+                               "--matrix", "adjacency", "--pairs", "0,31",
+                               "--t-max", "3.2", "--steps", "2000")
+        assert code == 0
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "8113cddc91ab3948a9bcf0c99c9d9cc75a189021ad3a5e1e42b82f7deb0c65f0")
+
     def test_requires_pair(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--family", "path:2",
                              "--pairs", "all", "--t-max", "1.0", "--steps", "3")

@@ -27,6 +27,7 @@ from pstlab.graphs import (
 
 from oracles import (
     automorphism_count_brute,
+    canonical_search_by_rounds,
     connected_graph_count_brute,
     connected_level_all_masks,
     free_tree_count_prufer,
@@ -83,14 +84,9 @@ class TestCanonicalForm:
     def test_dense_transitive_graphs_within_budget(self):
         # a budget of 5 s per call; K16 and K8,8 take about 0.1 s on a
         # 2-vCPU Xeon
-        rng = random.Random(16)
-        cases = [complete_graph(n) for n in range(10, 17)]
-        cases.append(Graph(16, [(i, j) for i in range(8) for j in range(8, 16)]))
-        for g in cases:
-            perm = list(range(g.n))
-            rng.shuffle(perm)
+        for g, relabelled in dense_transitive_cases():
             words = []
-            for h in (g, g.relabel(perm)):
+            for h in (g, relabelled):
                 start = time.perf_counter()
                 words.append(canonical_form(h))
                 assert time.perf_counter() - start < 5.0, (g.n, g.edge_count)
@@ -121,16 +117,67 @@ class TestCanonicalForm:
                         == automorphism_count_brute(g)), write_graph6(g)
 
 
+def dense_transitive_cases():
+    """K10-K16 and K8,8, each with a seeded relabelling."""
+    rng = random.Random(16)
+    cases = [complete_graph(n) for n in range(10, 17)]
+    cases.append(Graph(16, [(i, j) for i in range(8) for j in range(8, 16)]))
+    for g in cases:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield g, g.relabel(perm)
+
+
+def assert_search_matches_rounds(g):
+    assert _canonical_search(g) == canonical_search_by_rounds(g), write_graph6(g)
+
+
+class TestSearchMatchesRoundOracle:
+    """The cell-wise search against the round-based search it replaced,
+    kept in oracles.py: the same word and the same automorphisms, met in
+    the same order."""
+
+    def test_connected_n7_and_trees_n10(self):
+        rng = random.Random(7)
+        corpus = [g for n in range(1, 8) for g in gen_connected_graphs(n)]
+        corpus += [t for n in range(1, 11) for t in gen_free_trees(n)]
+        for g in corpus:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert_search_matches_rounds(g)
+            assert_search_matches_rounds(g.relabel(perm))
+
+    @given(graph_strategy(12))
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs(self, g):
+        assert_search_matches_rounds(g)
+
+    def test_dense_transitive_graphs(self):
+        for g, h in dense_transitive_cases():
+            assert_search_matches_rounds(g)
+            assert_search_matches_rounds(h)
+
+    def test_sampled_n9_children(self):
+        rng = random.Random(9)
+        parents = list(gen_connected_graphs(8))
+        for _ in range(1500):
+            parent = rng.choice(parents)
+            mask = rng.randrange(1, 1 << 8)
+            edges = list(parent.edges) + [(u, 8) for u in range(8) if mask >> u & 1]
+            assert_search_matches_rounds(Graph(9, edges))
+
+
 class TestRefinement:
     def test_result_is_stable(self, monkeypatch):
-        """_refine stops at a discrete colouring without confirming it; one
-        more round must still change nothing, at every node of the search."""
+        """_refine stops at the first round that splits no cell, and at a
+        discrete partition without a round; one more round must still
+        change nothing, at every node of the search."""
         results = []
         inner = generate._refine
 
-        def recorded(adj, n, colours):
-            out = inner(adj, n, colours)
-            results.append((adj, n, out))
+        def recorded(nbrs, cells, colours):
+            out = inner(nbrs, cells, colours)
+            results.append((nbrs, out))
             return out
 
         monkeypatch.setattr(generate, "_refine", recorded)
@@ -139,22 +186,25 @@ class TestRefinement:
         for g in corpus:
             canonical_form(g)
         assert len(results) > len(corpus)
-        for adj, n, colours in results:
-            assert _refine_round(adj, n, colours) == colours
+        for nbrs, (cells, colours) in results:
+            assert all(cell == sorted(cell) for cell in cells)
+            assert all(colours[v] == c for c, cell in enumerate(cells) for v in cell)
+            assert _refine_round(nbrs, cells, colours) == (cells, colours)
 
     def test_rounds_to_generate_n7_pinned(self, monkeypatch):
-        """A call count, not a timer.  Refinement that ran one more round
-        to confirm a discrete colouring took 44,466 rounds here."""
+        """A call count, not a timer.  Refinement that ranked every vertex
+        from the all-zero colouring took 33,747 rounds here, and 44,466
+        when it also ran one more round to confirm a discrete colouring."""
         rounds = [0]
 
-        def counted(adj, n, colours):
+        def counted(nbrs, cells, colours):
             rounds[0] += 1
-            return _refine_round(adj, n, colours)
+            return _refine_round(nbrs, cells, colours)
 
         monkeypatch.setattr(generate, "_refine_round", counted)
         monkeypatch.setattr(generate, "_connected_cache", {})
         assert sum(1 for _ in gen_connected_graphs(7)) == CONNECTED_COUNTS[7]
-        assert rounds[0] == 33747
+        assert rounds[0] == 16845
 
 
 class TestFreeTrees:
