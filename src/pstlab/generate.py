@@ -11,9 +11,13 @@ those of trying every mask.  The canonical form is the least graph6 word
 that a colour-refinement search reaches.  The search carries an ordered
 partition into cells: it starts from the degree partition, each round
 splits only the cells of two or more vertices by their neighbours' cells,
-and refinement stops at the first round that splits nothing.  The words
-come from graphs.py's one graph6 encoder, so this module packs no bits
-itself.
+and refinement stops at the first round that splits nothing.  A candidate
+that is a twin of one already tried in its cell (the two have the same
+neighbours away from each other) is skipped: their transposition is an
+automorphism, so the two subtrees reach the same leaf words.  The search
+returns the automorphisms it met as generators, the transpositions of
+skipped twins among them.  The words come from graphs.py's one graph6
+encoder, so this module packs no bits itself.
 """
 
 from __future__ import annotations
@@ -98,8 +102,12 @@ def _canonical_search(g: Graph) -> tuple[str, list[list[int]]]:
     read in order; each leaf's word is compared as a string, which for a
     fixed n is the order of the bit streams.  Automorphisms discovered
     from equal-word leaves prune sibling branches that a known symmetry
-    already covers; each is returned as sigma with sigma[v] the image of
-    vertex v.
+    already covers.  A candidate v with a twin u among the vertices tried
+    in its cell is not branched on: the transposition (u v) fixes every
+    other vertex, hence the node's partition, and maps u's subtree onto
+    v's, so it is recorded in v's place.  The automorphisms are returned
+    as generators of a subgroup of Aut(g), each as sigma with sigma[v] the
+    image of vertex v.
     """
     if g.n > MAX_CANONICAL_N:
         raise ValueError(f"canonical_form limited to n <= {MAX_CANONICAL_N}")
@@ -143,6 +151,16 @@ def _canonical_search(g: Graph) -> tuple[str, list[list[int]]]:
                             orbit = [a if o == b else o for o in orbit]
             merged = len(autos)
             if orbit is not None and any(orbit[u] == orbit[v] for u in tried):
+                continue
+            # A twin u of v (same neighbours away from each other): the
+            # transposition (u v) is an automorphism fixing every other
+            # vertex, so it maps u's subtree onto v's, leaf word for word.
+            twin = next((u for u in tried
+                         if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)), None)
+            if twin is not None:
+                sigma = list(range(n))
+                sigma[twin], sigma[v] = v, twin
+                autos.append(sigma)
                 continue
             tried.append(v)
             rest = [w for w in target if w != v]
@@ -255,8 +273,9 @@ def _orbit_least_masks(new: int, autos: list[list[int]]) -> list[int]:
     the group that the permutations in autos generate, in increasing order.
 
     A union-find over masks merges each mask with its image under every
-    generator and keeps the least mask of a class as its root; an image is
-    that of the mask without its lowest bit plus the image of that bit.
+    generator and keeps the least mask of a class as its root.  The images
+    of the masks 2^v..2^(v+1) - 1 are those of the masks below 2^v, each
+    with the image of v added.
     """
     root = list(range(1 << new))
 
@@ -267,13 +286,14 @@ def _orbit_least_masks(new: int, autos: list[list[int]]) -> list[int]:
         return m
 
     for sigma in autos:
-        image = [0] * (1 << new)
-        for mask in range(1, 1 << new):
-            low = mask & -mask
-            image[mask] = image[mask ^ low] | 1 << sigma[low.bit_length() - 1]
-            a, b = find(mask), find(image[mask])
-            if a != b:
-                root[max(a, b)] = min(a, b)
+        image = [0]
+        for v in range(new):
+            image += [m | 1 << sigma[v] for m in image]
+        for mask, m in enumerate(image):
+            if m != mask:
+                a, b = find(mask), find(m)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
     return [m for m in range(1, 1 << new) if find(m) == m]
 
 
@@ -283,19 +303,24 @@ def _connected_level(prev: list[Graph], n: int) -> list[Graph]:
     so extending connected parents with nonempty neighbour sets is complete.
 
     Orbit rule: a parent's neighbour mask is tried only when it is the least
-    mask in its orbit under the automorphisms that the parent's canonical
-    search met.  Another mask of that orbit gives a child isomorphic to the
-    least mask's child, which this parent's loop has already tried, so its
-    word is already in seen: skipping it drops no word and moves none.
+    mask in its orbit under the group that the automorphisms returned by
+    the parent's canonical search generate (met at leaves, or the
+    transpositions of skipped twins).  The rule holds for any subgroup of
+    Aut(parent): another mask of that orbit gives a child isomorphic to
+    the least mask's child, which this parent's loop has already tried, so
+    its word is already in seen: skipping it drops no word and moves none.
+    A child's masks are the parent's, each row in the mask gaining the new
+    vertex, with the mask itself as the new row.
     """
     seen: set[str] = set()
     out: list[Graph] = []
     new = n - 1
     for parent in prev:
-        base = list(parent.edges)
+        base = parent.adj
         for mask in _orbit_least_masks(new, _canonical_search(parent)[1]):
-            edges = base + [(u, new) for u in range(new) if mask >> u & 1]
-            child = Graph(n, edges)
+            child = Graph._of(n, tuple(
+                row | 1 << new if mask >> u & 1 else row
+                for u, row in enumerate(base)) + (mask,))
             key = canonical_form(child)
             if key not in seen:
                 seen.add(key)

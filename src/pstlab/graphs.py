@@ -44,6 +44,16 @@ class Graph:
         self.adj = tuple(adj)
         self.n = n
 
+    @classmethod
+    def _of(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """The graph on n vertices with neighbour masks adj, which the
+        caller built symmetric, loop-free and within range; skips the
+        edge-by-edge checks of __init__."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = adj
+        return g
+
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges (u, v), u < v, built from adj on each call."""

@@ -219,16 +219,21 @@ def _integer_lmax(g: Graph) -> Optional[int]:
     (Grone and Merris 1994), and hi = min(n, max over edges uv of
     d_u + d_v) is at least lambda_max (Anderson and Morley 1985).  An
     edgeless graph gives 0."""
-    deg = [g.degree(u) for u in range(g.n)]
+    n, adj = g.n, g.adj
+    deg = [mask.bit_count() for mask in adj]
     lo = max(deg)
     if lo == 0:
         return 0
-    hi = min(g.n, max(deg[u] + deg[v] for u in range(g.n) for v in g.neighbours(u)))
-    lap = laplacian(g)
+    hi = min(n, max(deg[u] + deg[v] for u, mask in enumerate(adj)
+                    for v in range(n) if mask >> v & 1))
+    # kI - L is the adjacency matrix off the diagonal and k - d_i on it
+    adjacency_rows = adjacency(g)
 
     def shifted(k: int) -> list[list[int]]:
-        return [[k - x if i == j else -x for j, x in enumerate(row)]
-                for i, row in enumerate(lap)]
+        rows = [row[:] for row in adjacency_rows]
+        for i, row in enumerate(rows):
+            row[i] = k - deg[i]
+        return rows
 
     singular = None  # of kI - L at k = hi, once tested
     while hi - lo > 1:

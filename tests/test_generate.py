@@ -8,6 +8,7 @@ from pstlab import generate
 from pstlab.generate import (
     _canonical_search,
     _connected_level,
+    _orbit_least_masks,
     _refine_round,
     canonical_form,
     gen_connected_graphs,
@@ -129,13 +130,22 @@ def dense_transitive_cases():
 
 
 def assert_search_matches_rounds(g):
-    assert _canonical_search(g) == canonical_search_by_rounds(g), write_graph6(g)
+    word, autos = _canonical_search(g)
+    oracle_word, oracle_autos = canonical_search_by_rounds(g)
+    assert word == oracle_word, write_graph6(g)
+    for sigma in autos:
+        assert g.relabel(sigma) == g, (write_graph6(g), sigma)
+    assert (_orbit_least_masks(g.n, autos)
+            == _orbit_least_masks(g.n, oracle_autos)), write_graph6(g)
 
 
 class TestSearchMatchesRoundOracle:
-    """The cell-wise search against the round-based search it replaced,
-    kept in oracles.py: the same word and the same automorphisms, met in
-    the same order."""
+    """The search against the round-based search kept in oracles.py, which
+    branches on every candidate that no met automorphism covers: the same
+    word, and automorphisms that give augmentation the same mask orbits.
+    The lists themselves differ, since the search skips a twin of a tried
+    vertex and returns their transposition instead of meeting it at a
+    leaf."""
 
     def test_connected_n7_and_trees_n10(self):
         rng = random.Random(7)
@@ -194,7 +204,8 @@ class TestRefinement:
     def test_rounds_to_generate_n7_pinned(self, monkeypatch):
         """A call count, not a timer.  Refinement that ranked every vertex
         from the all-zero colouring took 33,747 rounds here, and 44,466
-        when it also ran one more round to confirm a discrete colouring."""
+        when it also ran one more round to confirm a discrete colouring;
+        the cell-wise search took 16,845 before it skipped twins."""
         rounds = [0]
 
         def counted(nbrs, cells, colours):
@@ -204,7 +215,23 @@ class TestRefinement:
         monkeypatch.setattr(generate, "_refine_round", counted)
         monkeypatch.setattr(generate, "_connected_cache", {})
         assert sum(1 for _ in gen_connected_graphs(7)) == CONNECTED_COUNTS[7]
-        assert rounds[0] == 16845
+        assert rounds[0] == 13888
+
+    def test_leaves_to_generate_n7_pinned(self, monkeypatch):
+        """A call count, not a timer: one graph6 word per leaf of every
+        search.  Before twins were skipped the searches reached 10,728
+        leaves here."""
+        leaves = [0]
+        inner = generate._graph6_word
+
+        def counted(adj, order):
+            leaves[0] += 1
+            return inner(adj, order)
+
+        monkeypatch.setattr(generate, "_graph6_word", counted)
+        monkeypatch.setattr(generate, "_connected_cache", {})
+        assert sum(1 for _ in gen_connected_graphs(7)) == CONNECTED_COUNTS[7]
+        assert leaves[0] == 5645
 
 
 class TestFreeTrees:
