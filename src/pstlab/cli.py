@@ -26,7 +26,6 @@ from .generate import (
 from .graphs import Graph, Graph6ParseError, construct, parse_graph6, write_graph6
 from .harness import (
     MAX_TREE_SWEEP_N,
-    _one_blas_thread,
     aggregate_to_csv,
     run_survey,
     write_survey_jsonl,
@@ -240,14 +239,12 @@ def cmd_simulate(args) -> int:
     u, v = pair
     dt = args.t_max / (args.steps - 1)
     sys.stdout.write("t,fidelity\n")
-    # numeric_fidelity's amplitude from one eigh per run; one OpenBLAS
-    # thread, as for the numeric oracle, so no worker spins between steps
-    with _one_blas_thread():
-        eigvals, eigvecs = np.linalg.eigh(np.array(matrix_of(g, kind), dtype=float))
-        for i in range(args.steps):
-            t = i * dt
-            amp = (eigvecs * np.exp(1j * t * eigvals)) @ eigvecs.T
-            sys.stdout.write(f"{t!r},{float(abs(amp[v, u]) ** 2)!r}\n")
+    # |exp(itM)_{v,u}|^2 at every step from one eigh per run
+    eigvals, eigvecs = np.linalg.eigh(np.array(matrix_of(g, kind), dtype=float))
+    for i in range(args.steps):
+        t = i * dt
+        amp = (eigvecs * np.exp(1j * t * eigvals)) @ eigvecs.T
+        sys.stdout.write(f"{t!r},{float(abs(amp[v, u]) ** 2)!r}\n")
     return 0
 
 

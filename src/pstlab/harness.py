@@ -9,10 +9,8 @@ violated condition from freshly computed supports and projections.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from multiprocessing import Pool
@@ -690,58 +688,19 @@ def _parity_data(kind: str, prof) -> tuple[int, dict]:
     return gg, values
 
 
-@lru_cache(maxsize=1)
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy runs on,
-    found among the libraries this process has mapped; None where numpy
-    uses another BLAS or the map cannot be read (outside Linux)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            paths = sorted({fields[5] for fields in (line.rstrip("\n").split(None, 5) for line in fh)
-                            if len(fields) == 6 and "openblas" in fields[5].lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                               ("openblas", "64_"), ("openblas", "")):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the numeric oracle's LAPACK calls on one OpenBLAS thread.  From
-    n = 32 on, eigh hands work to OpenBLAS's worker threads, which then
-    spin for about 60 ms waiting for more; on a two-core box the exact
-    pure-Python code that follows runs up to twice as slowly meanwhile.
-    Matrices of at most 62 rows gain nothing from the threads."""
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def verify_positive_report(g: Graph, report: PSTReport) -> tuple[bool, str]:
-    """Numeric oracle confirmation of a positive verdict."""
+    """Numeric oracle confirmation of a positive verdict.
+
+    As in replay_certificate, a report whose graph6 word is not g's is
+    refused before anything else, and so is one with no transfer time.
+    """
+    if report.graph6 != write_graph6(g):
+        return False, "the report was made for another graph"
     if not report.yes:
         return False, "not a positive report"
-    with _one_blas_thread():
-        fid = numeric_fidelity(g, report.matrix_kind, report.u, report.v,
-                               report.time_value())
+    if report.time_coeff is None:
+        return False, "no transfer time on the positive report"
+    fid = numeric_fidelity(g, report.matrix_kind, report.u, report.v, report.time_value())
     if fid < 1 - FIDELITY_TOLERANCE:
         return False, f"fidelity {fid} below 1 - {FIDELITY_TOLERANCE}"
     return True, f"fidelity {fid}"

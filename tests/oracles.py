@@ -20,7 +20,8 @@ meets, a canonical search that ranks every vertex in every refinement
 round from the all-zero colouring instead of splitting only the cells
 that can split from the degree partition, and the characteristic
 polynomial's integer roots and a Sturm count of its cofactor instead of
-bisection on the semidefiniteness of kI - L.
+bisection on the semidefiniteness of kI - L, and the whole of exp(itM)
+from LAPACK's eigh instead of Taylor steps on e_u alone.
 
 The helpers at the end are checks that only tests use: a polynomial from
 its roots, the product a factorization splits, strong cospectrality read
@@ -35,6 +36,8 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional
+
+import numpy as np
 
 from pstlab.exactalg import (
     IntPolynomial,
@@ -56,6 +59,7 @@ from pstlab.spectral import (
     QuadraticEig,
     ResidualEig,
     SupportProfile,
+    matrix_of,
     support_profile,
 )
 
@@ -672,6 +676,14 @@ def sturm_count_fraction(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
         return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
     return variations(lo) - variations(hi)
+
+
+def fidelity_by_eigh(g: Graph, kind: str, u: int, v: int, t: float) -> float:
+    """|exp(itM)_{v,u}|^2 from the eigendecomposition of M."""
+    m = np.array(matrix_of(g, kind), dtype=float)
+    eigvals, eigvecs = np.linalg.eigh(m)
+    amp = (eigvecs * np.exp(1j * t * eigvals)) @ eigvecs.T
+    return float(abs(amp[v, u]) ** 2)
 
 
 def poly_from_roots(roots) -> IntPolynomial:

@@ -61,6 +61,7 @@ from pstlab.pst import (
     all_pair_reports,
     decide,
     laplacian_pst,
+    numeric_fidelity,
     pst_search,
 )
 from pstlab.spectral import (
@@ -78,6 +79,7 @@ from pstlab.spectral import (
 
 from oracles import (
     eigenvalue_bound_by_order,
+    fidelity_by_eigh,
     free_tree_count_prufer,
     free_tree_counts_otter,
     gate_witness_factor_support,
@@ -567,6 +569,29 @@ class TestCriterion7OracleDiscipline:
         ok = not failures and confirmed >= 5
         report_line(7, ok, f"numeric confirmation of {confirmed} positive reports")
         assert ok, failures
+
+    def test_oracle_agrees_with_eigh_on_every_positive(self, small_corpus_reports, seven_reports,
+                                                       signless_reports, tree_sweep_reports):
+        """The numeric oracle and the eigendecomposition it replaced give
+        the same fidelity, to 1e-12, on every positive of the connected
+        graphs on 2..7 vertices and the free trees on 2..10, in L, A and Q."""
+        corpora = {
+            "connected": small_corpus_reports + seven_reports + signless_reports["connected"],
+            "trees": (tree_sweep_reports[LAPLACIAN] + tree_sweep_reports[ADJACENCY]
+                      + signless_reports["trees"]),
+        }
+        counts, failures = {}, []
+        for corpus, reports in corpora.items():
+            positives = [(g, r) for g, r in reports if r.yes]
+            counts[corpus] = len(positives)
+            for g, r in positives:
+                args = (g, r.matrix_kind, r.u, r.v, r.time_value())
+                delta = abs(numeric_fidelity(*args) - fidelity_by_eigh(*args))
+                if delta > 1e-12:
+                    failures.append((r.graph6, r.matrix_kind, r.u, r.v, delta))
+        ok = not failures and counts == {"connected": 14, "trees": 3}
+        report_line(7, ok, f"numeric oracle equal to eigh on {counts} positives")
+        assert ok, (counts, failures)
 
     def test_negatives_replayed_by_independent_checker(self, tree_sweep_reports,
                                                        small_corpus_reports):

@@ -615,35 +615,47 @@ class TestReplayProjectionCount:
                 assert replay_certificate(g, report) == (False, "witness outside both supports")
 
 
-class TestNumericOracleThreads:
-    def test_oracle_runs_on_one_blas_thread(self, monkeypatch):
-        """verify_positive_report holds OpenBLAS to one thread while the
-        numeric oracle runs and gives the count back after it, also when
-        the body raises; numpy here links OpenBLAS, so its thread control
-        must be found."""
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        threads = harness._openblas_threads()
-        assert (threads is not None) == ("openblas" in blas.lower()), blas
-        count = threads[0] if threads else (lambda: None)
-        before = count()
-        seen = []
-        real = harness.numeric_fidelity
-
-        def spy(*args):
-            seen.append(count())
-            return real(*args)
-
-        monkeypatch.setattr(harness, "numeric_fidelity", spy)
+class TestVerifyPositiveReport:
+    def test_oracle_runs_without_lapack(self, monkeypatch):
+        """The numeric oracle needs only matrix-vector products: with
+        numpy's eigensolvers and SVD made to raise, the 5-cube's antipodal
+        positive still verifies in every kind."""
         g = hypercube(5)
-        for kind in (LAPLACIAN, ADJACENCY):
-            ok, why = verify_positive_report(g, decide(g, kind, 0, 31))
-            assert ok, why
-        assert seen == [1 if threads else None] * 2
-        assert count() == before
-        with pytest.raises(RuntimeError):
-            with harness._one_blas_thread():
-                raise RuntimeError("raised inside the limit")
-        assert count() == before
+        reports = [decide(g, kind, 0, 31) for kind in KINDS]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the numeric oracle called LAPACK")
+
+        for name in ("eigh", "eigvalsh", "eig", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for r in reports:
+            ok, why = verify_positive_report(g, r)
+            assert ok, (r.matrix_kind, why)
+
+    def test_reports_of_other_graphs_refused(self):
+        """No positive report of a labelled connected 4-vertex graph
+        verifies against another labelled connected 4-vertex graph, though
+        a dozen such reports reach fidelity 1 on a graph that is not theirs."""
+        graphs = [g for k in range(7) for edges in combinations(combinations(range(4), 2), k)
+                  if (g := Graph(4, edges)).is_connected()]
+        assert len(graphs) == 38
+        positives = [(g, r) for g in graphs for kind in KINDS for r in pst_search(g, kind)]
+        accepted = [(r.graph6, write_graph6(h), r.matrix_kind, r.u, r.v)
+                    for g, r in positives for h in graphs
+                    if h is not g and verify_positive_report(h, r)[0]]
+        assert len(positives) == 24
+        assert not accepted, accepted
+
+    def test_malformed_reports_refused(self):
+        """A report checked against a graph of another order, and a positive
+        report without a transfer time, are refused instead of raising."""
+        cube = hypercube(2)
+        r = decide(cube, LAPLACIAN, 0, 3)
+        assert r.yes
+        assert verify_positive_report(path_graph(2), r) == (
+            False, "the report was made for another graph")
+        assert verify_positive_report(cube, replace(r, time_coeff=None)) == (
+            False, "no transfer time on the positive report")
 
 
 class TestModularRankLaw:

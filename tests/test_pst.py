@@ -41,7 +41,7 @@ from pstlab.spectral import (
     support_profile,
 )
 
-from oracles import exact_transfer_vector
+from oracles import exact_transfer_vector, fidelity_by_eigh
 
 CERT_KINDS = {"not-strongly-cospectral", "non-integer-support", "parity-violation",
               "mixed-delta", "residual-factor", "quadratic-mixed-a"}
@@ -204,6 +204,25 @@ class TestNumericOracle:
                                     target + delta * 1e-3)
                    for delta in range(-50, 51))
         assert best >= 1 - 1e-6
+
+    def test_matches_eigh_on_large_graphs(self):
+        """The Taylor steps agree with the eigendecomposition to 1e-12 on
+        the 5-cube's antipodal pairs at their transfer time, and at seeded
+        random times in [0, 10] on graphs up to graph6's limit, including a
+        dense G(40, 1/2) whose Laplacian norm asks for hundreds of steps."""
+        rng = random.Random("numeric oracle")
+        dense = Graph(40, [e for e in combinations(range(40), 2) if rng.random() < 0.5])
+        cube = hypercube(5)
+        cases = []
+        for kind in KINDS:
+            t = decide(cube, kind, 0, 31).time_value()
+            cases += [(cube, kind, u, u ^ 31, t) for u in range(16)]
+            for g in (path_graph(62), cycle_graph(62), cube, dense):
+                cases += [(g, kind, *rng.sample(range(g.n), 2), rng.uniform(0, 10))
+                          for _ in range(3)]
+        for g, kind, u, v, t in cases:
+            got, want = numeric_fidelity(g, kind, u, v, t), fidelity_by_eigh(g, kind, u, v, t)
+            assert abs(got - want) <= 1e-12, (write_graph6(g), kind, u, v, t, got, want)
 
 
 class TestStructuralProperties:

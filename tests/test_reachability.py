@@ -1,6 +1,6 @@
 """Every public name in src/pstlab has a caller in the package or is kept
 on purpose in the README, only spectral lists the matrix kinds, and the
-replay route names nothing of the decider it checks.
+replay and numeric routes name nothing of the decider they check.
 
 A public function, class or method counts as reached when its name
 appears as a Name or an Attribute somewhere in src/pstlab outside its own
@@ -104,10 +104,11 @@ def test_only_spectral_lists_the_matrix_kinds():
     assert not copies, f"membership tests against a second list of kinds: {copies}"
 
 
-# the replay route: each body must stay clear of the decider
+# the replay and numeric routes: each body must stay clear of the decider
 CHECKERS = {
     "harness.py": {"replay_certificate", "_parity_data", "_support_value_check",
-                   "_cached_profile"},
+                   "_cached_profile", "verify_positive_report"},
+    "pst.py": {"numeric_fidelity"},
     "spectral.py": {"support_profile", "cospectrality_profile", "classify_by_minpolys"},
 }
 DECIDER = {"decide", "laplacian_pst", "adjacency_pst", "all_pair_reports", "pst_search",
@@ -116,7 +117,8 @@ DECIDER = {"decide", "laplacian_pst", "adjacency_pst", "all_pair_reports", "pst_
 
 def test_checkers_reference_no_decider_code():
     """Simplifying must not merge the checker into the checked: no body of
-    the replay route names the decider or its cached spectral context."""
+    the replay or numeric route names the decider or its cached spectral
+    context."""
     pst_tree = ast.parse((PACKAGE / "pst.py").read_text(encoding="utf-8"))
     defined = {node.name for node in pst_tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
