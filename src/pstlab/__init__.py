@@ -23,13 +23,11 @@ from .generate import (
 from .exactalg import (
     IntegerEig,
     IntPolynomial,
-    QuadExt,
     QuadraticEig,
     ResidualEig,
     charpoly,
     det_bareiss,
     factor_support,
-    quad,
     rank_mod_p,
     vector_minpoly,
 )

@@ -1,13 +1,13 @@
-"""Exact integer, rational, and quadratic-extension linear algebra.
+"""Exact integer and rational linear algebra.
 
 Everything in this module is exact: matrices are dense lists of rows over
-Python ints or Fractions, polynomials carry arbitrary-precision integer
-coefficients, and scalars extend to Q(sqrt(d)) where needed.  No floating
-point anywhere.  Polynomial Euclid (gcd, Sturm chains) stays in Z[x]:
-one sign-preserving pseudo-division, with each remainder divided by its
-content, so no rational coefficients arise.  The Krylov sequence v, m v,
-m^2 v, ... is drawn through one lazy walk, and factor_support names the
-roots it splits off by eigenvalue ids.
+Python ints or Fractions, and polynomials carry arbitrary-precision integer
+coefficients.  No floating point anywhere.  Polynomial Euclid (gcd, Sturm
+chains) stays in Z[x]: one sign-preserving pseudo-division, with each
+remainder divided by its content, so no rational coefficients arise.
+The Krylov sequence v, m v, m^2 v, ... is drawn through one lazy walk, and
+factor_support names the roots it splits off by eigenvalue ids, each with
+its monic integer polynomial.
 """
 
 from __future__ import annotations
@@ -46,133 +46,6 @@ def is_odd_prime(p: int) -> bool:
             return False
         f += 2
     return True
-
-
-class QuadExt:
-    """Exact scalar a + b*sqrt(d) with rational a, b and squarefree d > 1.
-
-    Construct through :func:`quad` which collapses b == 0 back to Fraction.
-    Arithmetic mixing two different d values raises; callers gate on a
-    single extension before doing any mixed arithmetic.
-    """
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b, d: int):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = d
-
-    def _parts(self, other):
-        """(a, b) of an operand in this extension, None for a foreign type;
-        a rational is read as (other, 0) without building a QuadExt."""
-        if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise ValueError(f"mixed extensions sqrt({self.d}) vs sqrt({other.d})")
-            return other.a, other.b
-        if isinstance(other, (int, Fraction)):
-            return other, 0
-        return None
-
-    def __add__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return _in_field(self.a + o[0], self.b + o[1], self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return _in_field(self.a - o[0], self.b - o[1], self.d)
-
-    def __rsub__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return _in_field(o[0] - self.a, o[1] - self.b, self.d)
-
-    def __mul__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        a, b = o
-        if not b:
-            return _in_field(self.a * a, self.b * a, self.d)
-        return _in_field(self.a * a + self.b * b * self.d,
-                         self.a * b + self.b * a, self.d)
-
-    __rmul__ = __mul__
-
-    def _quotient(self, a, b, c, e):
-        """(a + b*sqrt(d)) / (c + e*sqrt(d)).  One side's parts are always
-        self's Fractions, so no int over int division ever makes a float."""
-        norm = c * c - e * e * self.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero quadratic scalar")
-        return _in_field((a * c - b * e * self.d) / norm,
-                         (b * c - a * e) / norm, self.d)
-
-    def __truediv__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return self._quotient(self.a, self.b, *o)
-
-    def __rtruediv__(self, other):
-        o = self._parts(other)
-        if o is None:
-            return NotImplemented
-        return self._quotient(*o, self.a, self.b)
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
-
-    def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.d}))"
-
-
-Scalar = Union[int, Fraction, QuadExt]
-
-
-def _in_field(a: Fraction, b: Fraction, d: int) -> Scalar:
-    """:func:`quad` for arithmetic results, whose d was validated when an
-    operand was built: b == 0 still collapses to the Fraction a."""
-    if not b:
-        return a
-    out = QuadExt.__new__(QuadExt)
-    out.a, out.b, out.d = a, b, d
-    return out
-
-
-def quad(a, b, d: int) -> Scalar:
-    """Normalizing constructor: b == 0 falls back to a plain Fraction."""
-    b = Fraction(b)
-    if b == 0:
-        return Fraction(a)
-    if d <= 1 or squarefree_part(d)[1] != d:
-        raise ValueError(f"{d} is not a squarefree integer > 1")
-    return QuadExt(a, b, d)
 
 
 class IntPolynomial:
@@ -222,8 +95,8 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __call__(self, x: Scalar) -> Scalar:
-        acc: Scalar = 0
+    def __call__(self, x):
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -365,7 +238,7 @@ def sturm_count(p: IntPolynomial, lo: Union[int, Fraction],
     return variations(lo) - variations(hi)
 
 
-# -- matrices: dense lists of rows over int / Fraction / QuadExt ------------
+# -- matrices: dense lists of rows over int / Fraction -----------------------
 
 def mat_vec(m, v):
     """m v, skipping the zero entries of m (graph matrices are sparse)."""
@@ -508,8 +381,10 @@ class IntegerEig:
     """An integer eigenvalue."""
     value: int
 
-    def exact(self):
-        return self.value
+    @property
+    def poly(self) -> IntPolynomial:
+        """x - value."""
+        return IntPolynomial.x_minus(self.value)
 
     def approx(self) -> float:
         return float(self.value)
@@ -529,8 +404,12 @@ class QuadraticEig:
     b: int
     delta: int
 
-    def exact(self):
-        return quad(Fraction(self.a, 2), Fraction(self.b, 2), self.delta)
+    @property
+    def poly(self) -> IntPolynomial:
+        """x^2 - a x + (a^2 - b^2 delta)/4, whose roots are the id and its
+        conjugate; for a well-formed id, with a^2 - b^2 delta divisible by 4."""
+        norm = (self.a * self.a - self.b * self.b * self.delta) // 4
+        return IntPolynomial((norm, -self.a, 1))
 
     def approx(self) -> float:
         return (self.a + self.b * math.sqrt(self.delta)) / 2

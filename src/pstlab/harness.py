@@ -4,7 +4,7 @@ Each check_* function re-derives one structural statement over a corpus and
 returns a CheckResult with explicit witnesses on failure.  run_survey
 produces per-graph records plus aggregate counts; replay_certificate is the
 independent validator for negative transfer verdicts, reconstructing the
-violated condition from freshly computed supports and projections.
+violated condition from freshly computed supports and projection signs.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional
 
-from .exactalg import IntPolynomial, det_bareiss, factor_support, poly_gcd
+from .exactalg import IntPolynomial, det_bareiss, factor_support, poly_gcd, squarefree_part
 from .generate import canonical_form, gen_free_trees, MAX_CANONICAL_N
 from .graphs import Graph, bipartition, find_twins, laplacian, adjacency, parse_graph6, write_graph6
 from .pst import (
@@ -37,6 +38,7 @@ from .pst import (
 )
 from .spectral import (
     ADJACENCY,
+    KINDS,
     LAPLACIAN,
     IntegerEig,
     QuadraticEig,
@@ -44,6 +46,7 @@ from .spectral import (
     classify_by_minpolys,
     cospectrality_profile,
     eigenvalue_bound,
+    projection_sign,
     support_profile,
 )
 
@@ -518,11 +521,43 @@ def _cached_profile(g: Graph, kind: str, u: int):
 
 
 def _support_value_check(minpoly: IntPolynomial, eig) -> bool:
-    if isinstance(eig, IntegerEig):
-        return minpoly(eig.value) == 0
-    if isinstance(eig, QuadraticEig):
-        return minpoly(eig.exact()) == 0
     return eig.poly.divides(minpoly)
+
+
+def _report_fault(g: Graph, report: PSTReport) -> Optional[str]:
+    """Why neither checker can read report against g, None when both can:
+    another graph's word, a disconnected graph (decide makes no report for
+    one), an unknown matrix kind, or a vertex pair that is not two
+    distinct vertices of g."""
+    if report.graph6 != write_graph6(g):
+        return "the report was made for another graph"
+    if not g.is_connected():
+        return "the graph is not connected"
+    if report.matrix_kind not in KINDS:
+        return f"unknown matrix kind {report.matrix_kind!r}"
+    u, v = report.u, report.v
+    if not all(type(w) is int and 0 <= w < g.n for w in (u, v)):
+        return f"vertex pair ({u!r},{v!r}) out of range"
+    if u == v:
+        return "the report pairs a vertex with itself"
+    return None
+
+
+def _witness_fault(eig) -> Optional[str]:
+    """Why eig is no well-formed eigenvalue id, None when it is one: an
+    integer id holds an int, a quadratic id (a + b sqrt(delta))/2 holds
+    ints with b != 0, delta squarefree and > 1, and a^2 - b^2 delta
+    divisible by 4 (an algebraic integer), and a residual id holds an
+    integer polynomial.  Checked before any id's polynomial is read."""
+    if isinstance(eig, IntegerEig):
+        ok = type(eig.value) is int
+    elif isinstance(eig, QuadraticEig):
+        a, b, d = eig.a, eig.b, eig.delta
+        ok = (all(type(x) is int for x in (a, b, d)) and b != 0 and d > 1
+              and (a * a - b * b * d) % 4 == 0 and squarefree_part(d)[1] == d)
+    else:
+        ok = isinstance(eig, ResidualEig) and isinstance(eig.poly, IntPolynomial)
+    return None if ok else f"malformed witness {eig!r}"
 
 
 def _residual_fault(witness, pu, pv, min_degree: int) -> Optional[str]:
@@ -546,17 +581,22 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
     (a + b sqrt(d))/2 with a != 0, negative for every other certificate,
     never positive.  The stored certificate's violated condition is checked
     against the spectral profiles of u and v (a different code path from
-    the polynomial-split production route); a profile makes the projection
-    of an eigenvalue only when the check reads it, which only a
-    not-strongly-cospectral witness shared by both supports does.
+    the polynomial-split production route); only a not-strongly-cospectral
+    witness shared by both supports, and the cospectrality profile of a
+    parity-violation, read a projection sign (spectral.projection_sign).
+    A report of the wrong shape (see _report_fault and _witness_fault) is
+    refused rather than raising.
     """
-    if report.graph6 != write_graph6(g):
-        return False, "the report was made for another graph"
+    if (fault := _report_fault(g, report)) is not None:
+        return False, fault
     cert = report.certificate
     if cert is None:
         return False, "no certificate on a non-positive report"
     if not cert.witnesses:
         return False, "the certificate names no witness"
+    for w in cert.witnesses:
+        if (fault := _witness_fault(w)) is not None:
+            return False, fault
     sole = cert.witnesses[0] if len(cert.witnesses) == 1 else None
     out_of_scope = (cert.kind == QUADRATIC_MIXED_A
                     and isinstance(sole, QuadraticEig) and sole.a != 0)
@@ -592,8 +632,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
             return True, "residual-level mismatch confirmed"
         if witness not in set_u:
             return False, "witness outside both supports"
-        fu, fv = pu.projection(witness), pv.projection(witness)
-        if fu == fv or fu == [-x for x in fv]:
+        if projection_sign(pu, pv, witness):
             return False, "witness projections agree after all"
         return True, "sign mismatch confirmed at the witness"
 
@@ -601,7 +640,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         witness = cert.witnesses[0]
         if kind != LAPLACIAN:
             return False, "only a Laplacian support must be integral"
-        if not isinstance(witness, QuadraticEig) or witness.b == 0:
+        if not isinstance(witness, QuadraticEig):
             return False, "witness is not irrational"
         if not _support_value_check(pu.minpoly, witness):
             return False, "witness is not in the support"
@@ -630,6 +669,8 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
     if cert.kind == QUADRATIC_MIXED_A:
         quads = [w for w in cert.witnesses if isinstance(w, QuadraticEig)]
         ints = [w for w in cert.witnesses if isinstance(w, IntegerEig)]
+        if len(quads) + len(ints) != len(cert.witnesses):
+            return False, "witnesses are not integer or quadratic eigenvalues"
         for w in cert.witnesses:
             if not _support_value_check(pu.minpoly, w):
                 return False, "witness is not in the support"
@@ -652,10 +693,14 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         claimed = {"plus": prof.plus_set, "minus": prof.minus_set}.get(cert.claimed_class)
         if claimed is None or witness not in claimed:
             return False, f"witness is not {cert.claimed_class}-classified"
+        if any(isinstance(e, ResidualEig) for e in prof.plus_set + prof.minus_set):
+            return False, "a residual support has no parity split"
         gg, scaled = _parity_data(kind, prof)
         if gg != cert.gcd_value:
             return False, f"gcd mismatch: recomputed {gg}, stored {cert.gcd_value}"
-        value = scaled[witness]
+        value = scaled.get(witness)
+        if value is None or not gg:
+            return False, "the witness has no parity value"
         want_even = cert.claimed_class == "plus"
         if (value // gg) % 2 == (0 if want_even else 1):
             return False, "parity holds after all"
@@ -691,15 +736,19 @@ def _parity_data(kind: str, prof) -> tuple[int, dict]:
 def verify_positive_report(g: Graph, report: PSTReport) -> tuple[bool, str]:
     """Numeric oracle confirmation of a positive verdict.
 
-    As in replay_certificate, a report whose graph6 word is not g's is
-    refused before anything else, and so is one with no transfer time.
+    As in replay_certificate, a report of the wrong shape (see
+    _report_fault) is refused before anything else, and so is one with no
+    transfer time.
     """
-    if report.graph6 != write_graph6(g):
-        return False, "the report was made for another graph"
+    if (fault := _report_fault(g, report)) is not None:
+        return False, fault
     if not report.yes:
         return False, "not a positive report"
     if report.time_coeff is None:
         return False, "no transfer time on the positive report"
+    if not (isinstance(report.time_coeff, (int, Fraction)) and type(report.time_delta) is int
+            and report.time_delta >= 1):
+        return False, "the transfer time is not a rational multiple of pi/sqrt(delta), delta >= 1"
     fid = numeric_fidelity(g, report.matrix_kind, report.u, report.v, report.time_value())
     if fid < 1 - FIDELITY_TOLERANCE:
         return False, f"fidelity {fid} below 1 - {FIDELITY_TOLERANCE}"

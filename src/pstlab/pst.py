@@ -184,9 +184,7 @@ def _context(g: Graph, kind: str) -> _SpectralContext:
 def _is_root(eig, poly: IntPolynomial) -> bool:
     if isinstance(eig, IntegerEig):
         return poly(eig.value) == 0
-    # (a +- b sqrt(delta))/2 are the roots of x^2 - a x + (a^2 - b^2 delta)/4
-    norm = (eig.a * eig.a - eig.b * eig.b * eig.delta) // 4
-    return IntPolynomial((norm, -eig.a, 1)).divides(poly)
+    return eig.poly.divides(poly)
 
 
 def _ids_of(poly: IntPolynomial, ids: tuple) -> tuple:

@@ -3,15 +3,15 @@
 For a symmetric integer matrix M attached to a graph, the support of a
 vertex u is the set of eigenvalues whose eigenprojection keeps a component
 of e_u; it equals the root set of the minimal polynomial q of e_u under M.
-Projections E_theta e_u are computed exactly over Q or Q(sqrt(d)) inside
-the Krylov space of e_u, as (q(x)/(x - theta))(M) e_u / q'(theta), never by
-a full eigendecomposition, and only for the eigenvalues a reader asks for.
+Whether E_theta e_u = +-E_theta e_v is decided in integers, per irreducible
+factor f of the two minimal polynomials, by comparing r(M) e_u with
+r(M) e_v for r = (q_u/f)(q_v/f), each made inside the Krylov space of its
+vertex; no projection is ever made and no full eigendecomposition either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .exactalg import (
@@ -72,43 +72,45 @@ class SupportProfile:
     support: list  # EigenvalueId, sorted ascending, residual last
     residual: Optional[IntPolynomial]  # None when the support splits fully
     krylov_rows: list = field(repr=False)  # row i holds (M^j e_u)_i for j < deg minpoly
-    _projections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def projection(self, eig: EigenvalueId) -> list:
-        """E_theta e_u as an exact vector (Fraction/QuadExt entries) for an
-        integer or quadratic support id, made on the first request and kept;
-        KeyError for a residual id or one outside the support."""
-        vec = self._projections.get(eig)
-        if vec is None:
-            if isinstance(eig, ResidualEig) or eig not in self.support:
-                raise KeyError(eig)
-            vec = self._projections[eig] = _krylov_projection(self.minpoly, self.krylov_rows, eig)
-        return vec
+    def image(self, r: IntPolynomial) -> list[int]:
+        """r(M) e_u, from r mod the minimal polynomial and the kept Krylov
+        vectors."""
+        return mat_vec(self.krylov_rows, r.pseudo_divmod(self.minpoly)[1].coeffs)
 
 
-def _krylov_projection(q: IntPolynomial, krylov_rows, eig: EigenvalueId):
-    """E_theta e_u = sum_j c_j K_j / q'(theta), where K_j = M^j e_u and
-    q(x) = (x - theta) sum_j c_j x^j; the c_j come from synthetic division.
-    q is squarefree, so q'(theta) != 0, and the quotient has degree below
-    deg q, so the projection of a support root never vanishes."""
-    theta = eig.exact()
-    c = [1]  # quotient coefficients, highest first
-    for coeff in reversed(q.coeffs[1:-1]):
-        c.append(coeff + theta * c[-1])
-    c.reverse()
-    inv = Fraction(1) / q.derivative()(theta)  # Fraction even for integer theta
-    return [x * inv for x in mat_vec(krylov_rows, c)]
+def projection_sign(pu: SupportProfile, pv: SupportProfile, eig: EigenvalueId) -> int:
+    """1 when E_theta e_u = E_theta e_v at every root theta of eig's monic
+    polynomial f, -1 when E_theta e_u = -E_theta e_v at each, else 0;
+    ValueError unless f divides the minimal polynomials of e_u and e_v.
+
+    r = (q_u/f)(q_v/f) vanishes at every other root of q_u and of q_v and,
+    both being squarefree, at no root of f.  So r(M) e_u and r(M) e_v are
+    the components of e_u and e_v at f's roots, each scaled by the same
+    r(theta), and since those components lie in distinct eigenspaces, one
+    comparison of the two images decides the relation at every root of f.
+    """
+    f = eig.poly
+    (cu, ru), (cv, rv) = pu.minpoly.pseudo_divmod(f), pv.minpoly.pseudo_divmod(f)
+    if not (ru.is_zero() and rv.is_zero()):
+        raise ValueError(f"{eig} is not in both supports")
+    r = cu * cv
+    image_u, image_v = pu.image(r), pv.image(r)
+    if image_u == image_v:
+        return 1
+    if image_u == [-x for x in image_v]:
+        return -1
+    return 0
 
 
 def support_profile(g: Graph, kind: str, u: int) -> SupportProfile:
-    """Exact eigenvalue support of vertex u, with its projection vectors
-    on demand.
+    """Exact eigenvalue support of vertex u.
 
     The profile keeps the integer Krylov vectors M^j e_u, j < deg q, where
-    q is the minimal polynomial of e_u; the projection of an integer or
-    quadratic eigenvalue is made from them when it is first read.  A
+    q is the minimal polynomial of e_u, so that p(M) e_u costs no matrix
+    product for any integer polynomial p (SupportProfile.image).  A
     residual factor (degree >= 3, no integer or quadratic roots) is
-    flagged and its component recovered as e_u minus the rest.
+    flagged.
     """
     if not g.is_connected():
         raise ValueError("support_profile requires a connected graph")
@@ -181,10 +183,10 @@ def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
     for eig in pu.support:
         if isinstance(eig, ResidualEig):
             continue
-        fu, fv = pu.projection(eig), pv.projection(eig)
-        if fu == fv:
+        sign = projection_sign(pu, pv, eig)
+        if sign == 1:
             plus.append(eig)
-        elif fu == [-x for x in fv]:
+        elif sign == -1:
             minus.append(eig)
         else:
             return not_cospectral(eig)

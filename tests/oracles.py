@@ -7,7 +7,9 @@ generation, the rooted-tree counting recurrence instead of any
 enumeration at all, and set comparisons of neighbourhoods instead of the
 bitmask twin search, trial division by every candidate quadratic
 instead of the divisor-pruned factor search, a Lagrange product over
-the other support roots instead of the Krylov-basis eigenprojection,
+the other support roots instead of the Krylov-basis eigenprojection, and
+that eigenprojection, exact over Q or Q(sqrt(d)), instead of the integer
+sign test of spectral.projection_sign,
 Euclid over Fraction coefficients instead of pseudo-division in Z[x],
 a Krylov elimination that reduces each combination in a loop of its own
 instead of as the tail of one row with its vector, and a full factorization of the shared factor instead of the decider's
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -553,13 +555,163 @@ def sign_class_annihilators(m, u: int, v: int, plus: list[EigenvalueId],
             apply_poly(m, q_poly.coeffs, diff))
 
 
+# -- exact projections over Q(sqrt(d)) --------------------------------------
+
+class QuadExt:
+    """Exact scalar a + b*sqrt(d) with rational a, b and squarefree d > 1.
+
+    Construct through :func:`quad` which collapses b == 0 back to Fraction.
+    Arithmetic mixing two different d values raises; callers gate on a
+    single extension before doing any mixed arithmetic.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b, d: int):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+        self.d = d
+
+    def _parts(self, other):
+        """(a, b) of an operand in this extension, None for a foreign type;
+        a rational is read as (other, 0) without building a QuadExt."""
+        if isinstance(other, QuadExt):
+            if other.d != self.d:
+                raise ValueError(f"mixed extensions sqrt({self.d}) vs sqrt({other.d})")
+            return other.a, other.b
+        if isinstance(other, (int, Fraction)):
+            return other, 0
+        return None
+
+    def __add__(self, other):
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return _in_field(self.a + o[0], self.b + o[1], self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return _in_field(self.a - o[0], self.b - o[1], self.d)
+
+    def __rsub__(self, other):
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return _in_field(o[0] - self.a, o[1] - self.b, self.d)
+
+    def __mul__(self, other):
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        a, b = o
+        if not b:
+            return _in_field(self.a * a, self.b * a, self.d)
+        return _in_field(self.a * a + self.b * b * self.d,
+                         self.a * b + self.b * a, self.d)
+
+    __rmul__ = __mul__
+
+    def _quotient(self, a, b, c, e):
+        """(a + b*sqrt(d)) / (c + e*sqrt(d)).  One side's parts are always
+        self's Fractions, so no int over int division ever makes a float."""
+        norm = c * c - e * e * self.d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero quadratic scalar")
+        return _in_field((a * c - b * e * self.d) / norm,
+                         (b * c - a * e) / norm, self.d)
+
+    def __truediv__(self, other):
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return self._quotient(self.a, self.b, *o)
+
+    def __rtruediv__(self, other):
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return self._quotient(*o, self.a, self.b)
+
+    def __neg__(self):
+        return QuadExt(-self.a, -self.b, self.d)
+
+    def __eq__(self, other):
+        if isinstance(other, QuadExt):
+            return self.d == other.d and self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(self.d)
+
+    def __repr__(self):
+        return f"({self.a} + {self.b}*sqrt({self.d}))"
+
+
+Scalar = Union[int, Fraction, QuadExt]
+
+
+def _in_field(a: Fraction, b: Fraction, d: int) -> Scalar:
+    """:func:`quad` for arithmetic results, whose d was validated when an
+    operand was built: b == 0 still collapses to the Fraction a."""
+    if not b:
+        return a
+    out = QuadExt.__new__(QuadExt)
+    out.a, out.b, out.d = a, b, d
+    return out
+
+
+def quad(a, b, d: int) -> Scalar:
+    """Normalizing constructor: b == 0 falls back to a plain Fraction."""
+    b = Fraction(b)
+    if b == 0:
+        return Fraction(a)
+    if d <= 1 or squarefree_part(d)[1] != d:
+        raise ValueError(f"{d} is not a squarefree integer > 1")
+    return QuadExt(a, b, d)
+
+
+def exact_value(eig: EigenvalueId) -> Scalar:
+    """An integer or quadratic id's eigenvalue as an exact scalar."""
+    if isinstance(eig, IntegerEig):
+        return eig.value
+    return quad(Fraction(eig.a, 2), Fraction(eig.b, 2), eig.delta)
+
+
+def krylov_projection(q: IntPolynomial, krylov_rows, eig: EigenvalueId):
+    """E_theta e_u = sum_j c_j K_j / q'(theta), where K_j = M^j e_u and
+    q(x) = (x - theta) sum_j c_j x^j; the c_j come from synthetic division.
+    q is squarefree, so q'(theta) != 0, and the quotient has degree below
+    deg q, so the projection of a support root never vanishes."""
+    theta = exact_value(eig)
+    c = [1]  # quotient coefficients, highest first
+    for coeff in reversed(q.coeffs[1:-1]):
+        c.append(coeff + theta * c[-1])
+    c.reverse()
+    inv = Fraction(1) / q.derivative()(theta)  # Fraction even for integer theta
+    return [x * inv for x in mat_vec(krylov_rows, c)]
+
+
 def projection_lagrange(m, e_u, target: EigenvalueId, others: list[EigenvalueId],
                         residual: Optional[IntPolynomial]):
     """Lagrange product of (M - mu I)/(lambda - mu) over the other support
     roots applied to e_u; conjugate pairs foreign to the target's field are
     folded into rational quadratic factors, and a residual factor is applied
     wholesale and divided by its value at the target."""
-    lam = target.exact()
+    lam = exact_value(target)
     if isinstance(lam, int):
         lam = Fraction(lam)  # keep all divisions exact
     w: list = list(e_u)
@@ -583,7 +735,7 @@ def projection_lagrange(m, e_u, target: EigenvalueId, others: list[EigenvalueId]
         same_field = (isinstance(target, QuadraticEig)
                       and other.delta == target.delta)
         if same_field:
-            mu = other.exact()
+            mu = exact_value(other)
             mv = mat_vec(m, w)
             w = [(x - mu * y) / (lam - mu) for x, y in zip(mv, w)]
         else:
@@ -723,10 +875,19 @@ def minpoly_split_is_cospectral(poly_minus: IntPolynomial,
 
 
 def all_projections(prof: SupportProfile) -> dict:
-    """Every non-residual support id of a profile mapped to its projection,
-    in support order; makes each projection the profile has not made yet."""
-    return {eig: prof.projection(eig) for eig in prof.support
-            if not isinstance(eig, ResidualEig)}
+    """Every non-residual support id of a profile mapped to its exact
+    projection (krylov_projection), in support order."""
+    return {eig: krylov_projection(prof.minpoly, prof.krylov_rows, eig)
+            for eig in prof.support if not isinstance(eig, ResidualEig)}
+
+
+def projection_relation(fu: list, fv: list) -> int:
+    """1 when two projections are equal, -1 when negatives, else 0."""
+    if fu == fv:
+        return 1
+    if fu == [-x for x in fv]:
+        return -1
+    return 0
 
 
 def projection_sum(prof: SupportProfile, n: int) -> list:

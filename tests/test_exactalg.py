@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from pstlab.exactalg import (
     IntegerEig,
     IntPolynomial,
-    QuadExt,
     QuadraticEig,
     ResidualEig,
     charpoly,
@@ -17,7 +16,6 @@ from pstlab.exactalg import (
     krylov_vectors,
     mat_vec,
     poly_gcd,
-    quad,
     rank_mod_p,
     squarefree_part,
     sturm_count,
@@ -41,11 +39,13 @@ from pstlab.spectral import (
 )
 
 from oracles import (
+    QuadExt,
     det_cofactor,
     factor_support_brute,
     krylov_minpoly_two_loop,
     poly_from_roots,
     poly_gcd_fraction,
+    quad,
     reconstruct_factorization,
     spanning_trees_brute,
     split_ids,
@@ -358,6 +358,19 @@ class TestFactorSearchOracle:
         assert ids == split_ids(roots, [(s, *squarefree_part(s * s - 4 * t))
                                         for s, t in quads], residual)
         assert reconstruct_factorization(ids) == p
+
+    def test_id_polynomials_split_the_support(self, corpus6_support_polys):
+        """Each id's poly is its monic minimal polynomial: x - c, the
+        quadratic shared by a conjugate pair, or the residual itself; one
+        of each multiplies back to p, as the oracle's reconstruction does."""
+        for p, bound in corpus6_support_polys:
+            ids = factor_support(p, bound)
+            polys = {e.poly for e in ids}
+            assert all(f.is_monic() and f.divides(p) for f in polys), p
+            product = IntPolynomial.one()
+            for f in polys:
+                product = product * f
+            assert product == reconstruct_factorization(ids) == p
 
 
 def _dense_mat_vec(m, v):

@@ -561,35 +561,31 @@ class TestCertificateReplay:
 
 
 class TestReplayProjectionCount:
-    """A replay makes only the projections its certificate reads: none for
-    a certificate about the minimal polynomials alone, at most the two at
-    the witness for a not-strongly-cospectral certificate whose witness is
-    integer or quadratic.  Counted by wrapping spectral._krylov_projection.
-    The replay cache is emptied for each graph and kind and before each
-    replay that must make none, so those replays build fresh profiles; a
-    profile that made every projection up front fails this."""
+    """A replay reads only the projection signs its certificate needs: none
+    for a certificate about the minimal polynomials alone, at most one, at
+    the witness, for a not-strongly-cospectral certificate whose witness is
+    integer or quadratic.  Counted by wrapping spectral.projection_sign
+    where the replay and cospectrality_profile call it."""
 
     NO_PROJECTION = (RESIDUAL_FACTOR, NON_INTEGER_SUPPORT, MIXED_DELTA, QUADRATIC_MIXED_A)
 
     def test_projections_made_per_replay(self, corpus6, monkeypatch):
         made = []
-        original = spectral._krylov_projection
+        original = spectral.projection_sign
 
-        def counting(q, krylov_rows, eig):
+        def counting(pu, pv, eig):
             made.append(eig)
-            return original(q, krylov_rows, eig)
+            return original(pu, pv, eig)
 
-        monkeypatch.setattr(spectral, "_krylov_projection", counting)
+        monkeypatch.setattr(spectral, "projection_sign", counting)
+        monkeypatch.setattr(harness, "projection_sign", counting)
         seen = Counter()
         for g in corpus6 + [path_graph(24), cycle_graph(24)]:
             for kind in KINDS:
-                harness._cached_profile.cache_clear()
                 for r in all_pair_reports(g, kind):
                     if r.verdict == YES:
                         continue
                     cert, witness = r.certificate.kind, r.certificate.witnesses[0]
-                    if cert in self.NO_PROJECTION:
-                        harness._cached_profile.cache_clear()
                     made.clear()
                     ok, why = replay_certificate(g, r)
                     assert ok, why
@@ -598,10 +594,12 @@ class TestReplayProjectionCount:
                         assert made == [], where
                         seen[cert] += 1
                     elif cert == NOT_STRONGLY_COSPECTRAL and not isinstance(witness, ResidualEig):
-                        assert len(made) <= 2 and set(made) <= {witness}, where
+                        assert len(made) <= 1 and set(made) <= {witness}, where
                         seen[type(witness).__name__] += 1
+                        seen["sign tests"] += len(made)
         harness._cached_profile.cache_clear()
-        assert set(seen) == {*self.NO_PROJECTION, "IntegerEig", "QuadraticEig"}, seen
+        assert set(seen) == {*self.NO_PROJECTION, "IntegerEig", "QuadraticEig", "sign tests"}, seen
+        assert seen["sign tests"] == 1381 + 2446, seen  # integer, quadratic witnesses
         assert seen[RESIDUAL_FACTOR] >= 2 * 3 * 12, seen  # 12 per kind on path:24 and on cycle:24
 
     def test_witness_outside_both_supports_refused(self):
@@ -613,6 +611,47 @@ class TestReplayProjectionCount:
                 report = PSTReport(write_graph6(g), kind, u, v, NO,
                                    Certificate(NOT_STRONGLY_COSPECTRAL, (witness,), "forged"))
                 assert replay_certificate(g, report) == (False, "witness outside both supports")
+
+
+class TestCheckersNeverRaise:
+    def test_malformed_reports_refused(self):
+        """Both checkers answer (False, why) for a report whose vertices,
+        kind or witnesses do not fit g, rather than raising."""
+        cube, p4 = hypercube(2), path_graph(4)
+        positive, negative = decide(cube, LAPLACIAN, 0, 3), decide(p4, LAPLACIAN, 0, 1)
+        assert positive.yes and negative.certificate.kind == NOT_STRONGLY_COSPECTRAL
+        shapes = (dict(v=7), dict(u=-1), dict(u=0, v=0), dict(v=1.0), dict(v="1"),
+                  dict(matrix_kind="weird"), dict(matrix_kind=None))
+        for changes in shapes:
+            for check, g, r in ((verify_positive_report, cube, positive),
+                                (replay_certificate, p4, negative)):
+                ok, why = check(g, replace(r, **changes))
+                assert not ok, (check.__name__, changes, why)
+        disconnected = Graph(4, [(0, 1), (2, 3)])
+        report = replace(negative, graph6=write_graph6(disconnected))
+        for check in (verify_positive_report, replay_certificate):
+            assert check(disconnected, report) == (False, "the graph is not connected")
+        # delta 8 and 4 are not squarefree, 1 - 2 is odd, b = 0 is rational
+        malformed = (QuadraticEig(0, 1, 8), QuadraticEig(0, 1, 4), QuadraticEig(1, 1, 2),
+                     QuadraticEig(2, 0, 5), QuadraticEig(0, 2, -3), QuadraticEig(0, 2.0, 2),
+                     IntegerEig(2.0), ResidualEig((1, 0, 1)), "x")
+        good = QuadraticEig(0, 2, 2)
+        for witness in malformed:
+            for cert in (Certificate(NON_INTEGER_SUPPORT, (witness,)),
+                         Certificate(MIXED_DELTA, (witness, good)),
+                         Certificate(NOT_STRONGLY_COSPECTRAL, (witness,)),
+                         Certificate(QUADRATIC_MIXED_A, (good, witness))):
+                ok, why = replay_certificate(p4, replace(negative, certificate=cert))
+                assert (ok, why) == (False, f"malformed witness {witness!r}"), (cert, why)
+        # the ends of path:4 split 2 +- sqrt(2) into the L minus class, where
+        # the L parity split assigns no value
+        for witness in (QuadraticEig(4, 2, 2), QuadraticEig(4, -2, 2)):
+            cert = Certificate(PARITY_VIOLATION, (witness,), gcd_value=2, claimed_class="minus")
+            report = replace(negative, v=3, certificate=cert)
+            assert replay_certificate(p4, report) == (False, "the witness has no parity value")
+        for delta in (0, -1, 2.0):
+            ok, why = verify_positive_report(cube, replace(positive, time_delta=delta))
+            assert not ok and why.startswith("the transfer time is not"), (delta, why)
 
 
 class TestVerifyPositiveReport:

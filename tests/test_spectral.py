@@ -1,5 +1,6 @@
-import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from pstlab.exactalg import (
     IntPolynomial,
     factor_support,
     poly_gcd,
-    quad,
     unit_vector,
     vector_minpoly,
 )
@@ -24,6 +24,7 @@ from pstlab.graphs import (
 )
 from pstlab.spectral import (
     ADJACENCY,
+    KINDS,
     LAPLACIAN,
     SIGNLESS_LAPLACIAN,
     IntegerEig,
@@ -33,17 +34,21 @@ from pstlab.spectral import (
     cospectrality_profile,
     eigenvalue_bound,
     matrix_of,
+    projection_sign,
     support_profile,
 )
 
 from oracles import (
     all_projections,
     eigenvalue_bound_by_order,
+    exact_value,
     factor_support_brute,
     minpoly_split_is_cospectral,
     poly_from_roots,
     projection_lagrange,
+    projection_relation,
     projection_sum,
+    quad,
     residual_remainder,
     sign_class_annihilators,
 )
@@ -125,7 +130,7 @@ class TestSupportProfile:
                 for u in range(g.n):
                     prof = support_profile(g, kind, u)
                     for eig, vec in all_projections(prof).items():
-                        lam = eig.exact()
+                        lam = exact_value(eig)
                         mv = [sum(m[i][j] * vec[j] for j in range(g.n))
                               for i in range(g.n)]
                         assert mv == [lam * x for x in vec]
@@ -135,27 +140,22 @@ class TestSupportProfile:
             support_profile(Graph(3, [(0, 1)]), LAPLACIAN, 0)
 
 
-def assert_profile_matches_lagrange(g, kind, u, order=None):
-    """The Krylov-basis projections equal the Lagrange-product oracle's in
-    support, value and entry type; returns the profile.  A fresh profile is
-    asked for its projections one at a time, in support order or in the
-    order order(ids) gives, and keeps each one it made."""
+def assert_profile_matches_lagrange(g, kind, u):
+    """The two projection oracles, the Krylov basis and the Lagrange
+    product, agree in value and entry type on the support of u, which is
+    that of the brute-force factor search; returns the profile."""
     prof = support_profile(g, kind, u)
     m = matrix_of(g, kind)
     e_u = unit_vector(g.n, u)
     assert prof.support == factor_support_brute(vector_minpoly(m, e_u),
                                                 eigenvalue_bound(g, kind))
     split = [e for e in prof.support if not isinstance(e, ResidualEig)]
-    asked = split if order is None else order(list(split))
-    assert sorted(asked, key=split.index) == split
-    made = {eig: prof.projection(eig) for eig in asked}
     projections = all_projections(prof)
     assert list(projections) == split
     for eig in split:
         want = projection_lagrange(m, e_u, eig, [o for o in split if o != eig],
                                    prof.residual)
         got = projections[eig]
-        assert got is made[eig]
         assert got == want
         if g.n > 1:  # on K1 the Lagrange product is empty and returns e_u's ints
             assert [type(x) for x in got] == [type(x) for x in want]
@@ -186,33 +186,40 @@ class TestKrylovProjectionAgainstLagrange:
         assert mixed >= 1
 
 
-class TestProjectionsOnDemand:
-    """Each projection is made when first asked for, whatever the order of
-    the requests, and only for an integer or quadratic support id."""
+def _sign_corpus():
+    graphs = [g for n in range(2, 7) for g in gen_connected_graphs(n)]
+    graphs += [t for n in range(2, 11) for t in gen_free_trees(n)]
+    return graphs + [path_graph(24), cycle_graph(24), hypercube(5), complete_graph(8)]
 
-    def test_request_order_does_not_matter(self, corpus6):
-        # reversed and shuffled requests take turns over the vertices, so
-        # each graph with an edge meets both orders in each kind
-        rng = random.Random("projections on demand")
-        orders = (lambda ids: ids[::-1], lambda ids: rng.sample(ids, len(ids)))
-        checked = 0
-        for g in corpus6 + [path_graph(24)]:
-            for kind in (LAPLACIAN, ADJACENCY, SIGNLESS_LAPLACIAN):
-                for u in range(g.n):
-                    assert_profile_matches_lagrange(g, kind, u, orders[u % 2])
-                    checked += 1
-        assert checked == 3 * (sum(g.n for g in corpus6) + 24)
 
-    def test_residual_or_foreign_id_raises_key_error(self):
-        prof = support_profile(path_graph(7), LAPLACIAN, 0)
-        assert prof.residual is not None
-        foreign = [IntegerEig(99), QuadraticEig(0, 2, 2), QuadraticEig(3, -1, 5),
-                   ResidualEig(IntPolynomial((1, 0, 0, 2))), ResidualEig(prof.residual)]
-        assert not any(eig in prof.support for eig in foreign[:-1])
-        assert prof.support[-1] == foreign[-1]
-        for eig in foreign:
-            with pytest.raises(KeyError):
-                prof.projection(eig)
+class TestProjectionSign:
+    """The integer sign test against the sign relation of the exact
+    projections over Q or Q(sqrt(d)) that it replaced (tests/oracles.py)."""
+
+    def test_matches_exact_projections(self):
+        # every pair of every graph, at every non-residual id in both supports
+        cases, unequal = Counter(), 0
+        for g in _sign_corpus():
+            for kind in KINDS:
+                profiles = [support_profile(g, kind, u) for u in range(g.n)]
+                exact = [all_projections(p) for p in profiles]
+                for u, v in combinations(range(g.n), 2):
+                    pu, pv = profiles[u], profiles[v]
+                    for eig in exact[u].keys() & exact[v].keys():
+                        want = projection_relation(exact[u][eig], exact[v][eig])
+                        assert projection_sign(pu, pv, eig) == want, (g, kind, u, v, eig)
+                        cases[want] += 1
+                        unequal += pu.minpoly != pv.minpoly
+        # 71,443 cases, 21,755 of them on pairs whose minimal polynomials differ
+        assert cases == {1: 26175, -1: 13340, 0: 31928} and unequal == 21755, (cases, unequal)
+
+    def test_id_outside_a_support_raises(self):
+        # the residual of path:7's end vertex is not in the middle vertex's support
+        p7 = path_graph(7)
+        pu, pv = (support_profile(p7, LAPLACIAN, u) for u in (0, 3))
+        for eig in (IntegerEig(99), QuadraticEig(0, 2, 2), ResidualEig(pu.residual)):
+            with pytest.raises(ValueError, match="not in both supports"):
+                projection_sign(pu, pv, eig)
 
 
 class TestCospectrality:
