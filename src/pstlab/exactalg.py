@@ -2,9 +2,12 @@
 
 Everything in this module is exact: matrices are dense lists of rows over
 Python ints or Fractions, and polynomials carry arbitrary-precision integer
-coefficients.  No floating point anywhere.  Polynomial Euclid (gcd, Sturm
-chains) stays in Z[x]: one sign-preserving pseudo-division, with each
-remainder divided by its content, so no rational coefficients arise.
+coefficients.  No floating point anywhere.  One kernel,
+semidefinite_pivots, eliminates a whole stack of same-size integer
+matrices with numpy, in int64 only where a Hadamard bound proves it
+exact.  Polynomial Euclid (gcd, Sturm chains) stays in Z[x]: one
+sign-preserving pseudo-division, with each remainder divided by its
+content, so no rational coefficients arise.
 The Krylov sequence v, m v, m^2 v, ... is drawn through one lazy walk, and
 factor_support names the roots it splits off by eigenvalue ids, each with
 its monic integer polynomial.
@@ -16,6 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
@@ -285,6 +290,45 @@ def det_bareiss(m: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
+
+
+def semidefinite_pivots(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fraction-free symmetric elimination of a (B, n, n) stack of
+    symmetric integer matrices, all at once.
+
+    Returns three length-B arrays: whether each matrix is positive
+    semidefinite, whether it is singular (read it only for a semidefinite
+    one), and its last positive pivot, which is its determinant when it is
+    semidefinite and nonsingular.  Pivots are taken in natural order.  A
+    positive pivot eliminates its row and column, dividing exactly by the
+    last positive pivot (Bareiss), so every entry left is a minor of the
+    matrix.  A negative pivot rules semidefiniteness out, and so does a
+    zero pivot unless its remaining row is zero (a semidefinite matrix
+    with a zero diagonal entry has a zero row there): that index is
+    skipped, and the matrix is singular.
+
+    With R^2 the largest squared row norm, Hadamard bounds every minor by
+    R^n and every intermediate by 2 R^(2n), so the stack runs in int64
+    when (R^2)^n < 2^62 and in Python ints (dtype object) otherwise.
+    """
+    a = np.asarray(mats)
+    n = a.shape[-1]
+    if a.dtype == object or int(abs(a).max(initial=0)) ** 2 * n >= 2 ** 63:
+        a = a.astype(object)
+    r2 = int((a * a).sum(axis=-1).max(initial=0))
+    a = a.astype(np.int64 if r2 ** n < 2 ** 62 else object)
+    semidefinite = np.ones(len(a), dtype=bool)
+    singular = np.zeros(len(a), dtype=bool)
+    prev = np.ones(len(a), dtype=a.dtype)
+    for _ in range(n):
+        p, row, rest = a[:, 0, 0], a[:, 0, 1:], a[:, 1:, 1:]
+        positive, zero = p > 0, p == 0
+        semidefinite &= positive | zero & ~(row != 0).any(axis=1)
+        singular |= zero
+        step = (p[:, None, None] * rest - row[:, :, None] * row[:, None, :]) // prev[:, None, None]
+        a = np.where(positive[:, None, None], step, rest)
+        prev = np.where(positive, p, prev)
+    return semidefinite, singular, prev
 
 
 def charpoly(m: Sequence[Sequence[int]]) -> IntPolynomial:

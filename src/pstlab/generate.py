@@ -91,8 +91,9 @@ def canonical_form(g: Graph) -> str:
     return _canonical_search(g)[0]
 
 
-def _canonical_search(g: Graph) -> tuple[str, list[list[int]]]:
-    """The canonical word of g and the automorphisms the search met.
+def _canonical_search(g: Graph) -> tuple[str, list[list[int]], list[int]]:
+    """The canonical word of g, the automorphisms the search met, and the
+    vertex order whose word it is (vertex k of the word is order[k]).
 
     The word is the least graph6 word over the vertex orders that colour
     refinement leaves.  The root refines the degree partition (cells in
@@ -178,8 +179,8 @@ def _canonical_search(g: Graph) -> tuple[str, list[list[int]]]:
         for v in cell:
             colours[v] = c
     rec(*_refine(nbrs, cells, colours))
-    assert best_word is not None
-    return best_word, autos
+    assert best_word is not None and best_order is not None
+    return best_word, autos, best_order
 
 
 # -- free trees --------------------------------------------------------------
@@ -310,7 +311,9 @@ def _connected_level(prev: list[Graph], n: int) -> list[Graph]:
     the least mask's child, which this parent's loop has already tried, so
     its word is already in seen: skipping it drops no word and moves none.
     A child's masks are the parent's, each row in the mask gaining the new
-    vertex, with the mask itself as the new row.
+    vertex, with the mask itself as the new row.  A new child is kept in
+    canonical labelling, its masks relabelled by the order the search
+    read its word in, so the kept graph is the one its word encodes.
     """
     seen: set[str] = set()
     out: list[Graph] = []
@@ -321,10 +324,15 @@ def _connected_level(prev: list[Graph], n: int) -> list[Graph]:
             child = Graph._of(n, tuple(
                 row | 1 << new if mask >> u & 1 else row
                 for u, row in enumerate(base)) + (mask,))
-            key = canonical_form(child)
+            key, _, order = _canonical_search(child)
             if key not in seen:
                 seen.add(key)
-                out.append(parse_graph6(key))
+                bit = [0] * n  # bit[v]: the mask of v's place in the order
+                for k, v in enumerate(order):
+                    bit[v] = 1 << k
+                out.append(Graph._of(n, tuple(
+                    sum(map(bit.__getitem__, _LOW_BITS[m & 255] + _HIGH_BITS[m >> 8]))
+                    for m in map(child.adj.__getitem__, order))))
     return out
 
 

@@ -17,9 +17,18 @@ from functools import lru_cache
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional
 
-from .exactalg import IntPolynomial, det_bareiss, factor_support, poly_gcd, squarefree_part
+import numpy as np
+
+from .exactalg import (
+    IntPolynomial,
+    det_bareiss,
+    factor_support,
+    poly_gcd,
+    semidefinite_pivots,
+    squarefree_part,
+)
 from .generate import canonical_form, gen_free_trees, MAX_CANONICAL_N
-from .graphs import Graph, bipartition, find_twins, laplacian, adjacency, parse_graph6, write_graph6
+from .graphs import Graph, adjacency, bipartition, find_twins, parse_graph6, write_graph6
 from .pst import (
     MIXED_DELTA,
     NO,
@@ -65,9 +74,25 @@ def spanning_tree_count(g: Graph, vertex: int = 0) -> int:
     row and column deleted; 0 for disconnected graphs."""
     if not 0 <= vertex < g.n:
         raise ValueError(f"vertex {vertex} out of range")
-    lap = laplacian(g)
-    minor = [row[:vertex] + row[vertex + 1:] for i, row in enumerate(lap) if i != vertex]
-    return det_bareiss(minor)
+    return _tree_counts(_laplacians([g]), vertex)[0]
+
+
+def _laplacians(graphs: list[Graph]) -> np.ndarray:
+    """The Laplacians of graphs of one order as a (B, n, n) int64 stack."""
+    n = graphs[0].n
+    a = np.array([g.adj for g in graphs], dtype=np.int64)[:, :, None] >> np.arange(n) & 1
+    lap = -a
+    lap[:, range(n), range(n)] = a.sum(axis=2)
+    return lap
+
+
+def _tree_counts(laps: np.ndarray, vertex: int = 0) -> list[int]:
+    """Spanning-tree counts of a Laplacian stack: each reduced Laplacian
+    is semidefinite, singular exactly when its graph is disconnected, and
+    otherwise has its determinant as its last pivot."""
+    keep = np.arange(laps.shape[1]) != vertex
+    _, singular, last = semidefinite_pivots(laps[:, keep][:, :, keep])
+    return np.where(singular, 0, last).tolist()
 
 
 def is_pedestrian(g: Graph) -> bool:
@@ -175,84 +200,51 @@ def check_power_of_two_eigenvalue(g: Graph, u: int, v: int) -> CheckResult:
                        [f"minus eigenvalue {x} is not a power of two" for x in bad])
 
 
-def _semidefinite_singular(m) -> Optional[bool]:
-    """None when the symmetric integer matrix m is not positive
-    semidefinite, else whether it is singular.
+def _integer_lmaxes(laps: np.ndarray) -> list[Optional[int]]:
+    """The largest eigenvalue of each Laplacian in the stack if it is an
+    integer, else None, decided exactly.  kI - L is positive semidefinite
+    exactly when k >= lambda_max, so lambda_max is an integer iff the
+    least such k makes kI - L singular.  Bisection finds that k in
+    (Delta, hi]: the largest degree Delta is below lambda_max on a graph
+    with an edge (Grone and Merris 1994), and hi = min(n, max over edges
+    uv of d_u + d_v) is at least lambda_max (Anderson and Morley 1985).
+    The graphs bisect in lockstep, each probing the k it would alone: one
+    semidefinite_pivots call per round eliminates every graph's kI - L at
+    its midpoint, and one more tests hi where no probe did.  An edgeless
+    graph gives 0, as 0I - L = 0 is semidefinite and singular."""
+    n = laps.shape[1]
+    deg = laps[:, range(n), range(n)]
+    lo = deg.max(axis=1)
+    hi = np.minimum(n, np.where(laps < 0, deg[:, :, None] + deg[:, None, :], 0).max(axis=(1, 2)))
+    tested = lo == 0  # whether kI - L has been eliminated at k = hi
+    singular = tested.copy()  # its verdict there, once tested
+    identity = np.identity(n, dtype=np.int64)
 
-    Fraction-free symmetric elimination: each step pivots on a positive
-    diagonal entry of the remaining block, whose entries are then the
-    Schur complement scaled by the product of the pivots (Bareiss division
-    stays exact under principal pivoting), so semidefiniteness and rank
-    carry over to the block.  A negative diagonal entry rules
-    semidefiniteness out; a block with only zeros on its diagonal is
-    semidefinite only if it is zero, and is then singular.
-    """
-    a = [list(row) for row in m]
-    live = list(range(len(a)))
-    prev = 1
-    while live:
-        pivot = None
-        for i in live:
-            if a[i][i] < 0:
-                return None
-            if pivot is None and a[i][i] > 0:
-                pivot = i
-        if pivot is None:
-            if any(a[i][j] for i in live for j in live):
-                return None
-            return True
-        live.remove(pivot)
-        row_p, piv = a[pivot], a[pivot][pivot]
-        for i in live:
-            row_i, aip = a[i], a[i][pivot]
-            for j in live:
-                row_i[j] = (piv * row_i[j] - aip * row_p[j]) // prev
-        prev = piv
-    return False
+    def probe(idx: np.ndarray, k: np.ndarray):
+        return semidefinite_pivots(k[:, None, None] * identity - laps[idx])[:2]
+
+    while (idx := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[idx] + hi[idx]) // 2
+        semidefinite, verdict = probe(idx, mid)
+        lo[idx] = np.where(semidefinite, lo[idx], mid)
+        hi[idx] = np.where(semidefinite, mid, hi[idx])
+        singular[idx] = np.where(semidefinite, verdict, singular[idx])
+        tested[idx] |= semidefinite
+    if (idx := np.flatnonzero(~tested)).size:
+        singular[idx] = probe(idx, hi[idx])[1]
+    return [k if s else None for k, s in zip(hi.tolist(), singular.tolist())]
 
 
 def _integer_lmax(g: Graph) -> Optional[int]:
-    """The largest Laplacian eigenvalue if it is an integer, else None,
-    decided exactly.  kI - L is positive semidefinite exactly when
-    k >= lambda_max, so lambda_max is an integer iff the least such k
-    makes kI - L singular.  Bisection finds that k in (Delta, hi]: the
-    largest degree Delta is below lambda_max on a graph with an edge
-    (Grone and Merris 1994), and hi = min(n, max over edges uv of
-    d_u + d_v) is at least lambda_max (Anderson and Morley 1985).  An
-    edgeless graph gives 0."""
-    n, adj = g.n, g.adj
-    deg = [mask.bit_count() for mask in adj]
-    lo = max(deg)
-    if lo == 0:
-        return 0
-    hi = min(n, max(deg[u] + deg[v] for u, mask in enumerate(adj)
-                    for v in range(n) if mask >> v & 1))
-    # kI - L is the adjacency matrix off the diagonal and k - d_i on it
-    adjacency_rows = adjacency(g)
-
-    def shifted(k: int) -> list[list[int]]:
-        rows = [row[:] for row in adjacency_rows]
-        for i, row in enumerate(rows):
-            row[i] = k - deg[i]
-        return rows
-
-    singular = None  # of kI - L at k = hi, once tested
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        verdict = _semidefinite_singular(shifted(mid))
-        if verdict is None:
-            lo = mid
-        else:
-            hi, singular = mid, verdict
-    if singular is None:
-        singular = _semidefinite_singular(shifted(hi))
-    return hi if singular else None
+    """The largest Laplacian eigenvalue of g if it is an integer, else
+    None (see :func:`_integer_lmaxes`)."""
+    return _integer_lmaxes(_laplacians([g]))[0]
 
 
 def lmax_is_integer(g: Graph) -> bool:
     """Whether the largest Laplacian eigenvalue is an integer, decided
     exactly by bisection on the semidefiniteness of kI - L (see
-    :func:`_integer_lmax`)."""
+    :func:`_integer_lmaxes`)."""
     return _integer_lmax(g) is not None
 
 
@@ -419,11 +411,24 @@ def survey_record(g: Graph, with_pst: bool = False,
     """The survey facts of one graph, recorded under its canonical word;
     _canonical_input says g is already in canonical labelling, as the
     built-in corpus is, so its own word is that word."""
+    return _chunk_records([g], with_pst, _canonical_input)[0]
+
+
+def _chunk_records(graphs: list[Graph], with_pst: bool,
+                   canonical_input: bool) -> list[SurveyRecord]:
+    """The records of graphs of one order, their tree counts and integral
+    lambda_max taken from one Laplacian stack."""
+    laps = _laplacians(graphs)
+    return [_record(g, tau, lmax is not None, with_pst, canonical_input)
+            for g, tau, lmax in zip(graphs, _tree_counts(laps), _integer_lmaxes(laps))]
+
+
+def _record(g: Graph, tau: int, lmax_integer: bool, with_pst: bool,
+            canonical_input: bool) -> SurveyRecord:
     connected = g.is_connected()
-    tau = spanning_tree_count(g) if connected else 0
     twins = find_twins(g)
     rec = SurveyRecord(
-        graph6=(canonical_form(g) if g.n <= MAX_CANONICAL_N and not _canonical_input
+        graph6=(canonical_form(g) if g.n <= MAX_CANONICAL_N and not canonical_input
                 else write_graph6(g)),
         n=g.n,
         spanning_trees=tau,
@@ -431,7 +436,7 @@ def survey_record(g: Graph, with_pst: bool = False,
         tau_power_of_two=power_of_two(tau),
         has_small_twins=any(p.k in (1, 2) for p in twins),
         bipartite=bipartition(g) is not None,
-        lmax_integer=lmax_is_integer(g),
+        lmax_integer=lmax_integer,
     )
     if connected and g.n > 4 and rec.tau_power_of_two:
         rec.no_admissible_pair = not admissible_twin_pairs(twins)
@@ -443,21 +448,44 @@ def survey_record(g: Graph, with_pst: bool = False,
     return rec
 
 
-def _survey_worker(args: tuple[str, bool, bool]) -> SurveyRecord:
-    word, with_pst, canonical_input = args
-    return survey_record(parse_graph6(word), with_pst, canonical_input)
+# Entries of one survey chunk's (B, n, n) int64 Laplacian stack: 128 KB,
+# 256 graphs at n = 8.
+_CHUNK_ENTRIES = 2 ** 14
+
+
+def _chunks(graphs: Iterable[Graph], most: int) -> Iterator[list[Graph]]:
+    """The input in slices of consecutive graphs of one order, each of at
+    most `most` graphs and _CHUNK_ENTRIES Laplacian entries."""
+    chunk: list[Graph] = []
+    for g in graphs:
+        if not chunk or g.n != chunk[0].n or len(chunk) == limit:
+            if chunk:
+                yield chunk
+            chunk, limit = [], min(most, max(1, _CHUNK_ENTRIES // g.n ** 2))
+        chunk.append(g)
+    if chunk:
+        yield chunk
+
+
+def _survey_worker(args: tuple[list[str], bool, bool]) -> list[SurveyRecord]:
+    words, with_pst, canonical_input = args
+    return _chunk_records([parse_graph6(w) for w in words], with_pst, canonical_input)
 
 
 def survey_records(graphs: Iterable[Graph], with_pst: bool = False,
                    workers: int = 1, _canonical_input: bool = False) -> list[SurveyRecord]:
     """Per-graph records, optionally computed by a process pool; the record
-    order follows the input order regardless of the worker count."""
+    order follows the input order regardless of the worker count.  The
+    serial path takes the input chunk by chunk; the pool gets chunks of
+    graph6 words, each at most a (workers * 8)-th of the input."""
     if workers <= 1:
-        return [survey_record(g, with_pst, _canonical_input) for g in graphs]
-    words = [(write_graph6(g), with_pst, _canonical_input) for g in graphs]
-    chunk = max(1, len(words) // (workers * 8))
+        return [rec for chunk in _chunks(graphs, _CHUNK_ENTRIES)
+                for rec in _chunk_records(chunk, with_pst, _canonical_input)]
+    graphs = list(graphs)
+    tasks = [([write_graph6(g) for g in chunk], with_pst, _canonical_input)
+             for chunk in _chunks(graphs, max(1, len(graphs) // (workers * 8)))]
     with Pool(workers) as pool:
-        return list(pool.imap(_survey_worker, words, chunksize=chunk))
+        return [rec for recs in pool.imap(_survey_worker, tasks) for rec in recs]
 
 
 def aggregate_records(records: list[SurveyRecord]) -> dict:
@@ -543,18 +571,23 @@ def _report_fault(g: Graph, report: PSTReport) -> Optional[str]:
     return None
 
 
-def _witness_fault(eig) -> Optional[str]:
+def _witness_fault(eig, rho: int) -> Optional[str]:
     """Why eig is no well-formed eigenvalue id, None when it is one: an
     integer id holds an int, a quadratic id (a + b sqrt(delta))/2 holds
     ints with b != 0, delta squarefree and > 1, and a^2 - b^2 delta
     divisible by 4 (an algebraic integer), and a residual id holds an
-    integer polynomial.  Checked before any id's polynomial is read."""
+    integer polynomial.  Checked before any id's polynomial is read.
+    Squarefreeness is a trial division up to sqrt(delta), so it is tested
+    only when b^2 delta <= 4 rho^2, rho the graph's eigenvalue bound: both
+    conjugates of an eigenvalue lie in [-rho, rho], so a larger witness is
+    no eigenvalue, and the replay refuses it as outside the supports."""
     if isinstance(eig, IntegerEig):
         ok = type(eig.value) is int
     elif isinstance(eig, QuadraticEig):
         a, b, d = eig.a, eig.b, eig.delta
         ok = (all(type(x) is int for x in (a, b, d)) and b != 0 and d > 1
-              and (a * a - b * b * d) % 4 == 0 and squarefree_part(d)[1] == d)
+              and (a * a - b * b * d) % 4 == 0
+              and (b * b * d > 4 * rho * rho or squarefree_part(d)[1] == d))
     else:
         ok = isinstance(eig, ResidualEig) and isinstance(eig.poly, IntPolynomial)
     return None if ok else f"malformed witness {eig!r}"
@@ -594,8 +627,9 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         return False, "no certificate on a non-positive report"
     if not cert.witnesses:
         return False, "the certificate names no witness"
+    rho = eigenvalue_bound(g, report.matrix_kind)
     for w in cert.witnesses:
-        if (fault := _witness_fault(w)) is not None:
+        if (fault := _witness_fault(w, rho)) is not None:
             return False, fault
     sole = cert.witnesses[0] if len(cert.witnesses) == 1 else None
     out_of_scope = (cert.kind == QUADRATIC_MIXED_A
@@ -690,7 +724,9 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         prof = cospectrality_profile(g, kind, u, v, profiles={u: pu, v: pv})
         if not prof.strongly_cospectral:
             return False, "pair is not strongly cospectral after all"
-        claimed = {"plus": prof.plus_set, "minus": prof.minus_set}.get(cert.claimed_class)
+        # a claimed class that is no string, such as a list, has no hash
+        claimed = {"plus": prof.plus_set, "minus": prof.minus_set}.get(
+            cert.claimed_class if isinstance(cert.claimed_class, str) else None)
         if claimed is None or witness not in claimed:
             return False, f"witness is not {cert.claimed_class}-classified"
         if any(isinstance(e, ResidualEig) for e in prof.plus_set + prof.minus_set):

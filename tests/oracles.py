@@ -22,8 +22,10 @@ meets, a canonical search that ranks every vertex in every refinement
 round from the all-zero colouring instead of splitting only the cells
 that can split from the degree partition, and the characteristic
 polynomial's integer roots and a Sturm count of its cofactor instead of
-bisection on the semidefiniteness of kI - L, and the whole of exp(itM)
-from LAPACK's eigh instead of Taylor steps on e_u alone.
+bisection on the semidefiniteness of kI - L, one matrix at a time
+eliminated by a loop that pivots on any positive diagonal entry instead
+of exactalg.semidefinite_pivots over a stack in natural order, and the
+whole of exp(itM) from LAPACK's eigh instead of Taylor steps on e_u alone.
 
 The helpers at the end are checks that only tests use: a polynomial from
 its roots, the product a factorization splits, strong cospectrality read
@@ -457,6 +459,42 @@ def integer_lmax_charpoly(g: Graph) -> Optional[int]:
     if p.degree >= 1 and sturm_count(p, top, g.n + 1) != 0:
         return None
     return top
+
+
+def _semidefinite_singular(m) -> Optional[bool]:
+    """None when the symmetric integer matrix m is not positive
+    semidefinite, else whether it is singular.
+
+    Fraction-free symmetric elimination: each step pivots on a positive
+    diagonal entry of the remaining block, whose entries are then the
+    Schur complement scaled by the product of the pivots (Bareiss division
+    stays exact under principal pivoting), so semidefiniteness and rank
+    carry over to the block.  A negative diagonal entry rules
+    semidefiniteness out; a block with only zeros on its diagonal is
+    semidefinite only if it is zero, and is then singular.
+    """
+    a = [list(row) for row in m]
+    live = list(range(len(a)))
+    prev = 1
+    while live:
+        pivot = None
+        for i in live:
+            if a[i][i] < 0:
+                return None
+            if pivot is None and a[i][i] > 0:
+                pivot = i
+        if pivot is None:
+            if any(a[i][j] for i in live for j in live):
+                return None
+            return True
+        live.remove(pivot)
+        row_p, piv = a[pivot], a[pivot][pivot]
+        for i in live:
+            row_i, aip = a[i], a[i][pivot]
+            for j in live:
+                row_i[j] = (piv * row_i[j] - aip * row_p[j]) // prev
+        prev = piv
+    return False
 
 
 def _find_quadratic_factor_brute(q: IntPolynomial, bound: int):

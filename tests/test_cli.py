@@ -9,7 +9,7 @@ import pytest
 
 from pstlab.cli import GOLDEN_COUNTS_8, GOLDEN_RULED_OUT_8, _assert_golden_counts, main
 from pstlab.generate import canonical_form, gen_connected_graphs
-from pstlab.graphs import parse_graph6, write_graph6
+from pstlab.graphs import Graph, parse_graph6, path_graph, write_graph6
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +214,31 @@ class TestSurvey:
             assert code == 0
             got = [json.loads(line)["graph6"] for line in out_path.read_text().splitlines()]
             assert got == want, workers
+
+    @pytest.mark.parametrize("source", ["n7", "mixed-file"])
+    def test_worker_count_invariant_bytes(self, capsys, tmp_path, source):
+        """One and two workers write the same stdout and the same records,
+        byte for byte: on the built-in n = 7 corpus, and on a file whose
+        orders change from line to line (n = 1..8, a disconnected graph,
+        a 62-vertex path), so its chunks are short and of many sizes."""
+        if source == "n7":
+            argv = ["--n", "7"]
+        else:
+            graphs = [g for n in range(1, 9) for g in list(gen_connected_graphs(n))[:40]]
+            graphs[5:5] = [Graph(5, [(0, 1), (2, 3)]), path_graph(62), Graph(3)]
+            graphs.append(path_graph(62))
+            corpus = tmp_path / "mixed.g6"
+            corpus.write_text("".join(write_graph6(g) + "\n" for g in graphs))
+            argv = ["--file", str(corpus)]
+        outputs = []
+        for workers in ("1", "2"):
+            out_path = tmp_path / f"recs{workers}.jsonl"
+            code, out, _ = run_cli(capsys, "survey", *argv, "--workers", workers,
+                                   "--out", str(out_path), "--format", "json")
+            assert code == 0
+            outputs.append((out, out_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["total"] == (853 if source == "n7" else 155)
 
     def test_directory_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "survey", "--file", str(tmp_path),

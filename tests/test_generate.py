@@ -130,7 +130,7 @@ def dense_transitive_cases():
 
 
 def assert_search_matches_rounds(g):
-    word, autos = _canonical_search(g)
+    word, autos, _ = _canonical_search(g)
     oracle_word, oracle_autos = canonical_search_by_rounds(g)
     assert word == oracle_word, write_graph6(g)
     for sigma in autos:
@@ -314,10 +314,11 @@ class TestConnectedGraphs:
     def test_one_child_per_mask_orbit(self, monkeypatch):
         # Aut(K6) = S6 moves any mask onto any other of its popcount
         calls = []
-        monkeypatch.setattr(generate, "canonical_form",
-                            lambda g: calls.append(g) or canonical_form(g))
+        search = generate._canonical_search
+        monkeypatch.setattr(generate, "_canonical_search",
+                            lambda g: calls.append(g) or search(g))
         children = _connected_level([complete_graph(6)], 7)
-        assert len(calls) == 6
+        assert [g.n for g in calls] == [6] + [7] * 6
         assert len(children) == 6
 
     def test_range_check(self):

@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from pstlab.exactalg import IntPolynomial, charpoly, rank_mod_p
+from pstlab.exactalg import IntPolynomial, charpoly, det_bareiss, rank_mod_p, semidefinite_pivots
 from pstlab import harness, spectral
 from pstlab.generate import gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
@@ -74,7 +74,7 @@ from pstlab.spectral import (
     support_profile,
 )
 
-from oracles import integer_lmax_charpoly, spanning_trees_brute
+from oracles import _semidefinite_singular, integer_lmax_charpoly, spanning_trees_brute
 
 
 class TestSpanningTrees:
@@ -204,13 +204,16 @@ LMAX_CORPORA = {
 
 
 @st.composite
-def symmetric_matrices(draw):
-    """Symmetric integer matrices up to 8 x 8: Gram matrices B^T B
-    (semidefinite, singular when B has fewer rows than columns) and
-    arbitrary ones (mostly indefinite), each shifted by a small multiple
-    of I; hollow ones, whose zero diagonal leaves only the zero-block test;
-    any of them with a zero row and column spliced in."""
-    n = draw(st.integers(1, 8))
+def symmetric_matrices(draw, size=None):
+    """Symmetric integer matrices up to 8 x 8 (size x size when size is
+    given): Gram matrices B^T B (semidefinite, singular when B has fewer
+    rows than columns) and arbitrary ones (mostly indefinite), each
+    shifted by a small multiple of I; hollow ones, whose zero diagonal
+    leaves only the zero-row test; any of them with a zero row and column
+    spliced in."""
+    size = size or draw(st.integers(1, 8))
+    splice = size > 1 and draw(st.booleans())
+    n = size - splice
     shape = draw(st.sampled_from(["gram", "arbitrary", "hollow"]))
     if shape == "gram":
         entry = st.integers(-3, 3)
@@ -225,11 +228,23 @@ def symmetric_matrices(draw):
     shift = draw(st.integers(-2, 2)) if shape != "hollow" else 0
     for i in range(n):
         m[i][i] += shift
-    if n < 8 and draw(st.booleans()):
+    if splice:
         at = draw(st.integers(0, n))
         m = [row[:at] + [0] + row[at:] for row in m]
         m.insert(at, [0] * (n + 1))
     return m
+
+
+def by_order(graphs):
+    """{n: the graphs of order n, in input order}."""
+    groups = {}
+    for g in graphs:
+        groups.setdefault(g.n, []).append(g)
+    return groups
+
+
+def reduced_laplacian(g):
+    return [row[1:] for row in laplacian(g)[1:]]
 
 
 class TestLmaxIntegrality:
@@ -254,8 +269,31 @@ class TestLmaxIntegrality:
 
     @pytest.mark.parametrize("corpus", sorted(LMAX_CORPORA))
     def test_bisection_matches_charpoly_oracle(self, corpus):
-        mismatches = [(write_graph6(g), got, want) for g in LMAX_CORPORA[corpus]()
-                      if (got := harness._integer_lmax(g)) != (want := integer_lmax_charpoly(g))]
+        """The survey's stacks of one order at a time: lambda_max from the
+        lockstep bisection against the characteristic polynomial, and the
+        tree count against det_bareiss of the reduced Laplacian."""
+        mismatches = []
+        for graphs in by_order(LMAX_CORPORA[corpus]()).values():
+            laps = harness._laplacians(graphs)
+            for g, lmax, tau in zip(graphs, harness._integer_lmaxes(laps),
+                                    harness._tree_counts(laps)):
+                if (lmax, tau) != (integer_lmax_charpoly(g), det_bareiss(reduced_laplacian(g))):
+                    mismatches.append((write_graph6(g), lmax, tau))
+        assert not mismatches, mismatches[:5]
+
+    @pytest.mark.parametrize("corpus", sorted(LMAX_CORPORA))
+    def test_kernel_matches_elimination_oracle(self, corpus):
+        """semidefinite_pivots on the stacks of kI - L, k = 0..n, of each
+        order against the one-matrix elimination it replaced."""
+        mismatches = []
+        for n, graphs in by_order(LMAX_CORPORA[corpus]()).items():
+            laps = harness._laplacians(graphs)
+            for k in range(n + 1):
+                stack = k * np.identity(n, dtype=np.int64) - laps
+                for g, m, psd, singular in zip(graphs, stack, *semidefinite_pivots(stack)[:2]):
+                    want = _semidefinite_singular(m.tolist())
+                    if (psd, psd and singular) != (want is not None, bool(want)):
+                        mismatches.append((write_graph6(g), k, psd, singular, want))
         assert not mismatches, mismatches[:5]
 
     @settings(max_examples=150, deadline=None)
@@ -267,10 +305,53 @@ class TestLmaxIntegrality:
         negative = [e.is_negative for e in eigenvalues]
         zero = [e.is_zero for e in eigenvalues]
         assert None not in negative + zero
-        got = harness._semidefinite_singular(m)
-        assert (got is not None) == (not any(negative)), m
-        if got is not None:
-            assert got == any(zero), m
+        (psd,), (singular,), _ = semidefinite_pivots([m])
+        assert psd == (not any(negative)), m
+        if psd:
+            assert singular == any(zero), m
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_stack_matches_one_at_a_time(self, data):
+        """A stack of equal-size matrices gives each matrix the verdict of
+        the one-matrix oracle, and its determinant as the last pivot when
+        it is positive definite; scaled by 2^40, which keeps both
+        verdicts, the same stack runs on Python ints unless it is zero."""
+        size = data.draw(st.integers(1, 8))
+        mats = data.draw(st.lists(symmetric_matrices(size), min_size=1, max_size=6))
+        psd, singular, last = semidefinite_pivots(mats)
+        for m, p, s, d in zip(mats, psd, singular, last.tolist()):
+            want = _semidefinite_singular(m)
+            assert p == (want is not None), m
+            if p:
+                assert s == want, m
+                if not s:
+                    assert d == det_bareiss(m), m
+        scaled = [[[x << 40 for x in row] for row in m] for m in mats]
+        psd_big, singular_big, last_big = semidefinite_pivots(scaled)
+        assert last_big.dtype == object or not np.any(mats)
+        assert psd_big.tolist() == psd.tolist()
+        assert (psd_big & singular_big).tolist() == (psd & singular).tolist()
+
+    def test_dtype_follows_the_hadamard_bound(self):
+        """int64 exactly when (largest squared row norm)^n < 2^62: every
+        stack of the built-in corpus and of order 9 (L, the reduced L, and
+        kI - L for k = 0..n) runs in int64; path:62 and complete:16 run on
+        Python ints."""
+        corpus = [g for n in range(1, 9) for g in gen_connected_graphs(n)]
+        corpus += list(gen_free_trees(9)) + [complete_graph(9), star_graph(8), Graph(9)]
+        for n, graphs in by_order(corpus).items():
+            laps = harness._laplacians(graphs)
+            stacks = [laps, laps[:, 1:, 1:]]
+            stacks += [k * np.identity(n, dtype=np.int64) - laps for k in range(n + 1)]
+            assert all(semidefinite_pivots(m)[2].dtype == np.int64 for m in stacks), n
+        for g in (path_graph(62), complete_graph(16)):
+            laps = harness._laplacians([g])
+            assert semidefinite_pivots(laps)[2].dtype == object
+            assert semidefinite_pivots(laps[:, 1:, 1:])[2].dtype == object
+        # at the bound: 2I has rows of squared norm 4, and 4^31 = 2^62
+        for n, dtype in ((30, np.int64), (31, object)):
+            assert semidefinite_pivots([2 * np.identity(n, dtype=np.int64)])[2].dtype == dtype, n
 
 
 class TestLmaxCost:
@@ -281,13 +362,13 @@ class TestLmaxCost:
     @pytest.fixture
     def eliminations(self, monkeypatch):
         count = [0]
-        inner = harness._semidefinite_singular
+        inner = harness.semidefinite_pivots
 
-        def counted(m):
-            count[0] += 1
-            return inner(m)
+        def counted(mats):
+            count[0] += len(mats)
+            return inner(mats)
 
-        monkeypatch.setattr(harness, "_semidefinite_singular", counted)
+        monkeypatch.setattr(harness, "semidefinite_pivots", counted)
         return count
 
     def test_per_graph_bound(self, eliminations):
@@ -307,8 +388,14 @@ class TestLmaxCost:
         assert eliminations[0] == 0
 
     def test_total_on_connected_n7_pinned(self, eliminations):
-        for g in gen_connected_graphs(7):
+        """One graph at a time and the whole order in lockstep probe the
+        same matrices."""
+        graphs = list(gen_connected_graphs(7))
+        for g in graphs:
             harness._integer_lmax(g)
+        assert eliminations[0] == 1619
+        eliminations[0] = 0
+        harness._integer_lmaxes(harness._laplacians(graphs))
         assert eliminations[0] == 1619
 
 
@@ -652,6 +739,43 @@ class TestCheckersNeverRaise:
         for delta in (0, -1, 2.0):
             ok, why = verify_positive_report(cube, replace(positive, time_delta=delta))
             assert not ok and why.startswith("the transfer time is not"), (delta, why)
+        dfw = parse_graph6("DFw")
+        parity = decide(dfw, LAPLACIAN, 3, 4)
+        assert parity.certificate.kind == PARITY_VIOLATION
+        for claimed in (["plus"], None, "neither"):
+            cert = replace(parity.certificate, claimed_class=claimed)
+            ok, why = replay_certificate(dfw, replace(parity, certificate=cert))
+            assert not ok, (claimed, why)
+
+    def test_huge_delta_refused_before_factoring(self, monkeypatch):
+        """A quadratic witness with b^2 delta above 4 rho^2 cannot be an
+        eigenvalue of the graph, and is refused without factoring delta,
+        whose trial division would run up to sqrt(delta): squarefree_part
+        is never called on it."""
+        calls = [0]
+        inner = harness.squarefree_part
+
+        def counted(n):
+            calls[0] += 1
+            return inner(n)
+
+        monkeypatch.setattr(harness, "squarefree_part", counted)
+        p4 = path_graph(4)
+        negative = decide(p4, LAPLACIAN, 0, 1)
+        witness = QuadraticEig(0, 2, 10 ** 14 + 31)
+        for cert in (Certificate(NON_INTEGER_SUPPORT, (witness,)),
+                     Certificate(NOT_STRONGLY_COSPECTRAL, (witness,)),
+                     Certificate(MIXED_DELTA, (QuadraticEig(4, 2, 2), witness))):
+            ok, why = replay_certificate(p4, replace(negative, certificate=cert))
+            assert not ok, (cert, why)
+        assert calls[0] == 1  # QuadraticEig(4, 2, 2) of the last certificate
+        # a witness within the bound is still factored, and refused when
+        # delta is not squarefree
+        witness = QuadraticEig(0, 1, 12)
+        cert = Certificate(NON_INTEGER_SUPPORT, (witness,))
+        assert replay_certificate(p4, replace(negative, certificate=cert)) == (
+            False, f"malformed witness {witness!r}")
+        assert calls[0] == 2
 
 
 class TestVerifyPositiveReport:
