@@ -307,16 +307,20 @@ def semidefinite_pivots(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with a zero diagonal entry has a zero row there): that index is
     skipped, and the matrix is singular.
 
-    With R^2 the largest squared row norm, Hadamard bounds every minor by
-    R^n and every intermediate by 2 R^(2n), so the stack runs in int64
-    when (R^2)^n < 2^62 and in Python ints (dtype object) otherwise.
+    With P the product over a matrix's rows of max(1, squared row norm),
+    Hadamard bounds every minor by sqrt(P) and every intermediate by 2P,
+    so the stack runs in int64 when P < 2^62 for each of its matrices and
+    in Python ints (dtype object) otherwise.  (R^2)^n, R^2 the largest
+    squared row norm, bounds every P and decides most stacks alone.
     """
     a = np.asarray(mats)
     n = a.shape[-1]
     if a.dtype == object or int(abs(a).max(initial=0)) ** 2 * n >= 2 ** 63:
         a = a.astype(object)
-    r2 = int((a * a).sum(axis=-1).max(initial=0))
-    a = a.astype(np.int64 if r2 ** n < 2 ** 62 else object)
+    r2 = np.maximum((a * a).sum(axis=-1), 1)
+    narrow = (int(r2.max(initial=1)) ** n < 2 ** 62
+              or int(np.prod(r2.astype(object), axis=-1).max(initial=1)) < 2 ** 62)
+    a = a.astype(np.int64 if narrow else object)
     semidefinite = np.ones(len(a), dtype=bool)
     singular = np.zeros(len(a), dtype=bool)
     prev = np.ones(len(a), dtype=a.dtype)

@@ -18,12 +18,31 @@ automorphism, so the two subtrees reach the same leaf words.  The search
 returns the automorphisms it met as generators, the transpositions of
 skipped twins among them.  The words come from graphs.py's one graph6
 encoder, so this module packs no bits itself.
+
+Every search starts from a root partition that one numpy kernel,
+_root_colours, computes for a whole chunk of graphs on the same n
+vertices: a (B, n, n) 0/1 adjacency stack of at most 2^14 entries (256
+graphs at n = 8), refined from the degree partition in lockstep.  A round
+keys each vertex by the sum over its neighbours w of n^(n - 1 - colour
+of w), the count vector of its neighbours' colours written in base n
+(every count is below n, so no digit carries), and ranks (colour
+ascending, key descending).  Every root cell lies in one degree class,
+where sorted neighbour-colour tuples have one length and ascend exactly
+as their count vectors descend, so the kernel reproduces the cell-wise
+refinement.  It is exact in int64 while n^(n + 1) < 2^63 (n <= 15) and
+runs the same code on Python ints at n = 16; no floating point, BLAS or
+LAPACK.  Below the root the search refines in Python, cell by cell.
+Generation, canonical_form (a chunk of one) and canonical_words (the
+survey's chunks of --file input) all take this route.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterator, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .graphs import Graph, Graph6ParseError, _graph6_payload, _graph6_word, parse_graph6
 
@@ -88,31 +107,105 @@ def _refine(nbrs, cells: list[list[int]],
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 word: equal iff graphs are isomorphic (n <= 16)."""
-    return _canonical_search(g)[0]
+    return canonical_words([g])[0]
 
 
-def _canonical_search(g: Graph) -> tuple[str, list[list[int]], list[int]]:
-    """The canonical word of g, the automorphisms the search met, and the
-    vertex order whose word it is (vertex k of the word is order[k]).
+def canonical_words(graphs: Sequence[Graph]) -> list[str]:
+    """canonical_form of each of graphs, all on the same n <= 16 vertices,
+    their root partitions refined one stack per chunk."""
+    if not graphs:
+        return []
+    return [search[0] for _, search in _searches((g.adj for g in graphs), graphs[0].n)]
+
+
+# Entries of one (B, n, n) adjacency stack of the root kernel: 256 graphs
+# at n = 8.
+_CHUNK_ENTRIES = 2 ** 14
+
+
+def _searches(adjs: Iterable[tuple[int, ...]], n: int) -> Iterator[
+        tuple[tuple[int, ...], tuple[str, list[list[int]], list[int]]]]:
+    """Each neighbour-mask tuple on n vertices with its _canonical_search,
+    in input order, taken in chunks of at most _CHUNK_ENTRIES adjacency
+    entries whose root partitions _root_colours refines in one stack."""
+    if n > MAX_CANONICAL_N:
+        raise ValueError(f"canonical_form limited to n <= {MAX_CANONICAL_N}")
+    size = max(1, _CHUNK_ENTRIES // n ** 2)
+    adjs = iter(adjs)
+    while chunk := list(islice(adjs, size)):
+        masks = np.array(chunk, dtype=np.int64).reshape(len(chunk), n)
+        stack = masks[:, :, None] >> np.arange(n) & 1
+        for adj, colours in zip(chunk, _root_colours(stack).tolist()):
+            cells: list[list[int]] = [[] for _ in range(max(colours) + 1)]
+            for v, c in enumerate(colours):
+                cells[c].append(v)
+            yield adj, _canonical_search(adj, cells, colours)
+
+
+def _dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Per row of a (B, n) array, the dense rank of each entry in its row;
+    and the number of distinct entries summed over the rows."""
+    rows = np.arange(len(keys))[:, None]
+    order = np.argsort(keys, axis=1, kind="stable")
+    ranked = keys[rows, order]
+    steps = np.zeros(keys.shape, dtype=np.int64)
+    np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1, out=steps[:, 1:])
+    ranks = np.empty_like(steps)
+    ranks[rows, order] = steps
+    return ranks, len(keys) + int(steps[:, -1].sum())
+
+
+def _root_colours(stack: np.ndarray) -> np.ndarray:
+    """The root partitions of a (B, n, n) stack of 0/1 adjacency matrices:
+    per graph, the colours that _refine reaches from the degree partition
+    (cells in increasing degree), colour c being the c-th cell.
+
+    All B graphs refine in lockstep, in _refine_round's order (the module
+    docstring says why): a round keys v by the sum over neighbours w of
+    n^(n - 1 - colour[w]) and ranks (old colour ascending, key descending)
+    in its graph, until no graph gains a colour.  The ranked values are
+    below n^(n + 1): int64 when that is below 2^63, Python ints (dtype
+    object, same code) otherwise.  Integer matrix products use no BLAS.
+    """
+    n = stack.shape[-1]
+    dtype = np.int64 if n ** (n + 1) < 2 ** 63 else object
+    a = stack.astype(dtype)
+    place = np.array([n ** (n - 1 - c) for c in range(n)], dtype=dtype)
+    colours, cells = _dense_ranks(a @ np.ones(n, dtype=dtype))
+    while True:
+        keys = (a @ place[colours][:, :, None])[:, :, 0]
+        new, new_cells = _dense_ranks(colours.astype(dtype) * n ** n - keys)
+        if new_cells == cells:
+            return colours
+        colours, cells = new, new_cells
+
+
+def _canonical_search(adj: tuple[int, ...], cells: list[list[int]],
+                      colours: list[int]) -> tuple[str, list[list[int]], list[int]]:
+    """The canonical word of the graph with neighbour masks adj, the
+    automorphisms the search met, and the vertex order whose word it is
+    (vertex k of the word is order[k]), from the root partition: cells,
+    each in ascending vertex order, and colours[v] the index of v's cell.
 
     The word is the least graph6 word over the vertex orders that colour
-    refinement leaves.  The root refines the degree partition (cells in
-    increasing degree); a node branches over the vertices of its first
-    cell of two or more, individualising v by putting [v] just before the
-    rest of its cell and refining again.  A leaf's cells are singletons,
-    read in order; each leaf's word is compared as a string, which for a
-    fixed n is the order of the bit streams.  Automorphisms discovered
-    from equal-word leaves prune sibling branches that a known symmetry
-    already covers.  A candidate v with a twin u among the vertices tried
-    in its cell is not branched on: the transposition (u v) fixes every
-    other vertex, hence the node's partition, and maps u's subtree onto
-    v's, so it is recorded in v's place.  The automorphisms are returned
-    as generators of a subgroup of Aut(g), each as sigma with sigma[v] the
-    image of vertex v.
+    refinement leaves.  The root is the degree partition (cells in
+    increasing degree) refined by _root_colours; a node branches over the
+    vertices of its first cell of two or more, individualising v by
+    putting [v] just before the rest of its cell and refining again.  A
+    leaf's cells are singletons, read in order; each leaf's word is
+    compared as a string, which for a fixed n is the order of the bit
+    streams.  Automorphisms discovered from equal-word leaves prune
+    sibling branches that a known symmetry already covers.  A candidate v
+    with a twin u among the vertices tried in its cell is not branched on:
+    the transposition (u v) fixes every other vertex, hence the node's
+    partition, and maps u's subtree onto v's, so it is recorded in v's
+    place.  The automorphisms are returned as generators of a subgroup of
+    Aut(g), each as sigma with sigma[v] the image of vertex v.
     """
-    if g.n > MAX_CANONICAL_N:
-        raise ValueError(f"canonical_form limited to n <= {MAX_CANONICAL_N}")
-    n, adj = g.n, g.adj
+    n = len(adj)
+    if len(cells) == n:  # discrete at the root: the one leaf
+        order = [cell[0] for cell in cells]
+        return _graph6_word(adj, order), [], order
     nbrs = [_LOW_BITS[mask & 255] + _HIGH_BITS[mask >> 8] for mask in adj]
     best_word: Optional[str] = None
     best_order: Optional[list[int]] = None
@@ -170,15 +263,7 @@ def _canonical_search(g: Graph) -> tuple[str, list[list[int]], list[int]]:
                 split[w] = i + 1
             rec(*_refine(nbrs, cells[:i] + [[v], rest] + cells[i + 1:], split))
 
-    by_degree: dict[int, list[int]] = {}
-    for v, mask in enumerate(adj):
-        by_degree.setdefault(mask.bit_count(), []).append(v)
-    cells = [by_degree[d] for d in sorted(by_degree)]
-    colours = [0] * n
-    for c, cell in enumerate(cells):
-        for v in cell:
-            colours[v] = c
-    rec(*_refine(nbrs, cells, colours))
+    rec(cells, colours)
     assert best_word is not None and best_order is not None
     return best_word, autos, best_order
 
@@ -311,28 +396,30 @@ def _connected_level(prev: list[Graph], n: int) -> list[Graph]:
     the least mask's child, which this parent's loop has already tried, so
     its word is already in seen: skipping it drops no word and moves none.
     A child's masks are the parent's, each row in the mask gaining the new
-    vertex, with the mask itself as the new row.  A new child is kept in
-    canonical labelling, its masks relabelled by the order the search
-    read its word in, so the kept graph is the one its word encodes.
+    vertex, with the mask itself as the new row.  The children, in the
+    order of their (parent, mask) pairs, and the parents before them, are
+    searched through _searches, one root stack per chunk; the searches are
+    independent, so the kept words and their order are those of searching
+    child by child.  A new child is kept in canonical labelling, its masks
+    relabelled by the order the search read its word in, so the kept
+    graph is the one its word encodes.
     """
     seen: set[str] = set()
     out: list[Graph] = []
     new = n - 1
-    for parent in prev:
-        base = parent.adj
-        for mask in _orbit_least_masks(new, _canonical_search(parent)[1]):
-            child = Graph._of(n, tuple(
-                row | 1 << new if mask >> u & 1 else row
-                for u, row in enumerate(base)) + (mask,))
-            key, _, order = _canonical_search(child)
-            if key not in seen:
-                seen.add(key)
-                bit = [0] * n  # bit[v]: the mask of v's place in the order
-                for k, v in enumerate(order):
-                    bit[v] = 1 << k
-                out.append(Graph._of(n, tuple(
-                    sum(map(bit.__getitem__, _LOW_BITS[m & 255] + _HIGH_BITS[m >> 8]))
-                    for m in map(child.adj.__getitem__, order))))
+    children = (tuple(row | 1 << new if mask >> u & 1 else row for u, row in enumerate(base))
+                + (mask,)
+                for base, (_, autos, _) in _searches((parent.adj for parent in prev), new)
+                for mask in _orbit_least_masks(new, autos))
+    for adj, (key, _, order) in _searches(children, n):
+        if key not in seen:
+            seen.add(key)
+            bit = [0] * n  # bit[v]: the mask of v's place in the order
+            for k, v in enumerate(order):
+                bit[v] = 1 << k
+            out.append(Graph._of(n, tuple(
+                sum(map(bit.__getitem__, _LOW_BITS[m & 255] + _HIGH_BITS[m >> 8]))
+                for m in map(adj.__getitem__, order))))
     return out
 
 

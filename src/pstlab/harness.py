@@ -27,7 +27,7 @@ from .exactalg import (
     semidefinite_pivots,
     squarefree_part,
 )
-from .generate import canonical_form, gen_free_trees, MAX_CANONICAL_N
+from .generate import canonical_form, canonical_words, gen_free_trees, MAX_CANONICAL_N
 from .graphs import Graph, adjacency, bipartition, find_twins, parse_graph6, write_graph6
 from .pst import (
     MIXED_DELTA,
@@ -416,20 +416,22 @@ def survey_record(g: Graph, with_pst: bool = False,
 
 def _chunk_records(graphs: list[Graph], with_pst: bool,
                    canonical_input: bool) -> list[SurveyRecord]:
-    """The records of graphs of one order, their tree counts and integral
-    lambda_max taken from one Laplacian stack."""
+    """The records of graphs of one order, their canonical words from one
+    canonical_words call, their tree counts and integral lambda_max from
+    one Laplacian stack."""
+    words = (canonical_words(graphs) if graphs[0].n <= MAX_CANONICAL_N and not canonical_input
+             else [write_graph6(g) for g in graphs])
     laps = _laplacians(graphs)
-    return [_record(g, tau, lmax is not None, with_pst, canonical_input)
-            for g, tau, lmax in zip(graphs, _tree_counts(laps), _integer_lmaxes(laps))]
+    return [_record(g, word, tau, lmax is not None, with_pst)
+            for g, word, tau, lmax
+            in zip(graphs, words, _tree_counts(laps), _integer_lmaxes(laps))]
 
 
-def _record(g: Graph, tau: int, lmax_integer: bool, with_pst: bool,
-            canonical_input: bool) -> SurveyRecord:
+def _record(g: Graph, graph6: str, tau: int, lmax_integer: bool, with_pst: bool) -> SurveyRecord:
     connected = g.is_connected()
     twins = find_twins(g)
     rec = SurveyRecord(
-        graph6=(canonical_form(g) if g.n <= MAX_CANONICAL_N and not canonical_input
-                else write_graph6(g)),
+        graph6=graph6,
         n=g.n,
         spanning_trees=tau,
         tau_odd=tau % 2 == 1,

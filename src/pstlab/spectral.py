@@ -157,7 +157,8 @@ def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
     Residual factors are classified through the minimal polynomials of
     e_u -+ e_v, splitting into plus and minus parts when both occur.
     Callers scanning many pairs may pass precomputed support profiles keyed
-    by vertex.
+    by vertex.  projection_sign decides a quadratic factor at both of its
+    roots, so each factor's sign is made once and read for both conjugates.
     """
     if not g.is_connected():
         raise ValueError("cospectrality_profile requires a connected graph")
@@ -180,10 +181,13 @@ def cospectrality_profile(g: Graph, kind: str, u: int, v: int,
         return not_cospectral(witness)
 
     plus, minus = [], []
+    signs: dict[IntPolynomial, int] = {}  # a quadratic's conjugate shares its poly
     for eig in pu.support:
         if isinstance(eig, ResidualEig):
             continue
-        sign = projection_sign(pu, pv, eig)
+        sign = signs.get(eig.poly)
+        if sign is None:
+            sign = signs[eig.poly] = projection_sign(pu, pv, eig)
         if sign == 1:
             plus.append(eig)
         elif sign == -1:

@@ -20,7 +20,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pstlab.cli import GOLDEN_COUNTS_7, GOLDEN_RULED_OUT_8
+from pstlab.cli import GOLDEN_COUNTS_7, GOLDEN_RULED_OUT_8, main
 from pstlab.exactalg import (
     IntPolynomial,
     charpoly,
@@ -126,6 +126,13 @@ REPORT_DIGESTS = {
 CORPUS_WORD_DIGESTS = {
     7: "76584eb4f6d62ee805bea5d3c9a4be66fb5cb81ef4c15a0d20947ff37b8b2466",
     8: "cfaec07fc82eb5aa83e263cd306e12b219b32628964075c275d1c975e61d43de",
+}
+# sha256 of survey --n 8 --workers 1: text stdout, --format json stdout, and
+# the --out JSON lines
+SURVEY_N8_DIGESTS = {
+    "text": "d62f140b5b81c3ae388183d5e5b973882fcd1a062805cfeccfbacf22a2af5ef9",
+    "json": "dbd65f720de414427c36431af409ae579e0008d9a103cfb6ed362e2f9039c895",
+    "jsonl": "612139e9bd11b41a1df55f13094ba4aac5d221999390bfc3ea711d4b3c298506",
 }
 
 
@@ -709,6 +716,21 @@ class TestCriterion8ReportBytes:
 
     def test_connected_words_pinned_n8(self, corpus8):
         self._check_corpus_words(8, corpus8)
+
+    def test_survey_n8_bytes_pinned(self, corpus8, capsys, tmp_path):
+        """survey --n 8 --workers 1 writes the same text, JSON and records
+        as every earlier release.  corpus8 leaves the corpus in
+        generation's cache, so this costs only the records."""
+        out_path = tmp_path / "recs.jsonl"
+        got = {}
+        for name, argv in (("text", ["--out", str(out_path)]), ("json", ["--format", "json"])):
+            assert main(["survey", "--n", "8", "--workers", "1", *argv]) == 0
+            got[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        got["jsonl"] = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        ok = got == SURVEY_N8_DIGESTS
+        report_line(8, ok, "survey --n 8 sha256 "
+                           + ", ".join(f"{k} {v[:12]}" for k, v in got.items()))
+        assert ok, got
 
 
 class TestCriterion9ScaleBudget:

@@ -1,15 +1,18 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pstlab import generate
 from pstlab.generate import (
-    _canonical_search,
     _connected_level,
     _orbit_least_masks,
+    _refine,
     _refine_round,
+    _root_colours,
+    _searches,
     canonical_form,
     gen_connected_graphs,
     gen_free_trees,
@@ -51,6 +54,26 @@ def graph_strategy(max_n=10):
         mask = draw(st.integers(0, (1 << len(pairs)) - 1))
         return Graph(n, [pairs[b] for b in range(len(pairs)) if mask >> b & 1])
     return build()
+
+
+@st.composite
+def graph_stacks(draw, max_n=16):
+    """Up to six graphs on one n <= max_n vertices, each with edge density
+    about 1/4, 1/2 or 3/4: the second mask is and-ed in, or or-ed in."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edge_masks = st.integers(0, (1 << len(pairs)) - 1)
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        mask, other = draw(edge_masks), draw(edge_masks)
+        mask = draw(st.sampled_from([mask & other, mask, mask | other]))
+        out.append(Graph(n, [pairs[b] for b in range(len(pairs)) if mask >> b & 1]))
+    return out
+
+
+def search(g):
+    """The canonical search of one graph: word, automorphisms, order."""
+    return next(_searches([g.adj], g.n))[1]
 
 
 class TestCanonicalForm:
@@ -111,7 +134,7 @@ class TestCanonicalForm:
         # the orbit rule of augmentation merges masks along these
         for n in range(1, 7):
             for g in gen_connected_graphs(n):
-                autos = _canonical_search(g)[1]
+                autos = search(g)[1]
                 for sigma in autos:
                     assert g.relabel(sigma) == g, (write_graph6(g), sigma)
                 assert (permutation_group_order(autos, n)
@@ -130,7 +153,7 @@ def dense_transitive_cases():
 
 
 def assert_search_matches_rounds(g):
-    word, autos, _ = _canonical_search(g)
+    word, autos, _ = search(g)
     oracle_word, oracle_autos = canonical_search_by_rounds(g)
     assert word == oracle_word, write_graph6(g)
     for sigma in autos:
@@ -177,45 +200,137 @@ class TestSearchMatchesRoundOracle:
             assert_search_matches_rounds(Graph(9, edges))
 
 
+def root_by_refine(g):
+    """The colours _refine reaches from the degree partition, cells in
+    increasing degree: the root partition that the search made itself
+    before _root_colours."""
+    by_degree = {}
+    for v in range(g.n):
+        by_degree.setdefault(g.degree(v), []).append(v)
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    colours = [0] * g.n
+    for c, cell in enumerate(cells):
+        for v in cell:
+            colours[v] = c
+    return _refine([list(g.neighbours(v)) for v in range(g.n)], cells, colours)[1]
+
+
+def assert_root_colours_match(graphs):
+    """_root_colours on stacks of the graphs of each order, at most 256 a
+    stack, against root_by_refine graph by graph."""
+    for n, group in by_order(graphs).items():
+        for i in range(0, len(group), 256):
+            chunk = group[i:i + 256]
+            stack = np.array([g.adj for g in chunk])[:, :, None] >> np.arange(n) & 1
+            for g, colours in zip(chunk, _root_colours(stack).tolist()):
+                assert colours == root_by_refine(g), write_graph6(g)
+
+
+def by_order(graphs):
+    out = {}
+    for g in graphs:
+        out.setdefault(g.n, []).append(g)
+    return out
+
+
+class TestRootKernel:
+    """The kernel against the one-graph refinement it took over at the
+    root, _refine from the degree partition."""
+
+    def test_children_of_connected_parents(self):
+        # every mask of every connected parent on n <= 7 vertices
+        children = [Graph._of(n + 1, tuple(row | (mask >> u & 1) << n
+                                           for u, row in enumerate(g.adj)) + (mask,))
+                    for n in range(1, 8) for g in gen_connected_graphs(n)
+                    for mask in range(1, 1 << n)]
+        assert_root_colours_match(children)
+
+    def test_trees_to_n12(self):
+        assert_root_colours_match([t for n in range(1, 13) for t in gen_free_trees(n)])
+
+    def test_sampled_n9_children(self):
+        rng = random.Random(9)
+        parents = list(gen_connected_graphs(8))
+        children = []
+        for _ in range(1500):
+            parent = rng.choice(parents)
+            mask = rng.randrange(1, 1 << 8)
+            edges = list(parent.edges) + [(u, 8) for u in range(8) if mask >> u & 1]
+            children.append(Graph(9, edges))
+        assert_root_colours_match(children)
+
+    def test_dense_transitive_graphs(self):
+        # K10-K16 and K8,8; at n = 16 the keys are Python ints (16^17 > 2^63)
+        assert_root_colours_match([h for pair in dense_transitive_cases() for h in pair])
+
+    @given(graph_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_random_stacks(self, graphs):
+        assert_root_colours_match(graphs)
+
+
 class TestRefinement:
     def test_result_is_stable(self, monkeypatch):
         """_refine stops at the first round that splits no cell, and at a
-        discrete partition without a round; one more round must still
-        change nothing, at every node of the search."""
+        discrete partition without a round; _root_colours stops at the
+        first round in which no graph of its stack gains a colour.  One
+        more round must still change nothing, at every node of the search,
+        the roots included."""
         results = []
-        inner = generate._refine
+        inner, inner_root = generate._refine, generate._root_colours
 
         def recorded(nbrs, cells, colours):
             out = inner(nbrs, cells, colours)
             results.append((nbrs, out))
             return out
 
+        def recorded_root(stack):
+            out = inner_root(stack)
+            for matrix, colours in zip(stack.tolist(), out.tolist()):
+                cells = [[v for v, c in enumerate(colours) if c == k]
+                         for k in range(max(colours) + 1)]
+                nbrs = [[w for w, x in enumerate(row) if x] for row in matrix]
+                results.append((nbrs, (cells, colours)))
+            return out
+
         monkeypatch.setattr(generate, "_refine", recorded)
+        monkeypatch.setattr(generate, "_root_colours", recorded_root)
         corpus = [g for n in range(1, 8) for g in gen_connected_graphs(n)]
         corpus += [t for n in range(1, 11) for t in gen_free_trees(n)]
         for g in corpus:
             canonical_form(g)
         assert len(results) > len(corpus)
         for nbrs, (cells, colours) in results:
+            assert all(cells)
             assert all(cell == sorted(cell) for cell in cells)
             assert all(colours[v] == c for c, cell in enumerate(cells) for v in cell)
             assert _refine_round(nbrs, cells, colours) == (cells, colours)
 
     def test_rounds_to_generate_n7_pinned(self, monkeypatch):
-        """A call count, not a timer.  Refinement that ranked every vertex
-        from the all-zero colouring took 33,747 rounds here, and 44,466
-        when it also ran one more round to confirm a discrete colouring;
-        the cell-wise search took 16,845 before it skipped twins."""
-        rounds = [0]
+        """Call counts, not timers.  Generating n <= 7 refines 23 root
+        stacks, and the kernel ranks each once by degree and once a round:
+        82 rankings, so 59 kernel rounds, each stack's last gaining no
+        colour.  Below the roots the search runs 5,900 Python rounds.  The
+        search
+        that refined its root itself took 13,888 Python rounds here;
+        refinement that ranked every vertex from the all-zero colouring
+        took 33,747, and 44,466 when it also ran one more round to confirm
+        a discrete colouring; the cell-wise search took 16,845 before it
+        skipped twins."""
+        counts = {"stacks": 0, "ranks": 0, "rounds": 0}
 
-        def counted(nbrs, cells, colours):
-            rounds[0] += 1
-            return _refine_round(nbrs, cells, colours)
+        def counted(name, inner):
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+            return wrapper
 
-        monkeypatch.setattr(generate, "_refine_round", counted)
+        monkeypatch.setattr(generate, "_root_colours", counted("stacks", generate._root_colours))
+        monkeypatch.setattr(generate, "_dense_ranks", counted("ranks", generate._dense_ranks))
+        monkeypatch.setattr(generate, "_refine_round", counted("rounds", _refine_round))
         monkeypatch.setattr(generate, "_connected_cache", {})
         assert sum(1 for _ in gen_connected_graphs(7)) == CONNECTED_COUNTS[7]
-        assert rounds[0] == 13888
+        assert counts == {"stacks": 23, "ranks": 82, "rounds": 5900}
 
     def test_leaves_to_generate_n7_pinned(self, monkeypatch):
         """A call count, not a timer: one graph6 word per leaf of every
@@ -312,13 +427,14 @@ class TestConnectedGraphs:
             prev = expected
 
     def test_one_child_per_mask_orbit(self, monkeypatch):
-        # Aut(K6) = S6 moves any mask onto any other of its popcount
-        calls = []
-        search = generate._canonical_search
-        monkeypatch.setattr(generate, "_canonical_search",
-                            lambda g: calls.append(g) or search(g))
+        # Aut(K6) = S6 moves any mask onto any other of its popcount: one
+        # root stack for the parent's search, one of its six children
+        shapes = []
+        kernel = generate._root_colours
+        monkeypatch.setattr(generate, "_root_colours",
+                            lambda stack: shapes.append(stack.shape) or kernel(stack))
         children = _connected_level([complete_graph(6)], 7)
-        assert [g.n for g in calls] == [6] + [7] * 6
+        assert shapes == [(1, 6, 6), (6, 7, 7)]
         assert len(children) == 6
 
     def test_range_check(self):

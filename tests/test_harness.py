@@ -334,10 +334,10 @@ class TestLmaxIntegrality:
         assert (psd_big & singular_big).tolist() == (psd & singular).tolist()
 
     def test_dtype_follows_the_hadamard_bound(self):
-        """int64 exactly when (largest squared row norm)^n < 2^62: every
-        stack of the built-in corpus and of order 9 (L, the reduced L, and
-        kI - L for k = 0..n) runs in int64; path:62 and complete:16 run on
-        Python ints."""
+        """int64 exactly when every matrix's product of max(1, squared row
+        norm) is below 2^62: every stack of the built-in corpus and of
+        order 9 (L, the reduced L, and kI - L for k = 0..n) runs in int64;
+        path:62 and complete:16 run on Python ints."""
         corpus = [g for n in range(1, 9) for g in gen_connected_graphs(n)]
         corpus += list(gen_free_trees(9)) + [complete_graph(9), star_graph(8), Graph(9)]
         for n, graphs in by_order(corpus).items():
@@ -352,6 +352,19 @@ class TestLmaxIntegrality:
         # at the bound: 2I has rows of squared norm 4, and 4^31 = 2^62
         for n, dtype in ((30, np.int64), (31, object)):
             assert semidefinite_pivots([2 * np.identity(n, dtype=np.int64)])[2].dtype == dtype, n
+
+    def test_pendant_rows_stay_in_int64(self):
+        """At k = n = 10, the bisection's last probe, a pendant vertex's row
+        of kI - L has squared norm 9^2 + 1 = 82 and 82^10 > 2^62, but the
+        product of the rows' squared norms is below 2^62 (82^9 * 10 for
+        star:9): int64, with the verdicts and pivots of the same matrices
+        stacked with 2^40 I, which puts the stack on Python ints."""
+        for g in (star_graph(9), path_graph(10)):
+            stack = 10 * np.identity(10, dtype=np.int64) - harness._laplacians([g])
+            wide = np.concatenate([stack, [2 ** 40 * np.identity(10, dtype=np.int64)]])
+            narrow, wide = semidefinite_pivots(stack), semidefinite_pivots(wide)
+            assert narrow[2].dtype == np.int64 and wide[2].dtype == object
+            assert [x.tolist() for x in narrow] == [x[:1].tolist() for x in wide], write_graph6(g)
 
 
 class TestLmaxCost:

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from pstlab import spectral
 from pstlab.exactalg import (
     IntPolynomial,
     factor_support,
@@ -285,6 +286,28 @@ class TestCospectrality:
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
             cospectrality_profile(path_graph(3), LAPLACIAN, 1, 1)
+
+    @pytest.mark.parametrize("g,made", [(hypercube(5), 66), (cycle_graph(24), 53)],
+                             ids=["hypercube:5", "cycle:24"])
+    def test_one_sign_test_per_factor(self, g, made, monkeypatch):
+        """A call count, not a timer: projection_sign decides a quadratic
+        factor at both roots, so cospectrality_profile asks it once per
+        factor.  Over the pairs (0, v), in each kind, the 5-cube (integer
+        spectrum) takes 66 sign tests and cycle:24 takes 53; asking at both
+        conjugates took 55 there, the antipodal pair's support holding two
+        quadratic factors."""
+        calls = []
+        monkeypatch.setattr(spectral, "projection_sign",
+                            lambda pu, pv, eig: calls.append(eig) or projection_sign(pu, pv, eig))
+        for kind in KINDS:
+            profiles = {u: support_profile(g, kind, u) for u in range(g.n)}
+            total = 0
+            for v in range(1, g.n):
+                calls.clear()
+                cospectrality_profile(g, kind, 0, v, profiles)
+                assert len({eig.poly for eig in calls}) == len(calls), (kind, v, calls)
+                total += len(calls)
+            assert total == made, kind
 
 
 class TestClassifyByMinpolys:
