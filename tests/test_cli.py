@@ -215,14 +215,18 @@ class TestSurvey:
             got = [json.loads(line)["graph6"] for line in out_path.read_text().splitlines()]
             assert got == want, workers
 
-    @pytest.mark.parametrize("source", ["n7", "mixed-file"])
+    @pytest.mark.parametrize("source", ["n7", "n6-pst", "mixed-file"])
     def test_worker_count_invariant_bytes(self, capsys, tmp_path, source):
         """One and two workers write the same stdout and the same records,
-        byte for byte: on the built-in n = 7 corpus, and on a file whose
-        orders change from line to line (n = 1..8, a disconnected graph,
-        a 62-vertex path), so its chunks are short and of many sizes."""
+        byte for byte: on the built-in n = 7 corpus; on the built-in n = 6
+        corpus with --pst, so the pair counts come back from the workers;
+        and on a file whose orders change from line to line (n = 1..8, a
+        disconnected graph, a 62-vertex path), so its chunks are short and
+        of many sizes."""
         if source == "n7":
             argv = ["--n", "7"]
+        elif source == "n6-pst":
+            argv = ["--n", "6", "--pst"]
         else:
             graphs = [g for n in range(1, 9) for g in list(gen_connected_graphs(n))[:40]]
             graphs[5:5] = [Graph(5, [(0, 1), (2, 3)]), path_graph(62), Graph(3)]
@@ -238,7 +242,8 @@ class TestSurvey:
             assert code == 0
             outputs.append((out, out_path.read_bytes()))
         assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0][0])["total"] == (853 if source == "n7" else 155)
+        assert json.loads(outputs[0][0])["total"] == {"n7": 853, "n6-pst": 112,
+                                                      "mixed-file": 155}[source]
 
     def test_directory_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "survey", "--file", str(tmp_path),
