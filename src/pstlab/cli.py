@@ -26,6 +26,7 @@ from .generate import (
 from .graphs import Graph, Graph6ParseError, construct, parse_graph6, write_graph6
 from .harness import (
     MAX_TREE_SWEEP_N,
+    _free_trees,
     aggregate_to_csv,
     run_survey,
     write_survey_jsonl,
@@ -207,22 +208,16 @@ def cmd_trees(args) -> int:
     if not 2 <= args.max_n <= MAX_TREE_SWEEP_N:
         raise CliError(f"tree sweep supports 2 <= max-n <= {MAX_TREE_SWEEP_N}")
     kind = _matrix_kind(args.matrix)
-    rows = []
-    total_yes = 0
     # the Laplacian exclusion concerns trees on more than two vertices; the
     # other kinds sweep from the one-edge path, a positive in each
-    start_n = 3 if kind == LAPLACIAN else 2
-    for n in range(start_n, args.max_n + 1):
-        for t in gen_free_trees(n):
-            for r in pst_search(t, kind):
-                total_yes += 1
-                rows.append(r.to_json())
+    rows = [r.to_json() for t in _free_trees(3 if kind == LAPLACIAN else 2, args.max_n)
+            for r in pst_search(t, kind)]
     if args.format in ("json", "jsonl"):
         print(json.dumps({"matrix": kind, "max_n": args.max_n,
                           "yes_reports": rows}, sort_keys=True))
     else:
         print(f"{kind} sweep over trees up to {args.max_n} vertices: "
-              f"{total_yes} transfer pair(s)")
+              f"{len(rows)} transfer pair(s)")
         for row in rows:
             print(f"  {row['graph6']} ({row['u']},{row['v']})")
     return 0
@@ -236,6 +231,8 @@ def cmd_simulate(args) -> int:
         raise CliError("simulate needs an explicit --pairs u,v")
     if args.steps < 2:
         raise CliError("--steps must be at least 2")
+    if not np.isfinite(args.t_max):
+        raise CliError(f"--t-max must be finite, got {args.t_max}")
     u, v = pair
     dt = args.t_max / (args.steps - 1)
     sys.stdout.write("t,fidelity\n")

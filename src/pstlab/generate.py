@@ -21,19 +21,21 @@ encoder, so this module packs no bits itself.
 
 Every search starts from a root partition that one numpy kernel,
 _root_colours, computes for a whole chunk of graphs on the same n
-vertices: a (B, n, n) 0/1 adjacency stack of at most 2^14 entries (256
-graphs at n = 8), refined from the degree partition in lockstep.  A round
-keys each vertex by the sum over its neighbours w of n^(n - 1 - colour
-of w), the count vector of its neighbours' colours written in base n
-(every count is below n, so no digit carries), and ranks (colour
-ascending, key descending).  Every root cell lies in one degree class,
+vertices: the (B, n, n) 0/1 adjacency_stack of at most _CHUNK_ENTRIES =
+2^14 entries (256 graphs at n = 8), refined from the degree partition in
+lockstep.  A round keys each vertex by the sum over its neighbours w of
+n^(n - 1 - colour of w), the count vector of its neighbours' colours
+written in base n (every count is below n, so no digit carries), and
+ranks (colour ascending, key descending).  Every root cell lies in one degree class,
 where sorted neighbour-colour tuples have one length and ascend exactly
 as their count vectors descend, so the kernel reproduces the cell-wise
 refinement.  It is exact in int64 while n^(n + 1) < 2^63 (n <= 15) and
 runs the same code on Python ints at n = 16; no floating point, BLAS or
 LAPACK.  Below the root the search refines in Python, cell by cell.
 Generation, canonical_form (a chunk of one) and canonical_words (the
-survey's chunks of --file input) all take this route.
+survey's chunks of --file input) all take this route.  The survey in
+harness.py builds its Laplacian stacks with the same adjacency_stack, in
+chunks of the same budget.
 """
 
 from __future__ import annotations
@@ -118,9 +120,15 @@ def canonical_words(graphs: Sequence[Graph]) -> list[str]:
     return [search[0] for _, search in _searches((g.adj for g in graphs), graphs[0].n)]
 
 
-# Entries of one (B, n, n) adjacency stack of the root kernel: 256 graphs
-# at n = 8.
+# Entries of one (B, n, n) stack, 256 graphs at n = 8: the chunk budget
+# of the root kernel here and of harness's survey Laplacians.
 _CHUNK_ENTRIES = 2 ** 14
+
+
+def adjacency_stack(adjs: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
+    """The 0/1 adjacency matrices of neighbour-mask tuples on n vertices
+    as a (B, n, n) int64 stack; bit v of a mask is column v."""
+    return np.array(adjs, dtype=np.int64)[:, :, None] >> np.arange(n) & 1
 
 
 def _searches(adjs: Iterable[tuple[int, ...]], n: int) -> Iterator[
@@ -133,9 +141,7 @@ def _searches(adjs: Iterable[tuple[int, ...]], n: int) -> Iterator[
     size = max(1, _CHUNK_ENTRIES // n ** 2)
     adjs = iter(adjs)
     while chunk := list(islice(adjs, size)):
-        masks = np.array(chunk, dtype=np.int64).reshape(len(chunk), n)
-        stack = masks[:, :, None] >> np.arange(n) & 1
-        for adj, colours in zip(chunk, _root_colours(stack).tolist()):
+        for adj, colours in zip(chunk, _root_colours(adjacency_stack(chunk, n)).tolist()):
             cells: list[list[int]] = [[] for _ in range(max(colours) + 1)]
             for v, c in enumerate(colours):
                 cells[c].append(v)

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from multiprocessing import Pool
 from typing import Iterable, Iterator, Optional
 
@@ -27,8 +27,9 @@ from .exactalg import (
     semidefinite_pivots,
     squarefree_part,
 )
-from .generate import canonical_form, canonical_words, gen_free_trees, MAX_CANONICAL_N
-from .graphs import Graph, adjacency, bipartition, find_twins, parse_graph6, write_graph6
+from .generate import (_CHUNK_ENTRIES, MAX_CANONICAL_N, adjacency_stack, canonical_form,
+                       canonical_words, gen_free_trees)
+from .graphs import Graph, adjacency, bipartition, find_twins, write_graph6
 from .pst import (
     MIXED_DELTA,
     NO,
@@ -80,7 +81,7 @@ def spanning_tree_count(g: Graph, vertex: int = 0) -> int:
 def _laplacians(graphs: list[Graph]) -> np.ndarray:
     """The Laplacians of graphs of one order as a (B, n, n) int64 stack."""
     n = graphs[0].n
-    a = np.array([g.adj for g in graphs], dtype=np.int64)[:, :, None] >> np.arange(n) & 1
+    a = adjacency_stack([g.adj for g in graphs], n)
     lap = -a
     lap[:, range(n), range(n)] = a.sum(axis=2)
     return lap
@@ -146,13 +147,11 @@ class CheckResult:
         return self.passed
 
 
-_C4_CANON = canonical_form(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
-_K4E_CANON = canonical_form(Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]))
-
-
 def check_twin_theorem(corpus: Iterable[Graph]) -> CheckResult:
     """Laplacian transfer between twins sharing one or two neighbours
     happens only in the 4-cycle and in K4 minus an edge."""
+    exceptions = canonical_words([Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+                                  Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])])
     violations = []
     seen = 0
     exceptional_hits = {}
@@ -160,7 +159,7 @@ def check_twin_theorem(corpus: Iterable[Graph]) -> CheckResult:
         if g.n < 2 or not g.is_connected():
             continue
         seen += 1
-        exceptional = g.n == 4 and canonical_form(g) in (_C4_CANON, _K4E_CANON)
+        exceptional = g.n == 4 and canonical_form(g) in exceptions
         yes_here = False
         for pair in find_twins(g):
             if pair.k not in (1, 2):
@@ -450,11 +449,6 @@ def _record(g: Graph, graph6: str, tau: int, lmax_integer: bool, with_pst: bool)
     return rec
 
 
-# Entries of one survey chunk's (B, n, n) int64 Laplacian stack: 128 KB,
-# 256 graphs at n = 8.
-_CHUNK_ENTRIES = 2 ** 14
-
-
 def _chunks(graphs: Iterable[Graph], most: int) -> Iterator[list[Graph]]:
     """The input in slices of consecutive graphs of one order, each of at
     most `most` graphs and _CHUNK_ENTRIES Laplacian entries."""
@@ -469,25 +463,20 @@ def _chunks(graphs: Iterable[Graph], most: int) -> Iterator[list[Graph]]:
         yield chunk
 
 
-def _survey_worker(args: tuple[list[str], bool, bool]) -> list[SurveyRecord]:
-    words, with_pst, canonical_input = args
-    return _chunk_records([parse_graph6(w) for w in words], with_pst, canonical_input)
-
-
 def survey_records(graphs: Iterable[Graph], with_pst: bool = False,
                    workers: int = 1, _canonical_input: bool = False) -> list[SurveyRecord]:
     """Per-graph records, optionally computed by a process pool; the record
-    order follows the input order regardless of the worker count.  The
-    serial path takes the input chunk by chunk; the pool gets chunks of
-    graph6 words, each at most a (workers * 8)-th of the input."""
+    order follows the input order regardless of the worker count.  Both
+    paths map _chunk_records over chunks of Graphs: the serial path
+    streams the input, and the pool gets the Graphs as they are, in chunks
+    of at most a (workers * 8)-th of the input."""
+    records = partial(_chunk_records, with_pst=with_pst, canonical_input=_canonical_input)
     if workers <= 1:
-        return [rec for chunk in _chunks(graphs, _CHUNK_ENTRIES)
-                for rec in _chunk_records(chunk, with_pst, _canonical_input)]
+        return [rec for recs in map(records, _chunks(graphs, _CHUNK_ENTRIES)) for rec in recs]
     graphs = list(graphs)
-    tasks = [([write_graph6(g) for g in chunk], with_pst, _canonical_input)
-             for chunk in _chunks(graphs, max(1, len(graphs) // (workers * 8)))]
+    chunks = _chunks(graphs, max(1, len(graphs) // (workers * 8)))
     with Pool(workers) as pool:
-        return [rec for recs in pool.imap(_survey_worker, tasks) for rec in recs]
+        return [rec for recs in pool.imap(records, chunks) for rec in recs]
 
 
 def aggregate_records(records: list[SurveyRecord]) -> dict:

@@ -355,6 +355,14 @@ class TestSimulate:
                              "--pairs", "0,1", "--t-max", "1.0", "--steps", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_non_finite_t_max_exit_2(self, capsys, t_max):
+        """A time grid to nan or inf is bad configuration: exit 2 before
+        the CSV header, not rows of nan."""
+        code, out, err = run_cli(capsys, "simulate", "--family", "path:2",
+                                 "--pairs", "0,1", "--t-max", t_max, "--steps", "3")
+        assert code == 2 and out == "" and "error:" in err
+
 
 class TestGenerate:
     def test_trees_n4(self, capsys):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,28 @@ class TestTwinTheorem:
     def test_exceptions_transfer(self):
         assert laplacian_pst(cycle_graph(4), 0, 2).yes
         assert laplacian_pst(complete_minus_edge(4), 0, 1).yes
+
+    def test_import_runs_no_search(self):
+        """Importing harness runs no canonical search: the words of C4 and
+        K4 minus an edge are made when check_twin_theorem runs, so a fresh
+        interpreter's import calls generate._root_colours 0 times."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        code = ("import sys\n"
+                "calls = []\n"
+                "def profile(frame, event, arg):\n"
+                "    if event == 'call' and frame.f_code.co_name == '_root_colours':\n"
+                "        calls.append(frame.f_code.co_filename)\n"
+                "sys.setprofile(profile)\n"
+                "import pstlab.harness\n"
+                "sys.setprofile(None)\n"
+                "assert 'pstlab.generate' in sys.modules\n"
+                "print(len(calls))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestPowerOfTwoEigenvalue:
