@@ -26,12 +26,13 @@ vertices: the (B, n, n) 0/1 adjacency_stack of at most _CHUNK_ENTRIES =
 lockstep.  A round keys each vertex by the sum over its neighbours w of
 n^(n - 1 - colour of w), the count vector of its neighbours' colours
 written in base n (every count is below n, so no digit carries), and
-ranks (colour ascending, key descending).  Every root cell lies in one degree class,
-where sorted neighbour-colour tuples have one length and ascend exactly
-as their count vectors descend, so the kernel reproduces the cell-wise
-refinement.  It is exact in int64 while n^(n + 1) < 2^63 (n <= 15) and
-runs the same code on Python ints at n = 16; no floating point, BLAS or
-LAPACK.  Below the root the search refines in Python, cell by cell.
+ranks (colour ascending, key descending).  Every root cell lies in one
+degree class, where sorted neighbour-colour tuples have one length and
+ascend exactly as their count vectors descend, so the kernel reproduces
+the cell-wise refinement.  It is exact in int64 while n^(n + 1) < 2^63
+(n <= 15) and runs the same code on Python ints at n = 16; no floating
+point, BLAS or LAPACK.  Below the root the search refines in Python, cell
+by cell.
 Generation, canonical_form (a chunk of one) and canonical_words (the
 survey's chunks of --file input) all take this route.  The survey in
 harness.py builds its Laplacian stacks with the same adjacency_stack, in
