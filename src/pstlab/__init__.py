@@ -28,7 +28,6 @@ from .exactalg import (
     charpoly,
     det_bareiss,
     factor_support,
-    rank_mod_p,
     vector_minpoly,
 )
 from .spectral import (
@@ -46,7 +45,6 @@ from .pst import (
     PSTReport,
     adjacency_pst,
     all_pair_reports,
-    bipartite_phase_check,
     decide,
     laplacian_pst,
     numeric_fidelity,

@@ -168,6 +168,8 @@ def cmd_survey(args) -> int:
         label = args.file
     else:
         raise CliError("survey needs --n or --file")
+    if args.assert_paper and args.n not in (7, 8):
+        raise CliError("--assert-paper applies to --n 7 and --n 8")
     # the built-in corpus comes in canonical labelling (gen_connected_graphs)
     records, agg = run_survey(graphs, with_pst=args.pst, workers=workers,
                               _canonical_input=args.n is not None)
@@ -186,17 +188,14 @@ def cmd_survey(args) -> int:
     return 0
 
 
-def _assert_golden_counts(n: Optional[int], agg: dict) -> int:
+def _assert_golden_counts(n: int, agg: dict) -> int:
     if n == 7:
         expected = GOLDEN_COUNTS_7
-    elif n == 8:
+    else:
         # each reading of the paper's ruled-out figure is checked on its own
         expected = {**GOLDEN_COUNTS_8,
                     "ruled_out_reading_small_twins": GOLDEN_RULED_OUT_8,
                     "ruled_out_reading_no_admissible_pair": GOLDEN_RULED_OUT_8}
-    else:
-        print("--assert-paper applies to --n 7 and --n 8", file=sys.stderr)
-        return 1
     failures = [f"{key}: got {agg[key]}, expected {want}"
                 for key, want in expected.items() if agg[key] != want]
     for f in failures:

@@ -42,17 +42,6 @@ def squarefree_part(n: int) -> tuple[int, int]:
     return b, d * n
 
 
-def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
-
-
 class IntPolynomial:
     """Univariate polynomial with integer coefficients, stored ascending.
 
@@ -563,34 +552,3 @@ def _find_quadratic_factor(q: IntPolynomial, bound: int):
             if quad_poly.divides(q):
                 return s, t
     return None
-
-
-def rank_mod_p(m: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of an integer matrix over the prime field Z_p, p an odd prime."""
-    if not is_odd_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
-    if not m:
-        return 0
-    rows = [[x % p for x in row] for row in m]
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-

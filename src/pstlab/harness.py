@@ -42,7 +42,7 @@ from .pst import (
     YES,
     PSTReport,
     all_pair_reports,
-    laplacian_pst,
+    decide,
     numeric_fidelity,
     pst_search,
 )
@@ -159,12 +159,13 @@ def check_twin_theorem(corpus: Iterable[Graph]) -> CheckResult:
         if g.n < 2 or not g.is_connected():
             continue
         seen += 1
-        exceptional = g.n == 4 and canonical_form(g) in exceptions
+        canon = canonical_form(g) if g.n == 4 else None
+        exceptional = canon in exceptions
         yes_here = False
         for pair in find_twins(g):
             if pair.k not in (1, 2):
                 continue
-            report = laplacian_pst(g, pair.u, pair.v)
+            report = decide(g, LAPLACIAN, pair.u, pair.v)
             if report.yes:
                 yes_here = True
                 if not exceptional:
@@ -172,7 +173,7 @@ def check_twin_theorem(corpus: Iterable[Graph]) -> CheckResult:
                         f"{write_graph6(g)}: unexpected transfer between twins "
                         f"({pair.u},{pair.v}) with k={pair.k}")
         if exceptional:
-            exceptional_hits[canonical_form(g)] = yes_here
+            exceptional_hits[canon] = yes_here
     for canon, hit in exceptional_hits.items():
         if not hit:
             violations.append(f"exceptional graph {canon} lost its twin transfer")
@@ -539,10 +540,6 @@ def _cached_profile(g: Graph, kind: str, u: int):
     return support_profile(g, kind, u)
 
 
-def _support_value_check(minpoly: IntPolynomial, eig) -> bool:
-    return eig.poly.divides(minpoly)
-
-
 def _report_fault(g: Graph, report: PSTReport) -> Optional[str]:
     """Why neither checker can read report against g, None when both can:
     another graph's word, a disconnected graph (decide makes no report for
@@ -667,7 +664,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
             return False, "only a Laplacian support must be integral"
         if not isinstance(witness, QuadraticEig):
             return False, "witness is not irrational"
-        if not _support_value_check(pu.minpoly, witness):
+        if not witness.poly.divides(pu.minpoly):
             return False, "witness is not in the support"
         return True, "irrational support eigenvalue confirmed"
 
@@ -687,7 +684,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         if w1.delta == w2.delta:
             return False, "witnesses share an extension"
         for w in (w1, w2):
-            if not _support_value_check(pu.minpoly, w):
+            if not w.poly.divides(pu.minpoly):
                 return False, "witness is not in the support"
         return True, "two quadratic extensions confirmed"
 
@@ -697,7 +694,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         if len(quads) + len(ints) != len(cert.witnesses):
             return False, "witnesses are not integer or quadratic eigenvalues"
         for w in cert.witnesses:
-            if not _support_value_check(pu.minpoly, w):
+            if not w.poly.divides(pu.minpoly):
                 return False, "witness is not in the support"
         if len(quads) >= 2 and quads[0].a != quads[1].a:
             return True, "two rational parts confirmed"

@@ -30,7 +30,7 @@ from .exactalg import (
     poly_gcd,
     unit_vector,
 )
-from .graphs import Graph, bipartition, write_graph6
+from .graphs import Graph, write_graph6
 from .spectral import ADJACENCY, KINDS, LAPLACIAN, eigenvalue_bound, matrix_of
 
 YES = "yes"
@@ -375,31 +375,3 @@ def numeric_fidelity(g: Graph, kind: str, u: int, v: int, t: float) -> float:
             term_re, term_im = (-h / k) * (m @ term_im), (h / k) * (m @ term_re)
             re, im = re + term_re, im + term_im
     return float(re[v] ** 2 + im[v] ** 2)
-
-
-def bipartite_phase_check(report: PSTReport, g: Graph) -> tuple[bool, str]:
-    """Structural assertions for adjacency transfer across a bipartition:
-    phase +/- i, equal 2-adic valuation across the support, and 0 absent.
-
-    Preconditions (verdict yes, adjacency kind, bipartite graph, endpoints
-    in different classes) raise; assertion failures return (False, why).
-    """
-    if not report.yes or report.matrix_kind != ADJACENCY:
-        raise ValueError("needs a positive adjacency report")
-    bip = bipartition(g)
-    if bip is None:
-        raise ValueError("graph is not bipartite")
-    if bip.side_of(report.u) == bip.side_of(report.v):
-        raise ValueError("endpoints lie in the same colour class")
-    if report.phase_s % 2 not in (Fraction(1, 2), Fraction(3, 2)):
-        return False, f"phase exp(i pi {report.phase_s}) is not +/- i"
-    support = list(report.plus_set) + list(report.minus_set)
-    if any(not isinstance(e, IntegerEig) for e in support):
-        return False, "non-integer support across a bipartition"
-    values = [e.value for e in support]
-    if any(val == 0 for val in values):
-        return False, "0 in support"
-    twoadic = {(val & -val) for val in map(abs, values)}
-    if len(twoadic) > 1:
-        return False, "support eigenvalues with different powers of two"
-    return True, ""

@@ -30,8 +30,13 @@ whole of exp(itM) from LAPACK's eigh instead of Taylor steps on e_u alone.
 The helpers at the end are checks that only tests use: a polynomial from
 its roots, the product a factorization splits, strong cospectrality read
 off the split of the minimal polynomial, the resolution of the identity
-over a support profile, and the signed projection sum that a transfer
-pair must make e_v.
+over a support profile, the signed projection sum that a transfer
+pair must make e_v, and two laws that the exact code must obey: the rank
+of an integer matrix over Z_p (the reduced Laplacian has full rank mod p
+exactly when p does not divide the tree count) and the bipartite phase
+law for adjacency transfer between the colour classes (phase +/- i, one
+2-adic valuation across the support, 0 outside it; Godsil, State
+transfer on graphs, Discrete Math. 312, 2012).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,7 +58,8 @@ from pstlab.exactalg import (
     sturm_count,
 )
 from pstlab.generate import canonical_form
-from pstlab.graphs import Graph, _graph6_word, laplacian, parse_graph6
+from pstlab.graphs import Graph, _graph6_word, bipartition, laplacian, parse_graph6
+from pstlab.pst import PSTReport
 from pstlab.spectral import (
     ADJACENCY,
     LAPLACIAN,
@@ -967,3 +973,72 @@ def exact_transfer_vector(g: Graph, kind: str, u: int, plus_ids, minus_ids) -> l
     for eig in minus_ids:
         out = [x - y for x, y in zip(out, projections[eig])]
     return out
+
+
+def is_odd_prime(p: int) -> bool:
+    if p < 3 or p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def rank_mod_p(m: Sequence[Sequence[int]], p: int) -> int:
+    """Rank of an integer matrix over the prime field Z_p, p an odd prime."""
+    if not is_odd_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    if not m:
+        return 0
+    rows = [[x % p for x in row] for row in m]
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(rank, len(rows)):
+            if rows[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def bipartite_phase_check(report: PSTReport, g: Graph) -> tuple[bool, str]:
+    """Structural assertions for adjacency transfer across a bipartition:
+    phase +/- i, equal 2-adic valuation across the support, and 0 absent.
+
+    Preconditions (verdict yes, adjacency kind, bipartite graph, endpoints
+    in different classes) raise; assertion failures return (False, why).
+    """
+    if not report.yes or report.matrix_kind != ADJACENCY:
+        raise ValueError("needs a positive adjacency report")
+    bip = bipartition(g)
+    if bip is None:
+        raise ValueError("graph is not bipartite")
+    if bip.side_of(report.u) == bip.side_of(report.v):
+        raise ValueError("endpoints lie in the same colour class")
+    if report.phase_s % 2 not in (Fraction(1, 2), Fraction(3, 2)):
+        return False, f"phase exp(i pi {report.phase_s}) is not +/- i"
+    support = list(report.plus_set) + list(report.minus_set)
+    if any(not isinstance(e, IntegerEig) for e in support):
+        return False, "non-integer support across a bipartition"
+    values = [e.value for e in support]
+    if any(val == 0 for val in values):
+        return False, "0 in support"
+    twoadic = {(val & -val) for val in map(abs, values)}
+    if len(twoadic) > 1:
+        return False, "support eigenvalues with different powers of two"
+    return True, ""

@@ -26,7 +26,6 @@ from pstlab.exactalg import (
     charpoly,
     factor_support,
     poly_gcd,
-    rank_mod_p,
     unit_vector,
     vector_minpoly,
 )
@@ -86,6 +85,7 @@ from oracles import (
     minpoly_split_is_cospectral,
     pair_ids_factor_support,
     projection_sum,
+    rank_mod_p,
     residual_remainder,
     sign_class_annihilators,
     twin_statistics,

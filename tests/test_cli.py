@@ -250,10 +250,24 @@ class TestSurvey:
                                "--workers", "1", "--format", "json")
         assert code == 2 and "error:" in err
 
-    def test_assert_paper_needs_7_or_8(self, capsys):
-        code, _, _ = run_cli(capsys, "survey", "--n", "5", "--workers", "1",
-                             "--assert-paper", "--format", "json")
-        assert code == 1
+    def test_assert_paper_needs_7_or_8(self, capsys, tmp_path):
+        """A size --assert-paper has no figures for is a configuration
+        error, found before the survey runs: nothing on stdout, no records."""
+        out_path = tmp_path / "recs.jsonl"
+        code, out, err = run_cli(capsys, "survey", "--n", "5", "--workers", "1",
+                                 "--assert-paper", "--format", "json",
+                                 "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err.startswith("error:") and "--assert-paper" in err
+
+    def test_assert_paper_refuses_file_before_reading(self, capsys, tmp_path):
+        corpus = tmp_path / "c.g6"
+        corpus.write_text("".join(write_graph6(g) + "\n" for g in gen_connected_graphs(4)))
+        out_path = tmp_path / "recs.jsonl"
+        code, out, err = run_cli(capsys, "survey", "--file", str(corpus), "--workers", "1",
+                                 "--assert-paper", "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err.startswith("error:")
 
     def test_golden_ruled_out_readings_checked_separately(self, capsys):
         agg = {**GOLDEN_COUNTS_8,

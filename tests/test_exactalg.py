@@ -16,7 +16,6 @@ from pstlab.exactalg import (
     krylov_vectors,
     mat_vec,
     poly_gcd,
-    rank_mod_p,
     squarefree_part,
     sturm_count,
     unit_vector,
@@ -46,6 +45,7 @@ from oracles import (
     poly_from_roots,
     poly_gcd_fraction,
     quad,
+    rank_mod_p,
     reconstruct_factorization,
     spanning_trees_brute,
     split_ids,

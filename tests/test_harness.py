@@ -12,7 +12,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from pstlab.exactalg import IntPolynomial, charpoly, det_bareiss, rank_mod_p, semidefinite_pivots
+from pstlab.exactalg import IntPolynomial, charpoly, det_bareiss, semidefinite_pivots
 from pstlab import harness, spectral
 from pstlab.generate import gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
@@ -78,7 +78,7 @@ from pstlab.spectral import (
     support_profile,
 )
 
-from oracles import _semidefinite_singular, integer_lmax_charpoly, spanning_trees_brute
+from oracles import _semidefinite_singular, integer_lmax_charpoly, rank_mod_p, spanning_trees_brute
 
 
 class TestSpanningTrees:
@@ -684,6 +684,27 @@ class TestCertificateReplay:
         r.certificate = None
         ok, why = replay_certificate(path_graph(4), r)
         assert not ok
+
+    def test_quadratic_parity_violation(self):
+        """The quadratic parity branch, in decide and in _parity_data.  Among
+        the connected graphs on at most 8 vertices, in the adjacency and the
+        signless kinds, only G@GWuK (3,4) in A reaches it.  Its plus class is
+        {+-sqrt 2, +-2 sqrt 2} and its minus class {0}: rescaled by b/2 these
+        are {+-1, +-2} and {0}, measured from 2 they are {4, 3, 1, 0} and
+        {2}, so g = 1 and the plus-classified -sqrt 2 has an odd value."""
+        g = parse_graph6("G@GWuK")
+        r = decide(g, ADJACENCY, 3, 4)
+        assert r.verdict == NO and r.certificate.kind == PARITY_VIOLATION
+        assert r.certificate.detail == ("parity of the rescaled support disagrees "
+                                        "with the sign class")
+        assert r.certificate.witnesses == (QuadraticEig(0, -2, 2),)
+        assert (r.certificate.gcd_value, r.certificate.claimed_class) == (1, "plus")
+        assert set(r.plus_set) == {QuadraticEig(0, b, 2) for b in (-4, -2, 2, 4)}
+        assert r.minus_set == (IntegerEig(0),)
+        assert replay_certificate(g, r) == (True, "parity violation confirmed")
+        forged = replace(r, certificate=replace(r.certificate, gcd_value=2))
+        assert replay_certificate(g, forged) == (
+            False, "gcd mismatch: recomputed 1, stored 2")
 
 
 class TestReplayProjectionCount:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from pstlab.exactalg import factor_support, unit_vector, vector_minpoly
+from pstlab.generate import gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
     Graph,
+    bipartition,
     complete_graph,
     complete_minus_edge,
     cycle_graph,
@@ -23,7 +25,6 @@ from pstlab.pst import (
     _SpectralContext,
     adjacency_pst,
     all_pair_reports,
-    bipartite_phase_check,
     decide,
     laplacian_pst,
     numeric_fidelity,
@@ -41,7 +42,7 @@ from pstlab.spectral import (
     support_profile,
 )
 
-from oracles import exact_transfer_vector, fidelity_by_eigh
+from oracles import bipartite_phase_check, exact_transfer_vector, fidelity_by_eigh
 
 CERT_KINDS = {"not-strongly-cospectral", "non-integer-support", "parity-violation",
               "mixed-delta", "residual-factor", "quadratic-mixed-a"}
@@ -161,7 +162,6 @@ class TestAdjacencyDecider:
         assert r.verdict == "no"
 
     def test_no_undecided_on_bipartite(self, corpus6):
-        from pstlab.graphs import bipartition
         for g in corpus6:
             if g.n < 2 or bipartition(g) is None:
                 continue
@@ -382,11 +382,35 @@ class TestBipartitePhaseCheck:
         ok, why = bipartite_phase_check(r, path_graph(2))
         assert ok, why
 
-    def test_c4_passes(self):
+    def test_same_class_pair_raises(self):
         r = adjacency_pst(cycle_graph(4), 0, 2)
         with pytest.raises(ValueError):
             # antipodal C4 vertices sit in the same colour class
             bipartite_phase_check(r, cycle_graph(4))
+
+    def test_every_cross_class_positive_passes(self):
+        """The law on every adjacency positive of connected graphs on at most
+        7 vertices, of free trees on at most 10 and of hypercube:1..5 whose
+        ends lie in different colour classes; a graph in two of the corpora
+        counts in each.  Positives within one class are counted and skipped."""
+        corpus = [g for n in range(2, 8) for g in gen_connected_graphs(n)]
+        corpus += [t for n in range(2, 11) for t in gen_free_trees(n)]
+        corpus += [hypercube(k) for k in range(1, 6)]
+        across, within, failures = 0, 0, []
+        for g in corpus:
+            bip = bipartition(g)
+            if bip is None:
+                continue
+            for r in pst_search(g, ADJACENCY):
+                if bip.side_of(r.u) == bip.side_of(r.v):
+                    within += 1
+                    continue
+                across += 1
+                ok, why = bipartite_phase_check(r, g)
+                if not ok:
+                    failures.append((r.graph6, r.u, r.v, why))
+        assert not failures, failures
+        assert (across, within) == (23, 17)
 
     def test_zero_in_support_fails(self):
         r = adjacency_pst(path_graph(2), 0, 1)

@@ -1,6 +1,7 @@
 """Every public name in src/pstlab has a caller in the package or is kept
-on purpose in the README, only spectral lists the matrix kinds, and the
-replay and numeric routes name nothing of the decider they check.
+on purpose in the README, every name the README keeps is still defined,
+only spectral lists the matrix kinds, and the replay and numeric routes
+name nothing of the decider they check.
 
 A public function, class or method counts as reached when its name
 appears as a Name or an Attribute somewhere in src/pstlab outside its own
@@ -106,9 +107,8 @@ def test_only_spectral_lists_the_matrix_kinds():
 
 # the replay and numeric routes: each body must stay clear of the decider
 CHECKERS = {
-    "harness.py": {"replay_certificate", "_parity_data", "_support_value_check",
-                   "_cached_profile", "verify_positive_report", "_report_fault",
-                   "_witness_fault"},
+    "harness.py": {"replay_certificate", "_parity_data", "_cached_profile",
+                   "verify_positive_report", "_report_fault", "_witness_fault"},
     "pst.py": {"numeric_fidelity"},
     "spectral.py": {"support_profile", "cospectrality_profile", "classify_by_minpolys",
                     "projection_sign"},
@@ -135,3 +135,33 @@ def test_checkers_reference_no_decider_code():
                 leaks += [f"{module}: {node.name} uses {name}" for name in sorted(used)]
     assert found == set().union(*CHECKERS.values())
     assert not leaks, f"the replay route reaches into the decider: {leaks}"
+
+
+def _readme_section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else len(text)]
+
+
+def test_readme_keep_bullets_name_defined_functions():
+    """The reverse of the first test: each `name(...)` that heads a bullet
+    of the README's theorem-check section (before the bullet's colon) is a
+    function, class or `Class.method` still defined in src/pstlab, so no
+    bullet outlives the code it keeps."""
+    defined = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                if isinstance(node, ast.ClassDef):
+                    defined.update(f"{node.name}.{sub.name}" for sub in node.body
+                                   if isinstance(sub, ast.FunctionDef))
+    named = []
+    for line in _readme_section("Theorem checks and screens").splitlines():
+        if line.startswith("* "):
+            head = line.split("`:")[0]
+            named += re.findall(r"`([A-Za-z_][\w.]*)\(", head)
+    assert len(named) >= 15
+    missing = sorted(set(named) - defined)
+    assert not missing, f"README keeps names that src/pstlab no longer defines: {missing}"
