@@ -37,6 +37,21 @@ Generation, canonical_form (a chunk of one) and canonical_words (the
 survey's chunks of --file input) all take this route.  The survey in
 harness.py builds its Laplacian stacks with the same adjacency_stack, in
 chunks of the same budget.
+
+Most children of a level are isomorphic to a child of an earlier parent,
+and a pretest drops them before they are searched.  For a child c of parent
+number i and a non-cut vertex w of the parent that leaves the new vertex
+another neighbour, c - w is connected on n - 1 vertices, so it is
+isomorphic to one parent q.  If its degree invariant belongs only to
+parents numbered below i, q is one of them, and q's loop already met a
+child isomorphic to c: skipping c is the same as searching it and
+finding its word in seen, so the words and their order do not change.
+The invariant is the sorted list of vertex keys, a vertex's degree and
+then the count vector of its neighbours' degrees in base n - 1.  One
+numpy pass per chunk of children keys every deletion c - w from c's
+degrees less w's column, sorts each deletion's keys and looks the rows up
+by their bytes in the sorted table of parent invariants; the keys are
+below (n - 1)^n, exact in int64 up to n = 16.
 """
 
 from __future__ import annotations
@@ -126,9 +141,10 @@ def canonical_words(graphs: Sequence[Graph]) -> list[str]:
 _CHUNK_ENTRIES = 2 ** 14
 
 
-def adjacency_stack(adjs: Sequence[tuple[int, ...]], n: int) -> np.ndarray:
-    """The 0/1 adjacency matrices of neighbour-mask tuples on n vertices
-    as a (B, n, n) int64 stack; bit v of a mask is column v."""
+def adjacency_stack(adjs: Sequence[tuple[int, ...]] | np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 adjacency matrices of neighbour-mask tuples on n vertices,
+    or of the rows of a (B, n) array of masks, as a (B, n, n) int64 stack;
+    bit v of a mask is column v."""
     return np.array(adjs, dtype=np.int64)[:, :, None] >> np.arange(n) & 1
 
 
@@ -390,10 +406,83 @@ def _orbit_least_masks(new: int, autos: list[list[int]]) -> list[int]:
     return [m for m in range(1, 1 << new) if find(m) == m]
 
 
+def _non_cut_bits(adj: tuple[int, ...]) -> int:
+    """Bit w set when deleting vertex w leaves the rest of the graph with
+    neighbour masks adj connected: a search from the least other vertex
+    reaches them all."""
+    bits = 0
+    for w in range(len(adj)):
+        rest = (1 << len(adj)) - 1 & ~(1 << w)
+        reach = frontier = rest & -rest
+        while frontier:
+            grown = 0
+            for v in _LOW_BITS[frontier & 255] + _HIGH_BITS[frontier >> 8]:
+                grown |= adj[v]
+            frontier = grown & rest & ~reach
+            reach |= frontier
+        if reach == rest:
+            bits |= 1 << w
+    return bits
+
+
+def _rows(keys: np.ndarray) -> np.ndarray:
+    """Each last-axis row of an int64 array as one value that compares
+    and sorts by its bytes."""
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.dtype((np.void, keys.shape[-1] * keys.itemsize)))[..., 0]
+
+
+def _invariant_table(parents: Sequence[tuple[int, ...]], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree invariant of each graph on m vertices, as _rows of its
+    sorted vertex keys, sorted; and the index in parents of each entry,
+    the later of equal entries last.  A vertex's key is its degree times
+    m^m plus the sum over its neighbours x of m^deg(x): the count vector
+    of its neighbours' degrees in base m, every count below m."""
+    size = max(1, _CHUNK_ENTRIES // m ** 2)
+    place = m ** np.arange(m)
+    rows = []
+    for k in range(0, len(parents), size):
+        a = adjacency_stack(parents[k:k + size], m)
+        deg = a.sum(axis=-1)
+        keys = deg * m ** m + (a @ place[deg][:, :, None])[:, :, 0]
+        rows.append(_rows(np.sort(keys, kind="stable")))
+    table = np.concatenate(rows)
+    owner = np.argsort(table, kind="stable")
+    return table[owner], owner
+
+
+def _known(a: np.ndarray, index: np.ndarray, non_cut: np.ndarray,
+           table: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Per child of a (B, n, n) stack, whether some deletion c - w shows
+    that an earlier parent already produced it.  index[b] is the child's
+    parent number and bit w of non_cut[b] marks a non-cut vertex w of
+    that parent.  c - w is connected when w is such a vertex and the new
+    vertex n - 1 keeps a neighbour; its degree invariant, computed as in
+    _invariant_table from the degrees of c less the column of w, is
+    looked up in (table, owner), and it shows the child known when every
+    parent with that invariant is numbered below index[b]."""
+    n = a.shape[-1]
+    m = n - 1
+    w = np.arange(m)
+    deg = a.sum(axis=-1)[:, None, :] - a[:, :m, :]  # (B, m, n): degrees in c - w
+    usable = (non_cut[:, None] >> w & 1 == 1) & (deg[:, :, m] > 0)
+    keys = (m ** np.arange(n))[deg]
+    keys[:, w, w] = 0
+    keys = keys @ a
+    keys += np.multiply(deg, m ** m, out=deg)
+    keys[:, w, w] = -1  # w itself, sorted first and dropped
+    keys.sort(kind="stable")
+    rows = _rows(keys[:, :, 1:])
+    at = np.searchsorted(table, rows, side="right") - 1  # -1 meets the last row, above rows
+    return (usable & (table[at] == rows) & (owner[at] < index[:, None])).any(axis=1)
+
+
 def _connected_level(prev: list[Graph], n: int) -> list[Graph]:
     """Extend each (n-1)-vertex connected graph by one vertex, dedup by
     canonical form.  Every connected n-vertex graph has a non-cut vertex,
     so extending connected parents with nonempty neighbour sets is complete.
+    prev must hold one graph of every isomorphism class of connected graphs
+    on n - 1 vertices, which the pretest below relies on.
 
     Orbit rule: a parent's neighbour mask is tried only when it is the least
     mask in its orbit under the group that the automorphisms returned by
@@ -403,22 +492,47 @@ def _connected_level(prev: list[Graph], n: int) -> list[Graph]:
     the least mask's child, which this parent's loop has already tried, so
     its word is already in seen: skipping it drops no word and moves none.
     A child's masks are the parent's, each row in the mask gaining the new
-    vertex, with the mask itself as the new row.  The children, in the
-    order of their (parent, mask) pairs, and the parents before them, are
-    searched through _searches, one root stack per chunk; the searches are
-    independent, so the kept words and their order are those of searching
-    child by child.  A new child is kept in canonical labelling, its masks
-    relabelled by the order the search read its word in, so the kept
-    graph is the one its word encodes.
+    vertex, with the mask itself as the new row.
+
+    Pretest: a child c of parent number i is not searched when, for some
+    non-cut vertex w of the parent such that the new vertex has a
+    neighbour besides w, the degree invariant of c - w (_invariant_table)
+    belongs only to parents numbered below i.  c - w is connected on n - 1
+    vertices, so it is isomorphic to one parent q, numbered below i; c is
+    c - w with one vertex added, so some mask of q, and by the orbit rule
+    a tried one, gives a child isomorphic to c, whose word is in seen
+    before parent i's loop starts (by induction on the order, also when
+    that child was skipped in turn).  Skipping c is therefore searching
+    it and finding its word in seen.  The test runs as one numpy pass per
+    chunk of children (_known), in integers only.
+
+    The surviving children, in the order of their (parent, mask) pairs,
+    and the parents before them, are searched through _searches, one root
+    stack per chunk; the searches are independent, so the kept words and
+    their order are those of searching child by child.  A new child is
+    kept in canonical labelling, its masks relabelled by the order the
+    search read its word in, so the kept graph is the one its word encodes.
     """
     seen: set[str] = set()
     out: list[Graph] = []
     new = n - 1
-    children = (tuple(row | 1 << new if mask >> u & 1 else row for u, row in enumerate(base))
-                + (mask,)
-                for base, (_, autos, _) in _searches((parent.adj for parent in prev), new)
-                for mask in _orbit_least_masks(new, autos))
-    for adj, (key, _, order) in _searches(children, n):
+    table, owner = _invariant_table([parent.adj for parent in prev], new)
+
+    def children() -> Iterator[tuple[int, int, tuple[int, ...], int]]:
+        for i, (base, (_, autos, _)) in enumerate(_searches((parent.adj for parent in prev), new)):
+            non_cut = _non_cut_bits(base)
+            for mask in _orbit_least_masks(new, autos):
+                yield i, non_cut, base, mask
+
+    def unknown() -> Iterator[tuple[int, ...]]:
+        pending = children()
+        while chunk := list(islice(pending, max(1, _CHUNK_ENTRIES // n ** 2))):
+            index, non_cut, base, mask = map(np.array, zip(*chunk))
+            adjs = np.column_stack((base | (mask[:, None] >> np.arange(new) & 1) << new, mask))
+            known = _known(adjacency_stack(adjs, n), index, non_cut, table, owner)
+            yield from map(tuple, adjs[~known].tolist())
+
+    for adj, (key, _, order) in _searches(unknown(), n):
         if key not in seen:
             seen.add(key)
             bit = [0] * n  # bit[v]: the mask of v's place in the order

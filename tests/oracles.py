@@ -216,6 +216,13 @@ def connected_level_all_masks(prev: list[Graph], n: int) -> list[Graph]:
     return out
 
 
+def double_cone(h: Graph) -> Graph:
+    """K̄2 ∨ H: h on vertices 0..m-1 and two apexes m and m + 1, not
+    adjacent to each other, each joined to every vertex of h."""
+    m = h.n
+    return Graph(m + 2, list(h.edges) + [(x, apex) for apex in (m, m + 1) for x in range(m)])
+
+
 def automorphism_count_brute(g: Graph) -> int:
     """The order of the automorphism group, by trying every permutation."""
     edges = {frozenset(e) for e in g.edges}

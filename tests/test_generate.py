@@ -200,6 +200,36 @@ class TestSearchMatchesRoundOracle:
             assert_search_matches_rounds(Graph(9, edges))
 
 
+def assert_skips_sound(prev, n):
+    """Run _connected_level(prev, n), recording each child that reaches the
+    pretest, in order, and whether it was skipped; search every child and
+    check that a skipped child's word was already seen and that the level
+    is the first sight of each word.  Returns the number skipped."""
+    record = []
+    inner = generate._known
+
+    def recorded(a, *args):
+        known = inner(a, *args)
+        masks = (a << np.arange(n)).sum(axis=-1)
+        record.extend(zip(map(tuple, masks.tolist()), known.tolist()))
+        return known
+
+    generate._known = recorded
+    try:
+        level = _connected_level(prev, n)
+    finally:
+        generate._known = inner
+    seen, first = set(), []
+    for (adj, skip), (_, (word, _, _)) in zip(record, _searches((adj for adj, _ in record), n)):
+        if skip:
+            assert word in seen, (n, adj)
+        elif word not in seen:
+            seen.add(word)
+            first.append(word)
+    assert first == [write_graph6(g) for g in level], n
+    return sum(skip for _, skip in record)
+
+
 def root_by_refine(g):
     """The colours _refine reaches from the degree partition, cells in
     increasing degree: the root partition that the search made itself
@@ -307,11 +337,13 @@ class TestRefinement:
             assert _refine_round(nbrs, cells, colours) == (cells, colours)
 
     def test_rounds_to_generate_n7_pinned(self, monkeypatch):
-        """Call counts, not timers.  Generating n <= 7 refines 23 root
+        """Call counts, not timers.  Generating n <= 7 refines 14 root
         stacks, and the kernel ranks each once by degree and once a round:
-        82 rankings, so 59 kernel rounds, each stack's last gaining no
-        colour.  Below the roots the search runs 5,900 Python rounds.  The
-        search
+        42 rankings, so 28 kernel rounds, each stack's last gaining no
+        colour.  Below the roots the search runs 2,243 Python rounds.
+        Before the pretest skipped children whose word an earlier parent
+        had already produced, it took 23 stacks, 82 rankings and 5,900
+        Python rounds.  The search
         that refined its root itself took 13,888 Python rounds here;
         refinement that ranked every vertex from the all-zero colouring
         took 33,747, and 44,466 when it also ran one more round to confirm
@@ -330,12 +362,12 @@ class TestRefinement:
         monkeypatch.setattr(generate, "_refine_round", counted("rounds", _refine_round))
         monkeypatch.setattr(generate, "_connected_cache", {})
         assert sum(1 for _ in gen_connected_graphs(7)) == CONNECTED_COUNTS[7]
-        assert counts == {"stacks": 23, "ranks": 82, "rounds": 5900}
+        assert counts == {"stacks": 14, "ranks": 42, "rounds": 2243}
 
     def test_leaves_to_generate_n7_pinned(self, monkeypatch):
         """A call count, not a timer: one graph6 word per leaf of every
-        search.  Before twins were skipped the searches reached 10,728
-        leaves here."""
+        search.  Before the pretest they reached 5,645 leaves here, and
+        10,728 before twins were skipped."""
         leaves = [0]
         inner = generate._graph6_word
 
@@ -346,7 +378,7 @@ class TestRefinement:
         monkeypatch.setattr(generate, "_graph6_word", counted)
         monkeypatch.setattr(generate, "_connected_cache", {})
         assert sum(1 for _ in gen_connected_graphs(7)) == CONNECTED_COUNTS[7]
-        assert leaves[0] == 5645
+        assert leaves[0] == 1689
 
 
 class TestFreeTrees:
@@ -425,6 +457,60 @@ class TestConnectedGraphs:
             assert ([write_graph6(g) for g in _connected_level(prev, n)]
                     == [write_graph6(g) for g in expected]), n
             prev = expected
+
+    def test_searches_per_level_n7_pinned(self, monkeypatch):
+        """A call count, not a timer: the canonical searches of each level,
+        its parents' included.  Before the pretest skipped children that
+        an earlier parent had produced they were 2, 3, 10, 50, 354 and
+        3,883."""
+        searches = [0]
+        inner = generate._canonical_search
+
+        def counted(*args):
+            searches[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(generate, "_canonical_search", counted)
+        per_level = {}
+        for n in range(2, 8):
+            prev = list(gen_connected_graphs(n - 1))
+            searches[0] = 0
+            _connected_level(prev, n)
+            per_level[n] = searches[0]
+        assert per_level == {2: 2, 3: 3, 4: 8, 5: 28, 6: 138, 7: 1011}
+
+    def test_skipped_children_already_seen(self):
+        """Every child the pretest skips is searched here, and its word is
+        one an earlier child already gave; the level is the first sight
+        of each word among the children it searched."""
+        skipped = {n: assert_skips_sound(list(gen_connected_graphs(n - 1)), n)
+                   for n in range(2, 8)}
+        assert skipped == {2: 0, 3: 0, 4: 2, 5: 22, 6: 216, 7: 2872}
+
+    def test_known_by_an_equal_invariant_of_a_connected_deletion(self):
+        """With the table of K6 alone, numbered 0, a child of K6 numbered 1
+        is known exactly when deleting one of K6's vertices leaves K6:
+        when the new vertex has five or six neighbours.  Numbered 0, or
+        with no vertex of the parent marked non-cut, none is known.  With
+        the table of K5 plus an isolated vertex, a child whose new vertex
+        has one neighbour w is not known, though c - w is that graph: the
+        deletion leaves c - w disconnected."""
+        k6 = complete_graph(6)
+        masks = range(1, 64)
+        stack = generate.adjacency_stack(
+            [tuple(row | (mask >> u & 1) << 6 for u, row in enumerate(k6.adj)) + (mask,)
+             for mask in masks], 7)
+
+        def known(graph, index, non_cut=63):
+            table, owner = generate._invariant_table([graph.adj], 6)
+            flags = generate._known(stack, np.full(len(masks), index),
+                                    np.full(len(masks), non_cut), table, owner)
+            return [mask for mask, flag in zip(masks, flags.tolist()) if flag]
+
+        assert known(k6, 1) == [m for m in masks if bin(m).count("1") >= 5]
+        assert known(k6, 0) == []
+        assert known(k6, 1, non_cut=0) == []
+        assert known(Graph(6, complete_graph(5).edges), 1) == []
 
     def test_one_child_per_mask_orbit(self, monkeypatch):
         # Aut(K6) = S6 moves any mask onto any other of its popcount: one

@@ -19,6 +19,7 @@ from pstlab.graphs import (
     star_graph,
     write_graph6,
 )
+from pstlab.harness import verify_positive_report
 from pstlab.pst import (
     PSTReport,
     _context,
@@ -42,7 +43,7 @@ from pstlab.spectral import (
     support_profile,
 )
 
-from oracles import bipartite_phase_check, exact_transfer_vector, fidelity_by_eigh
+from oracles import bipartite_phase_check, double_cone, exact_transfer_vector, fidelity_by_eigh
 
 CERT_KINDS = {"not-strongly-cospectral", "non-integer-support", "parity-violation",
               "mixed-delta", "residual-factor", "quadratic-mixed-a"}
@@ -223,6 +224,27 @@ class TestNumericOracle:
         for g, kind, u, v, t in cases:
             got, want = numeric_fidelity(g, kind, u, v, t), fidelity_by_eigh(g, kind, u, v, t)
             assert abs(got - want) <= 1e-12, (write_graph6(g), kind, u, v, t, got, want)
+
+
+class TestClosedFormLaws:
+    def test_double_cone_apexes(self):
+        """K̄2 ∨ H: e_a - e_b is a Laplacian eigenvector of the apexes a, b
+        (eigenvalue m = |H|), and e_a + e_b lies in the span of the all-ones
+        vector (0) and the join's vector (m + 2).  So the apexes transfer
+        iff m = 2 (mod 4), at t = pi/2, whatever H is.  Two seeded random
+        H for each m = 2..30."""
+        rng = random.Random("double cone")
+        for m in range(2, 31):
+            for density in (0.3, 0.7):
+                h = Graph(m, [e for e in combinations(range(m), 2) if rng.random() < density])
+                g = double_cone(h)
+                r = decide(g, LAPLACIAN, m, m + 1)
+                assert r.yes == (m % 4 == 2), (write_graph6(g), r.verdict)
+                if r.yes:
+                    assert (r.time_coeff, r.time_delta) == (F(1, 2), 1)
+                    assert [e.value for e in r.plus_set] == [0, m + 2]
+                    assert [e.value for e in r.minus_set] == [m]
+                    assert verify_positive_report(g, r)[0], write_graph6(g)
 
 
 class TestStructuralProperties:
