@@ -80,6 +80,43 @@ class TestAnalyze:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == self.SUPPORT_DIGESTS[family, pairs, kind]
 
+    # sha256 of the stdout of analyze --pairs all --format jsonl, fixed while
+    # every pair polynomial came from its own fraction-free elimination
+    ALL_PAIRS_DIGESTS = {
+        ("path:11", "laplacian"):
+            "e24c485ae96752b81199c4c501c43e924b1df38d671d5372f9a26bbd9f7d608c",
+        ("path:11", "adjacency"):
+            "a975de8d421e434653b6aee9724626dc2f3eee4e7f547a1a7278466f99346a24",
+        ("path:11", "signless_laplacian"):
+            "7e56a5ca872b13442553fca85ce6628022f7c67435b9b2bb85ba7053b88ae9a4",
+        ("star:9", "laplacian"):
+            "7177ef676b1dbb37aa613096b5835970fdd455089eb03f31e7e21513ff38ea6d",
+        ("star:9", "adjacency"):
+            "7d9e6e607d9be5ca6d61c9a72e01830009323cc4410d17685ae16137dfbaeba4",
+        ("star:9", "signless_laplacian"):
+            "927b9d69c761c4817b89022de4e5d8825b7df7c5192f545b4b40db97bd05ab43",
+        ("complete_minus_edge:8", "laplacian"):
+            "a3e2b669225b627e044007808dad10bc5fe62425d10db78b180359dc0cbb1af7",
+        ("complete_minus_edge:8", "adjacency"):
+            "5664c3e6f9ab2285e925b3f02704e156b5192c6c1473954df7f1517f016e3d8b",
+        ("complete_minus_edge:8", "signless_laplacian"):
+            "77d68f2992d641b2a4f1a71db6259346bd08c4acea79a702698169fb560677f4",
+        ("hypercube:3", "laplacian"):
+            "49ac1edfd8041fa234dd376bcaf9db21ae617267c90fa2701971844a5e226ce3",
+        ("hypercube:3", "adjacency"):
+            "516393eff063acdbe9fc9b59abf47fa899eef1f62d7cd46fef9dc3d7a6f96436",
+        ("hypercube:3", "signless_laplacian"):
+            "ed65914150a7a2dffe9890a95e98b3744dfdc766729da6284b7c33520aaef3db",
+    }
+
+    @pytest.mark.parametrize("family,kind", sorted(ALL_PAIRS_DIGESTS))
+    def test_all_pairs_bytes_pinned(self, capsys, family, kind):
+        code, out, _ = run_cli(capsys, "analyze", "--family", family, "--pairs", "all",
+                               "--matrix", kind, "--format", "jsonl")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.ALL_PAIRS_DIGESTS[family, kind]
+
     def test_bad_graph6_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--g6", "!!bad!!",
                                "--pairs", "0,1")
