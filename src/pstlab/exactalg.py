@@ -2,10 +2,13 @@
 
 Everything in this module is exact: matrices are dense lists of rows over
 Python ints or Fractions, and polynomials carry arbitrary-precision integer
-coefficients.  No floating point anywhere.  One kernel,
-semidefinite_pivots, eliminates a whole stack of same-size integer
-matrices with numpy, in int64 only where a Hadamard bound proves it
-exact.  Polynomial Euclid (gcd, Sturm chains) stays in Z[x]: one
+coefficients.  No floating point anywhere.  Two kernels work on whole
+numpy stacks, each in int64 only where a bound proves it exact and in
+Python ints otherwise: semidefinite_pivots eliminates a stack of
+same-size integer matrices, and modular_minpolys finds the minimal
+polynomials of a stack of vectors under one matrix mod a few primes,
+lifts them by CRT and certifies each over the integers, leaving
+krylov_minpoly for any it cannot certify.  Polynomial Euclid (gcd, Sturm chains) stays in Z[x]: one
 sign-preserving pseudo-division, with each remainder divided by its
 content, so no rational coefficients arise.
 The Krylov sequence v, m v, m^2 v, ... is drawn through one lazy walk, and
@@ -411,6 +414,120 @@ def krylov_minpoly(vectors) -> IntPolynomial:
         pivot = next(i for i, x in enumerate(row) if x)
         basis.append((pivot, row))
     raise ValueError("Krylov vectors ran out before a linear dependency")
+
+
+# primes below 2^26, largest first: a product of two residues stays below
+# 2^52, so int64 holds every step of the elimination, and 63 such products
+# sum below 2^63, so it would hold a residue matrix product at any graph6 order
+_PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763, 67108757, 67108753, 67108747)
+
+
+def modular_minpolys(m, vectors, root_bound: int) -> list:
+    """Minimal polynomials of the rows w of a (V, n) integer stack under one
+    symmetric integer matrix m, all at once: for each row, the primitive
+    monic polynomial krylov_minpoly would give, or None where this route
+    could not certify one (the caller then runs krylov_minpoly).
+
+    For each prime p of _PRIMES the Krylov columns w, m w, ..., m^n w of
+    every row are reduced mod p and eliminated in lockstep; the first
+    column without a pivot gives the degree and the monic relation mod p.
+    Every root lies in [-root_bound, root_bound], so no coefficient
+    exceeds (1 + root_bound)^n in size.  Primes are taken until their
+    product exceeds twice that (all of them, if none does), and the
+    coefficients are lifted by CRT to symmetric residues.
+
+    A row is certified when every prime gave it the same degree and its
+    lifted polynomial q has q(m) w = 0 over the integers.  The integer
+    minimal polynomial reduces mod p to a monic relation, so the degree
+    mod p is at most the true one, and a monic q of at most that degree
+    with q(m) w = 0 is the minimal polynomial itself.  The exact Krylov
+    vectors and the check run in int64 where a bound proves them exact,
+    and in Python ints (dtype object) otherwise.
+    """
+    mat, w = np.asarray(m), np.asarray(vectors)
+    rows, n = w.shape
+    # every entry of m^k w is at most r^k max|w|, r the largest row sum of |m|
+    r = int(abs(mat).sum(axis=1).max(initial=1))
+    narrow = r ** n * int(abs(w).max(initial=0)) < 2 ** 62
+    walks = np.empty((rows, n + 1, n), dtype=np.int64 if narrow else object)
+    walks[:, 0] = w
+    mat = mat.astype(walks.dtype)
+    for k in range(n):
+        walks[:, k + 1] = walks[:, k] @ mat
+    bound, primes = 2 * (1 + root_bound) ** n, []
+    for p in _PRIMES:
+        primes.append(p)
+        if math.prod(primes) > bound:
+            break
+    degrees, residues = zip(*(_krylov_relation((walks % p).astype(np.int64), p)
+                              for p in primes))
+    coeffs = _symmetric_crt(residues, primes)
+    # the check is exact in int64 when its largest possible term sum fits
+    size = sum(int(c) * int(x) for c, x in zip(abs(coeffs).max(axis=0),
+                                               abs(walks).max(axis=(0, 2))))
+    if size >= 2 ** 63:
+        coeffs, walks = coeffs.astype(object), walks.astype(object)
+    residual = (coeffs[:, :, None] * walks).sum(axis=1)
+    certified = (np.equal(degrees, degrees[0]).all(axis=0)
+                 & ~(residual != 0).any(axis=1))
+    return [IntPolynomial._of(c[:d + 1]) if ok else None
+            for c, d, ok in zip(coeffs.tolist(), degrees[0].tolist(), certified.tolist())]
+
+
+def _krylov_relation(walks, p: int):
+    """(degree, coefficients) of the first Krylov dependency mod p of each
+    row of a (V, n + 1, n) residue stack, whose slot k holds m^k w: the
+    least d with m^d w in the span of the walks before it, and the monic
+    c (zero past d, (V, n + 1), residues mod p) with sum c_k m^k w = 0.
+
+    Fraction-free Gauss-Jordan on the columns m^k w: at step k the pivot
+    row is swapped into row k and every other row i becomes s_k * row i -
+    a_ik * row k, s_k the pivot, so row j < d ends with diagonal
+    s_j s_(j+1) ... s_(d-1).  Once column d has no pivot no later column
+    has one (m^(d+1) w lies in the span of the walks before m^d w too), so
+    a finished row is left alone, and its column d reads off
+    c_j = -a_jd s_0 ... s_(j-1) / (s_0 ... s_(d-1)): one inverse per row.
+    Rows of column d at and past d are zero, so c_j is zero there."""
+    a = walks.transpose(0, 2, 1).copy()  # (V, n, n + 1): column k is m^k w
+    rows, n, _ = a.shape
+    at = np.arange(rows)
+    found = np.zeros((rows, n + 1), dtype=bool)  # column n never has a pivot
+    prefix = np.ones((rows, n + 1), dtype=np.int64)  # s_0 ... s_(j-1)
+    for k in range(n):
+        nonzero = a[:, k:, k] != 0
+        found[:, k] = live = nonzero.any(axis=1)
+        below = k + nonzero.argmax(axis=1)
+        top, swap = a[at, k], a[at, below]
+        a[at, below], a[at, k] = top, swap
+        pivot = np.where(live, a[:, k, k], 1)
+        prefix[:, k + 1] = prefix[:, k] * pivot % p
+        col = a[:, :, k] * live[:, None]
+        col[:, k] = pivot - 1  # keeps row k as it is
+        a = (pivot[:, None, None] * a - col[:, :, None] * a[:, k, None, :]) % p
+    degree = found.argmin(axis=1)
+    inverse = np.array([pow(x, -1, p) for x in prefix[:, n].tolist()], dtype=np.int64)
+    coeffs = np.zeros((rows, n + 1), dtype=np.int64)
+    coeffs[:, :n] = -a[at, :, degree] * prefix[:, :n] % p * inverse[:, None] % p
+    coeffs[at, degree] = 1
+    return degree, coeffs
+
+
+def _symmetric_crt(residues, primes):
+    """The integers in (-P/2, P/2], P the product of primes, congruent to
+    each residue array mod its prime, by Garner's mixed-radix digits; int64
+    while P < 2^62, Python ints (dtype object) beyond."""
+    digits = []
+    for p, r in zip(primes, residues):
+        for q, d in zip(primes, digits):
+            r = (r - d) * pow(q, -1, p) % p
+        digits.append(r)
+    product = math.prod(primes)
+    if product >= 2 ** 62:
+        digits = [d.astype(object) for d in digits]
+    value = digits[-1]
+    for q, d in zip(primes[-2::-1], digits[-2::-1]):
+        value = d + q * value
+    return np.where(2 * value > product, value - product, value)
 
 
 @dataclass(frozen=True)

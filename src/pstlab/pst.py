@@ -27,9 +27,11 @@ from .exactalg import (
     factor_support,
     krylov_minpoly,
     krylov_vectors,
+    modular_minpolys,
     poly_gcd,
     unit_vector,
 )
+from .generate import _CHUNK_ENTRIES
 from .graphs import Graph, write_graph6
 from .spectral import ADJACENCY, KINDS, LAPLACIAN, eigenvalue_bound, matrix_of
 
@@ -135,11 +137,12 @@ def _validate_pair(g: Graph, u: int, v: int) -> None:
 
 class _SpectralContext:
     """What decide reuses across the pairs of one graph and kind: the
-    matrix, the graph6 word, the eigenvalue bound and, per vertex u, the
-    Krylov vectors M^j e_u, the minimal polynomial of e_u and every
-    eigenvalue id of its factorization, each computed on first use.  This
-    is the one place decide factors anything.  Building one checks that g
-    is connected, once per graph and kind rather than once per pair."""
+    matrix, the graph6 word, the eigenvalue bound, the minimal polynomials
+    of e_u - e_v and e_u + e_v of every pair, and, per vertex u, the Krylov
+    vectors M^j e_u, the minimal polynomial of e_u and every eigenvalue id
+    of its factorization, each computed on first use.  This is the one
+    place decide factors anything.  Building one checks that g is
+    connected, once per graph and kind rather than once per pair."""
 
     def __init__(self, g: Graph, kind: str):
         if not g.is_connected():
@@ -149,6 +152,7 @@ class _SpectralContext:
         self.bound = eigenvalue_bound(g, kind)
         self._krylov = [[unit_vector(g.n, u)] for u in range(g.n)]
         self._minpolys: dict[int, IntPolynomial] = {}
+        self._pairs: Optional[dict] = None
         self._support_ids: dict[int, tuple] = {}
 
     def krylov(self, u: int):
@@ -161,13 +165,38 @@ class _SpectralContext:
         return self._minpolys[u]
 
     def pair_minpolys(self, u: int, v: int):
-        """Minimal polynomials of e_u - e_v and e_u + e_v, whose Krylov
-        vectors are the differences and sums of those of e_u and e_v."""
-        minus = krylov_minpoly([a - b for a, b in zip(ku, kv)]
-                               for ku, kv in zip(self.krylov(u), self.krylov(v)))
-        plus = krylov_minpoly([a + b for a, b in zip(ku, kv)]
-                              for ku, kv in zip(self.krylov(u), self.krylov(v)))
+        """Minimal polynomials of e_u - e_v and e_u + e_v (those of e_v - e_u
+        and e_v + e_u too).  The first call makes them for every pair of
+        the graph at once (_all_pair_minpolys), so later pairs are lookups.
+        A polynomial that route leaves out comes from the fraction-free
+        elimination of the differences or sums of the Krylov vectors of e_u
+        and e_v."""
+        if self._pairs is None:
+            self._pairs = self._all_pair_minpolys()
+        minus, plus = self._pairs.get((min(u, v), max(u, v)), (None, None))
+        if minus is None:
+            minus = krylov_minpoly([a - b for a, b in zip(ku, kv)]
+                                   for ku, kv in zip(self.krylov(u), self.krylov(v)))
+        if plus is None:
+            plus = krylov_minpoly([a + b for a, b in zip(ku, kv)]
+                                  for ku, kv in zip(self.krylov(u), self.krylov(v)))
         return minus, plus
+
+    def _all_pair_minpolys(self) -> dict:
+        """{(u, v): (minus, plus)} for u < v from one modular_minpolys call
+        over the 2 C(n, 2) pair vectors, with None where it certified none.
+        Empty when that (V, n + 1, n) Krylov stack exceeds _CHUNK_ENTRIES
+        (n > 11): one query would then pay for every pair of a big graph,
+        while a single fraction-free pair elimination stays cheap there."""
+        n = len(self.matrix)
+        if n * (n - 1) * (n + 1) * n > _CHUNK_ENTRIES:
+            return {}
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        us, vs = np.array(pairs).T
+        eye = np.eye(n, dtype=np.int64)
+        polys = modular_minpolys(self.matrix, np.concatenate([eye[us] - eye[vs], eye[us] + eye[vs]]),
+                                 self.bound)
+        return dict(zip(pairs, zip(polys[:len(pairs)], polys[len(pairs):])))
 
     def support_ids(self, u: int) -> tuple:
         """Every id of factor_support(minpoly of e_u), sorted, residual last."""
@@ -248,8 +277,10 @@ def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
     undecided.
 
     The pairs of one graph and kind share a _SpectralContext, kept for the
-    last few (graph, kind) pairs, so a pair costs no matrix product and
-    factors nothing (see _cospectrality_gate and _ids_of).  The context
+    last few (graph, kind) pairs, so a pair factors nothing (see
+    _cospectrality_gate and _ids_of) and, on a graph of at most 11
+    vertices, its two polynomials come from one elimination of every pair
+    of the graph, made at the first query.  The context
     holds only what the graph and kind determine, so it cannot change an
     answer.
     """

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 from fractions import Fraction as F
 
@@ -15,12 +17,14 @@ from pstlab.exactalg import (
     krylov_minpoly,
     krylov_vectors,
     mat_vec,
+    modular_minpolys,
     poly_gcd,
     squarefree_part,
     sturm_count,
     unit_vector,
     vector_minpoly,
 )
+from pstlab import exactalg
 from pstlab.graphs import (
     adjacency,
     complete_graph,
@@ -169,6 +173,57 @@ class TestVectorMinpoly:
             vector_minpoly([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], [1, 0])
         with pytest.raises(ValueError):
             vector_minpoly(identity(2), [F(1), 0])
+
+
+class TestModularMinpolys:
+    """The multi-modular kernel against vector_minpoly.  The differential
+    tests over whole corpora, through decide's context, are in test_pst."""
+
+    @staticmethod
+    def _pair_vectors(n):
+        units = [unit_vector(n, u) for u in range(n)]
+        return units + [[a + sign * b for a, b in zip(units[u], units[v])]
+                        for u in range(n) for v in range(u + 1, n) for sign in (-1, 1)]
+
+    def test_small_cases(self):
+        m = laplacian(path_graph(2))
+        assert modular_minpolys(m, [[1, -1], [1, 1], [1, 0], [0, 0]], 2) == [
+            IntPolynomial((-2, 1)), IntPolynomial((0, 1)), IntPolynomial((0, -2, 1)),
+            IntPolynomial.one()]
+
+    def test_matches_vector_minpoly_on_families(self):
+        checked = 0
+        for g in (path_graph(11), cycle_graph(9), complete_graph(8)):
+            vectors = self._pair_vectors(g.n)
+            for kind in KINDS:
+                m = matrix_of(g, kind)
+                got = modular_minpolys(m, vectors, eigenvalue_bound(g, kind))
+                assert got == [vector_minpoly(m, w) for w in vectors], (g.n, kind)
+                checked += len(got)
+        assert checked == 3 * (11 + 110 + 9 + 72 + 8 + 56)
+
+    def test_wide_entries_take_python_ints(self):
+        """2000 L(P7) has Krylov entries and coefficients past 2^62, so
+        the walks, the CRT and the exact check all leave int64."""
+        m = [[2000 * x for x in row] for row in laplacian(path_graph(7))]
+        vectors = self._pair_vectors(7)
+        got = modular_minpolys(m, vectors, 8000)
+        assert got == [vector_minpoly(m, w) for w in vectors]
+        assert max(abs(c) for q in got for c in q.coeffs) > 2 ** 62
+
+    def test_primes_pinned(self):
+        """A literal tuple of distinct primes below 2^26, each with
+        63 p^2 < 2^63, so a sum of 63 residue products fits int64."""
+        assign = next(node for node in ast.parse(inspect.getsource(exactalg)).body
+                      if isinstance(node, ast.Assign)
+                      and any(getattr(t, "id", None) == "_PRIMES" for t in node.targets))
+        assert isinstance(assign.value, ast.Tuple)
+        assert all(isinstance(e, ast.Constant) for e in assign.value.elts)
+        primes = exactalg._PRIMES
+        assert len(set(primes)) == len(primes) >= 2
+        for p in primes:
+            assert p < 2 ** 26 and 63 * p * p < 2 ** 63
+            assert all(p % d for d in range(2, math.isqrt(p) + 1)), p
 
 
 def _mat_mul(a, b):

@@ -6,7 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pstlab.exactalg import factor_support, unit_vector, vector_minpoly
+from pstlab import exactalg
+from pstlab.exactalg import factor_support, krylov_minpoly, unit_vector, vector_minpoly
 from pstlab.generate import gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
     Graph,
@@ -396,6 +397,84 @@ class TestSpectralContext:
                 ctx = _SpectralContext(g, kind)
                 for u in range(g.n):
                     assert list(ctx.support_ids(u)) == support_profile(g, kind, u).support
+
+
+class TestBatchedPairMinpolys:
+    """pair_minpolys on a graph of at most 11 vertices: one modular_minpolys
+    call for every pair, then lookups; the fraction-free route for a
+    polynomial it leaves out."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        """Calls of module.name, counted in a list of their results."""
+        calls, original = [], getattr(module, name)
+
+        def counted(*args):
+            calls.append(original(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_equals_classify_by_minpolys(self, corpus6, monkeypatch):
+        """Every pair of corpus6 and of the connected 7-vertex graphs in
+        every kind, with no fallback; Q on K7 (13^7 > p/2) and 155 other
+        contexts take two primes."""
+        import pstlab.pst as pst_module
+        fallbacks = self._count(monkeypatch, pst_module, "krylov_minpoly")
+        primes, crt = [], exactalg._symmetric_crt
+        monkeypatch.setattr(exactalg, "_symmetric_crt",
+                            lambda residues, ps: primes.append(len(ps)) or crt(residues, ps))
+        checked = 0
+        for g in corpus6 + list(gen_connected_graphs(7)):
+            for kind in KINDS:
+                ctx = _SpectralContext(g, kind)
+                for u, v in combinations(range(g.n), 2):
+                    assert ctx.pair_minpolys(u, v) == classify_by_minpolys(g, kind, u, v)
+                    checked += 1
+        assert checked == 3 * (1933 + 17913)
+        assert not fallbacks
+        assert primes.count(2) == 156 and max(primes) == 2
+
+    def test_query_order_cannot_change_a_report(self, corpus6):
+        """A context whose first query is reversed, or a middle pair, gives
+        the reports of one scanned in order, and so does the per-pair route."""
+        graphs = corpus6[::3] + list(gen_connected_graphs(7))[::100] + [path_graph(11)]
+        checked = 0
+        for g in graphs:
+            pairs = list(combinations(range(g.n), 2))
+            if not pairs:
+                continue
+            queries = pairs + [(v, u) for u, v in pairs]
+            for kind in KINDS:
+                _context.cache_clear()
+                in_order = [decide(g, kind, u, v).to_json() for u, v in queries]
+                for first in (queries[-1], queries[len(pairs) // 2]):
+                    _context.cache_clear()
+                    decide(g, kind, *first)
+                    assert [decide(g, kind, u, v).to_json() for u, v in queries] == in_order
+                _context.cache_clear()
+                ctx = _context(g, kind)
+                ctx._pairs = {}  # the per-pair fraction-free route
+                assert [decide(g, kind, u, v).to_json() for u, v in queries] == in_order
+                checked += len(queries)
+        assert checked > 2000
+
+    @pytest.mark.parametrize("primes", [(2,), (2, 3, 5, 7, 11, 13), (2, 3, 5, 7) + exactalg._PRIMES],
+                             ids=["2", "2-13", "2-7-then-large"])
+    def test_unlucky_primes_fall_back(self, corpus6, monkeypatch, primes):
+        """With tiny primes the degrees disagree, or the lift is wrong, for
+        some vectors; each must fall back, and no polynomial may change."""
+        import pstlab.pst as pst_module
+        fallbacks = self._count(monkeypatch, pst_module, "krylov_minpoly")
+        monkeypatch.setattr(exactalg, "_PRIMES", primes)
+        graphs = [g for g in corpus6 if g.n >= 4][::4] + [path_graph(11), star_graph(9), hypercube(3)]
+        for g in graphs:
+            for kind in KINDS:
+                ctx = _SpectralContext(g, kind)
+                for u, v in combinations(range(g.n), 2):
+                    assert ctx.pair_minpolys(u, v) == classify_by_minpolys(g, kind, u, v)
+        assert fallbacks
 
 
 class TestBipartitePhaseCheck:

@@ -114,7 +114,8 @@ CHECKERS = {
                     "projection_sign"},
 }
 DECIDER = {"decide", "laplacian_pst", "adjacency_pst", "all_pair_reports", "pst_search",
-           "_context", "_SpectralContext", "_ids_of", "_is_root", "_cospectrality_gate"}
+           "_context", "_SpectralContext", "_ids_of", "_is_root", "_cospectrality_gate",
+           "modular_minpolys"}
 
 
 def test_checkers_reference_no_decider_code():
@@ -124,6 +125,8 @@ def test_checkers_reference_no_decider_code():
     pst_tree = ast.parse((PACKAGE / "pst.py").read_text(encoding="utf-8"))
     defined = {node.name for node in pst_tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {alias.name for node in pst_tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
     assert DECIDER <= defined, f"decider names no longer in pst.py: {DECIDER - defined}"
     found, leaks = set(), []
     for module, names in CHECKERS.items():

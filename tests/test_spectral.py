@@ -83,6 +83,19 @@ class TestEigenvalueBound:
             assert factor_support(q, bound) == factor_support(q, order_bound), where
         assert len(factored) > 1000
 
+    def test_covers_the_spectrum_of_every_family_at_its_test_sizes(self):
+        """modular_minpolys takes its prime count from this bound, so it
+        must hold on every built-in family at the orders the tests and the
+        benchmark use, beyond the corpus above (which holds connected
+        n <= 7)."""
+        graphs = [path_graph(n) for n in range(1, 63)] + [cycle_graph(n) for n in range(3, 63)]
+        graphs += [complete_graph(n) for n in range(1, 17)] + [star_graph(m) for m in range(1, 62)]
+        graphs += [complete_minus_edge(n) for n in range(2, 17)] + [hypercube(k) for k in range(1, 6)]
+        for g in graphs:
+            for kind in KINDS:
+                radius = max(abs(np.linalg.eigvalsh(np.array(matrix_of(g, kind), dtype=float))))
+                assert radius <= eigenvalue_bound(g, kind) + 1e-9, (g.n, kind)
+
 
 class TestSupportProfile:
     def test_p2_laplacian(self):
