@@ -8,9 +8,10 @@ Python ints otherwise: semidefinite_pivots eliminates a stack of
 same-size integer matrices, and modular_minpolys finds the minimal
 polynomials of a stack of vectors under one matrix mod a few primes,
 lifts them by CRT and certifies each over the integers, leaving
-krylov_minpoly for any it cannot certify.  Polynomial Euclid (gcd, Sturm chains) stays in Z[x]: one
-sign-preserving pseudo-division, with each remainder divided by its
-content, so no rational coefficients arise.
+krylov_minpoly for any it cannot certify.  Polynomial Euclid (gcd,
+Sturm chains) stays in Z[x]: one sign-preserving pseudo-division, with
+each remainder divided by its content, so no rational coefficients
+arise.
 The Krylov sequence v, m v, m^2 v, ... is drawn through one lazy walk, and
 factor_support names the roots it splits off by eigenvalue ids, each with
 its monic integer polynomial.
@@ -440,9 +441,11 @@ def modular_minpolys(m, vectors, root_bound: int) -> list:
     lifted polynomial q has q(m) w = 0 over the integers.  The integer
     minimal polynomial reduces mod p to a monic relation, so the degree
     mod p is at most the true one, and a monic q of at most that degree
-    with q(m) w = 0 is the minimal polynomial itself.  The exact Krylov
-    vectors and the check run in int64 where a bound proves them exact,
-    and in Python ints (dtype object) otherwise.
+    with q(m) w = 0 is the minimal polynomial itself.  root_bound only
+    sets the number of primes: a bound too small costs fallbacks, never a
+    wrong polynomial.  The exact Krylov vectors and the check run in int64
+    where a bound proves them exact, and in Python ints (dtype object)
+    otherwise.
     """
     mat, w = np.asarray(m), np.asarray(vectors)
     rows, n = w.shape

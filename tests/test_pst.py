@@ -6,8 +6,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pstlab import exactalg
-from pstlab.exactalg import factor_support, krylov_minpoly, unit_vector, vector_minpoly
+from pstlab import exactalg, pst
+from pstlab.exactalg import factor_support, unit_vector, vector_minpoly
 from pstlab.generate import gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
     Graph,
@@ -420,8 +420,7 @@ class TestBatchedPairMinpolys:
         """Every pair of corpus6 and of the connected 7-vertex graphs in
         every kind, with no fallback; Q on K7 (13^7 > p/2) and 155 other
         contexts take two primes."""
-        import pstlab.pst as pst_module
-        fallbacks = self._count(monkeypatch, pst_module, "krylov_minpoly")
+        fallbacks = self._count(monkeypatch, pst, "krylov_minpoly")
         primes, crt = [], exactalg._symmetric_crt
         monkeypatch.setattr(exactalg, "_symmetric_crt",
                             lambda residues, ps: primes.append(len(ps)) or crt(residues, ps))
@@ -465,8 +464,7 @@ class TestBatchedPairMinpolys:
     def test_unlucky_primes_fall_back(self, corpus6, monkeypatch, primes):
         """With tiny primes the degrees disagree, or the lift is wrong, for
         some vectors; each must fall back, and no polynomial may change."""
-        import pstlab.pst as pst_module
-        fallbacks = self._count(monkeypatch, pst_module, "krylov_minpoly")
+        fallbacks = self._count(monkeypatch, pst, "krylov_minpoly")
         monkeypatch.setattr(exactalg, "_PRIMES", primes)
         graphs = [g for g in corpus6 if g.n >= 4][::4] + [path_graph(11), star_graph(9), hypercube(3)]
         for g in graphs:
