@@ -138,10 +138,11 @@ def _validate_pair(g: Graph, u: int, v: int) -> None:
 class _SpectralContext:
     """What decide reuses across the pairs of one graph and kind: the
     matrix, the graph6 word, the eigenvalue bound, the minimal polynomials
-    of e_u - e_v and e_u + e_v of every pair, and, per vertex u, the Krylov
-    vectors M^j e_u, the minimal polynomial of e_u and every eigenvalue id
-    of its factorization, each computed on first use.  This is the one
-    place decide factors anything.  Building one checks that g is
+    of e_u, e_u - e_v and e_u + e_v of every vertex and pair, the Krylov
+    vectors M^j e_u of a vertex whose polynomials need the fraction-free
+    route, and every eigenvalue id of the factorization of each distinct
+    minimal polynomial of a vertex, each computed on first use.  This is
+    the one place decide factors anything.  Building one checks that g is
     connected, once per graph and kind rather than once per pair."""
 
     def __init__(self, g: Graph, kind: str):
@@ -153,26 +154,28 @@ class _SpectralContext:
         self._krylov = [[unit_vector(g.n, u)] for u in range(g.n)]
         self._minpolys: dict[int, IntPolynomial] = {}
         self._pairs: Optional[dict] = None
-        self._support_ids: dict[int, tuple] = {}
+        self._support_ids: dict[IntPolynomial, tuple] = {}
 
     def krylov(self, u: int):
         """M^j e_u for j = 0, 1, ..., each product made once and kept."""
         return krylov_vectors(self.matrix, self._krylov[u])
 
     def minpoly(self, u: int) -> IntPolynomial:
+        """Minimal polynomial of e_u: from the graph's one elimination
+        (_batch) where it certified one, else from the fraction-free
+        elimination of the Krylov vectors of e_u."""
+        self._batch()
         if u not in self._minpolys:
             self._minpolys[u] = krylov_minpoly(self.krylov(u))
         return self._minpolys[u]
 
     def pair_minpolys(self, u: int, v: int):
         """Minimal polynomials of e_u - e_v and e_u + e_v (those of e_v - e_u
-        and e_v + e_u too).  The first call makes them for every pair of
-        the graph at once (_all_pair_minpolys), so later pairs are lookups.
-        A polynomial that route leaves out comes from the fraction-free
-        elimination of the differences or sums of the Krylov vectors of e_u
-        and e_v."""
-        if self._pairs is None:
-            self._pairs = self._all_pair_minpolys()
+        and e_v + e_u too), looked up in the graph's one elimination
+        (_batch).  A polynomial that route leaves out comes from the
+        fraction-free elimination of the differences or sums of the Krylov
+        vectors of e_u and e_v."""
+        self._batch()
         minus, plus = self._pairs.get((min(u, v), max(u, v)), (None, None))
         if minus is None:
             minus = krylov_minpoly([a - b for a, b in zip(ku, kv)]
@@ -182,27 +185,38 @@ class _SpectralContext:
                                   for ku, kv in zip(self.krylov(u), self.krylov(v)))
         return minus, plus
 
-    def _all_pair_minpolys(self) -> dict:
-        """{(u, v): (minus, plus)} for u < v from one modular_minpolys call
-        over the 2 C(n, 2) pair vectors, with None where it certified none.
-        Empty when that (V, n + 1, n) Krylov stack exceeds _CHUNK_ENTRIES
-        (n > 11): one query would then pay for every pair of a big graph,
-        while a single fraction-free pair elimination stays cheap there."""
+    def _batch(self) -> None:
+        """At the first query, one modular_minpolys call over the (n^2, n)
+        stack of the 2 C(n, 2) pair vectors e_u -+ e_v (u < v) and the n
+        unit vectors e_u: _pairs maps (u, v) to (minus, plus), with None
+        where it certified none, and _minpolys takes every certified e_u.
+        Nothing is eliminated when that (n^2, n + 1, n) Krylov stack exceeds
+        _CHUNK_ENTRIES (n > 11): one query would then pay for every pair of
+        a big graph, while a single fraction-free elimination stays cheap
+        there."""
+        if self._pairs is not None:
+            return
+        self._pairs = {}
         n = len(self.matrix)
-        if n * (n - 1) * (n + 1) * n > _CHUNK_ENTRIES:
-            return {}
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        us, vs = np.array(pairs).T
+        if n ** 3 * (n + 1) > _CHUNK_ENTRIES:
+            return
+        us, vs = np.triu_indices(n, 1)
         eye = np.eye(n, dtype=np.int64)
-        polys = modular_minpolys(self.matrix, np.concatenate([eye[us] - eye[vs], eye[us] + eye[vs]]),
-                                 self.bound)
-        return dict(zip(pairs, zip(polys[:len(pairs)], polys[len(pairs):])))
+        stack = np.concatenate([eye[us] - eye[vs], eye[us] + eye[vs], eye])
+        polys = modular_minpolys(self.matrix, stack, self.bound)
+        pairs = len(us)
+        self._pairs = dict(zip(zip(us.tolist(), vs.tolist()),
+                               zip(polys[:pairs], polys[pairs:2 * pairs])))
+        self._minpolys = {u: p for u, p in enumerate(polys[2 * pairs:]) if p is not None}
 
     def support_ids(self, u: int) -> tuple:
-        """Every id of factor_support(minpoly of e_u), sorted, residual last."""
-        if u not in self._support_ids:
-            self._support_ids[u] = tuple(factor_support(self.minpoly(u), self.bound))
-        return self._support_ids[u]
+        """Every id of factor_support(minpoly of e_u), sorted, residual last;
+        made once per distinct polynomial, so vertices that share a minimal
+        polynomial share its factorization."""
+        p = self.minpoly(u)
+        if p not in self._support_ids:
+            self._support_ids[p] = tuple(factor_support(p, self.bound))
+        return self._support_ids[p]
 
 
 @functools.lru_cache(maxsize=8)
@@ -278,11 +292,12 @@ def decide(g: Graph, kind: str, u: int, v: int) -> PSTReport:
 
     The pairs of one graph and kind share a _SpectralContext, kept for the
     last few (graph, kind) pairs, so a pair factors nothing (see
-    _cospectrality_gate and _ids_of) and, on a graph of at most 11
-    vertices, its two polynomials come from one elimination of every pair
-    of the graph, made at the first query.  The context
-    holds only what the graph and kind determine, so it cannot change an
-    answer.
+    _cospectrality_gate and _ids_of): factor_support runs once per distinct
+    minimal polynomial of a vertex.  On a graph of at most 11 vertices the
+    pair's two polynomials and that of e_u come from one elimination of
+    every pair and unit vector of the graph, made at the first query.  The
+    context holds only what the graph and kind determine, so it cannot
+    change an answer.
     """
     _validate_kind(kind)
     _validate_pair(g, u, v)

@@ -50,6 +50,14 @@ CERT_KINDS = {"not-strongly-cospectral", "non-integer-support", "parity-violatio
               "mixed-delta", "residual-factor", "quadratic-mixed-a"}
 
 
+def connected_gnp(n, rng):
+    """A connected G(n, 1/2), drawn from rng until one is connected."""
+    while True:
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        if g.is_connected():
+            return g
+
+
 def phase_value(report):
     """gamma = exp(i pi phase_s) of a positive report, in floating point."""
     return complex(np.exp(1j * math.pi * float(report.phase_s)))
@@ -319,30 +327,57 @@ class TestStructuralProperties:
 class TestSpectralContext:
     """decide's per-graph context against the per-pair routes it replaced."""
 
-    def test_minpolys_match_per_pair_routes(self, corpus6):
-        cases = [(g, list(combinations(range(g.n), 2))) for g in corpus6]
-        cases.append((path_graph(11), list(combinations(range(11), 2))))
-        cases.append((cycle_graph(24), [(0, 12)]))
-        checked = 0
-        for kind in (LAPLACIAN, ADJACENCY):
-            for g, pairs in cases:
-                ctx = _context(g, kind)
+    def test_minpolys_match_per_pair_routes(self, corpus6, monkeypatch):
+        """Every vertex and pair polynomial in every kind against
+        vector_minpoly and classify_by_minpolys: corpus6, path:11,
+        complete:11 and seeded connected G(n, 1/2) for n = 7..11, whose e_u
+        all come from the batch, and cycle:24, past the size rule, whose
+        e_u come from the Krylov vectors.  complete:11 takes more than one
+        prime in every kind."""
+        primes, crt = [], exactalg._symmetric_crt
+        monkeypatch.setattr(exactalg, "_symmetric_crt",
+                            lambda residues, ps: primes.append(len(ps)) or crt(residues, ps))
+        rng = random.Random("unit rows")
+        graphs = (corpus6 + [path_graph(11), complete_graph(11)]
+                  + [connected_gnp(n, rng) for n in range(7, 12)])
+        cases = [(g, range(g.n), list(combinations(range(g.n), 2))) for g in graphs]
+        cases.append((cycle_graph(24), (0, 12), [(0, 12)]))
+        checked, multi_prime = 0, set()
+        for kind in KINDS:
+            for g, vertices, pairs in cases:
+                primes.clear()
+                ctx = _SpectralContext(g, kind)
                 m = matrix_of(g, kind)
-                for u in {w for pair in pairs for w in pair}:
+                for u in vertices:
                     assert ctx.minpoly(u) == vector_minpoly(m, unit_vector(g.n, u))
+                    assert (len(ctx._krylov[u]) == 1) == (g.n <= 11)
                 for u, v in pairs:
                     assert ctx.pair_minpolys(u, v) == classify_by_minpolys(g, kind, u, v)
                     checked += 1
-        assert checked == 2 * (3866 // 2 + 55 + 1)
+                if max(primes, default=1) > 1:
+                    multi_prime.add((write_graph6(g), kind))
+        assert checked == 3 * (3866 // 2 + 2 * 55 + 21 + 28 + 36 + 45 + 55 + 1)
+        assert {(write_graph6(complete_graph(11)), kind) for kind in KINDS} <= multi_prime
 
-    def test_krylov_vectors_grow_only_as_far_as_consumed(self):
-        for g in (complete_graph(6), path_graph(11), cycle_graph(24)):
-            for kind in (LAPLACIAN, ADJACENCY):
-                ctx = _SpectralContext(g, kind)
-                for u in range(g.n):
-                    assert len(ctx._krylov[u]) == 1
-                    degree = ctx.minpoly(u).degree
-                    assert len(ctx._krylov[u]) == degree + 1
+    def test_krylov_vectors_grow_only_as_far_as_consumed(self, monkeypatch):
+        """Up to 11 vertices minpoly(u) is a lookup in the graph's one
+        elimination and draws no Krylov vector past e_u.  Past the size rule
+        (cycle:24), or when the elimination certifies no row, the
+        fraction-free route draws exactly degree + 1 of them."""
+        def check(graphs, drawn):
+            for g in graphs:
+                for kind in (LAPLACIAN, ADJACENCY):
+                    ctx = _SpectralContext(g, kind)
+                    for u in range(g.n):
+                        assert len(ctx._krylov[u]) == 1
+                        degree = ctx.minpoly(u).degree
+                        assert len(ctx._krylov[u]) == drawn(degree)
+
+        small = (complete_graph(6), path_graph(11))
+        check(small, lambda degree: 1)
+        check((cycle_graph(24),), lambda degree: degree + 1)
+        monkeypatch.setattr(pst, "modular_minpolys", lambda m, vectors, bound: [None] * len(vectors))
+        check(small, lambda degree: degree + 1)
 
     def test_cache_cannot_change_an_answer(self, corpus6):
         """More graphs are in play than the cache holds, in a seeded order
@@ -370,10 +405,10 @@ class TestSpectralContext:
         assert shuffled == in_order
         assert cold == in_order
 
-    def test_factor_support_once_per_vertex(self, corpus6, monkeypatch):
+    def test_factor_support_once_per_distinct_minpoly(self, corpus6, monkeypatch):
         """decide factors nothing per pair: over all pairs of a graph and
-        kind, factor_support runs at most once per vertex, for the minimal
-        polynomial of e_u that the context caches."""
+        kind, factor_support runs exactly once for each distinct minimal
+        polynomial of e_u that the context caches, and on nothing else."""
         calls = []
 
         def counted(p, bound):
@@ -387,13 +422,19 @@ class TestSpectralContext:
                 _context.cache_clear()
                 calls.clear()
                 all_pair_reports(g, kind)
-                assert len(calls) <= g.n, (write_graph6(g), kind, len(calls))
+                ctx = _context(g, kind)
+                distinct = {ctx.minpoly(w) for pair in combinations(range(g.n), 2) for w in pair}
+                assert len(calls) == len(distinct), (write_graph6(g), kind, len(calls))
+                assert set(calls) == distinct, (write_graph6(g), kind)
 
     def test_support_ids_match_support_profile(self, corpus6):
         """The context's ids of each vertex, residual last, are those of the
-        checker's support profile, found by its own Krylov route."""
+        checker's support profile, found by its own Krylov route, on corpus6,
+        path:11, complete:11 and a seeded connected G(11, 1/2)."""
+        graphs = corpus6 + [path_graph(11), complete_graph(11),
+                            connected_gnp(11, random.Random("supports"))]
         for kind in KINDS:
-            for g in corpus6:
+            for g in graphs:
                 ctx = _SpectralContext(g, kind)
                 for u in range(g.n):
                     assert list(ctx.support_ids(u)) == support_profile(g, kind, u).support
@@ -463,16 +504,24 @@ class TestBatchedPairMinpolys:
                              ids=["2", "2-13", "2-7-then-large"])
     def test_unlucky_primes_fall_back(self, corpus6, monkeypatch, primes):
         """With tiny primes the degrees disagree, or the lift is wrong, for
-        some vectors; each must fall back, and no polynomial may change."""
+        some vectors; each must fall back, and no polynomial or support may
+        change.  A unit row that falls back draws Krylov vectors past e_u."""
         fallbacks = self._count(monkeypatch, pst, "krylov_minpoly")
         monkeypatch.setattr(exactalg, "_PRIMES", primes)
-        graphs = [g for g in corpus6 if g.n >= 4][::4] + [path_graph(11), star_graph(9), hypercube(3)]
+        graphs = [g for g in corpus6 if g.n >= 4][::4] + [path_graph(11), complete_graph(11),
+                                                          star_graph(9), hypercube(3)]
+        unit_fallbacks = 0
         for g in graphs:
             for kind in KINDS:
                 ctx = _SpectralContext(g, kind)
+                m = matrix_of(g, kind)
+                for u in range(g.n):
+                    assert ctx.minpoly(u) == vector_minpoly(m, unit_vector(g.n, u))
+                    unit_fallbacks += len(ctx._krylov[u]) > 1
+                    assert list(ctx.support_ids(u)) == support_profile(g, kind, u).support
                 for u, v in combinations(range(g.n), 2):
                     assert ctx.pair_minpolys(u, v) == classify_by_minpolys(g, kind, u, v)
-        assert fallbacks
+        assert 0 < unit_fallbacks < len(fallbacks)
 
 
 class TestBipartitePhaseCheck:
