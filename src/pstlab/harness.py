@@ -4,7 +4,9 @@ Each check_* function re-derives one structural statement over a corpus and
 returns a CheckResult with explicit witnesses on failure.  run_survey
 produces per-graph records plus aggregate counts; replay_certificate is the
 independent validator for negative transfer verdicts, reconstructing the
-violated condition from freshly computed supports and projection signs.
+violated condition from freshly computed supports, projection signs and,
+for a residual witness, walk counts projected onto its roots, with the
+minimal polynomials of e_u -+ e_v as the fallback.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .spectral import (
     eigenvalue_bound,
     projection_sign,
     support_profile,
+    walks_differ_at,
 )
 
 # largest tree order the tree sweeps run to; gen_free_trees goes to MAX_TREE_N
@@ -540,14 +543,22 @@ def _cached_profile(g: Graph, kind: str, u: int):
     return support_profile(g, kind, u)
 
 
+@lru_cache(maxsize=100_000)
+def _graph_facts(g: Graph) -> tuple[str, bool, dict]:
+    """g's graph6 word, whether g is connected, and its eigenvalue bound
+    per matrix kind: made once per graph, not once per report."""
+    return write_graph6(g), g.is_connected(), {kind: eigenvalue_bound(g, kind) for kind in KINDS}
+
+
 def _report_fault(g: Graph, report: PSTReport) -> Optional[str]:
     """Why neither checker can read report against g, None when both can:
     another graph's word, a disconnected graph (decide makes no report for
     one), an unknown matrix kind, or a vertex pair that is not two
     distinct vertices of g."""
-    if report.graph6 != write_graph6(g):
+    word, connected, _ = _graph_facts(g)
+    if report.graph6 != word:
         return "the report was made for another graph"
-    if not g.is_connected():
+    if not connected:
         return "the graph is not connected"
     if report.matrix_kind not in KINDS:
         return f"unknown matrix kind {report.matrix_kind!r}"
@@ -605,8 +616,13 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
     the polynomial-split production route); only a not-strongly-cospectral
     witness shared by both supports, and the cospectrality profile of a
     parity-violation, read a projection sign (spectral.projection_sign).
-    A report of the wrong shape (see _report_fault and _witness_fault) is
-    refused rather than raising.
+    A residual witness shared by both supports is confirmed from the
+    closed walk counts of u and v projected onto its roots
+    (spectral.walks_differ_at), read off the profiles' Krylov rows; only
+    where those agree do the minimal polynomials of e_u -+ e_v
+    (spectral.classify_by_minpolys) decide, as the fallback.  A report of
+    the wrong shape (see _report_fault and _witness_fault) is refused
+    rather than raising.
     """
     if (fault := _report_fault(g, report)) is not None:
         return False, fault
@@ -615,7 +631,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         return False, "no certificate on a non-positive report"
     if not cert.witnesses:
         return False, "the certificate names no witness"
-    rho = eigenvalue_bound(g, report.matrix_kind)
+    rho = _graph_facts(g)[2][report.matrix_kind]
     for w in cert.witnesses:
         if (fault := _witness_fault(w, rho)) is not None:
             return False, fault
@@ -640,14 +656,18 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
             if (fault := _residual_fault(witness, pu, pv, 1)) is not None:
                 return False, fault
             # a root of one residual that the other lacks is in one support
-            # only; a root shared by the minimal polynomials of e_u -+ e_v
-            # has projections of e_u and e_v that match neither sign
+            # only; a root of the witness where the walk counts differ, or
+            # failing that a root shared by the minimal polynomials of
+            # e_u -+ e_v, has projections of e_u and e_v that match neither
+            # sign
             ru, rv = (p.residual or IntPolynomial.one() for p in (pu, pv))
             if ru != rv:
                 common = poly_gcd(ru, rv)
                 if any(poly_gcd(witness.poly, r.pseudo_divmod(common)[0]).degree >= 1
                        for r in (ru, rv)):
                     return True, "residual support difference confirmed"
+            if walks_differ_at(pu, pv, witness.poly):
+                return True, "residual-level mismatch confirmed"
             shared = poly_gcd(*classify_by_minpolys(g, kind, u, v))
             if poly_gcd(witness.poly, shared).degree < 1:
                 return False, "residual witness meets no mismatch"
@@ -672,7 +692,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         witness = cert.witnesses[0]
         if (fault := _residual_fault(witness, pu, pv, 3)) is not None:
             return False, fault
-        if not isinstance(factor_support(witness.poly, eigenvalue_bound(g, kind))[0], ResidualEig):
+        if not isinstance(factor_support(witness.poly, rho)[0], ResidualEig):
             return False, "claimed residual has small factors"
         return True, "irreducible-beyond-quadratic residual confirmed"
 

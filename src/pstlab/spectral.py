@@ -12,6 +12,7 @@ vertex; no projection is ever made and no full eigendecomposition either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .exactalg import (
@@ -108,9 +109,11 @@ def support_profile(g: Graph, kind: str, u: int) -> SupportProfile:
 
     The profile keeps the integer Krylov vectors M^j e_u, j < deg q, where
     q is the minimal polynomial of e_u, so that p(M) e_u costs no matrix
-    product for any integer polynomial p (SupportProfile.image).  A
+    product for any integer polynomial p (SupportProfile.image); its row u
+    holds the closed walk counts (M^j)_uu that walks_differ_at reads.  A
     residual factor (degree >= 3, no integer or quadratic roots) is
-    flagged.
+    flagged.  q is factored once per distinct (q, eigenvalue bound) over
+    all profiles, and each profile gets its own copy of the support list.
     """
     if not g.is_connected():
         raise ValueError("support_profile requires a connected graph")
@@ -118,9 +121,52 @@ def support_profile(g: Graph, kind: str, u: int) -> SupportProfile:
         raise ValueError(f"vertex {u} out of range")
     krylov = [unit_vector(g.n, u)]
     q = krylov_minpoly(krylov_vectors(matrix_of(g, kind), krylov))  # M^j e_u, j <= deg q
-    ids = factor_support(q, eigenvalue_bound(g, kind))
+    ids = list(_factored_support(q, eigenvalue_bound(g, kind)))  # no list shared between profiles
     residual = ids[-1].poly if isinstance(ids[-1], ResidualEig) else None
     return SupportProfile(kind, u, q, ids, residual, list(zip(*krylov[:q.degree])))
+
+
+@lru_cache(maxsize=100_000)
+def _factored_support(q: IntPolynomial, bound: int) -> tuple:
+    """factor_support(q, bound), made once per distinct polynomial and
+    bound: most vertices share their minimal polynomial with another
+    vertex of the same graph or of another graph."""
+    return tuple(factor_support(q, bound))
+
+
+def walks_differ_at(pu: SupportProfile, pv: SupportProfile, w: IntPolynomial) -> bool:
+    """True when the closed walk counts at u and at v, projected onto the
+    roots of w, differ; w is monic, squarefree and divides q_u q_v, the
+    product of the minimal polynomials of e_u and e_v.
+
+    phi_u(p) = e_u^T p(M) e_u = sum_j (p mod q_u)_j (M^j)_uu, and the walk
+    counts (M^j)_uu, j < deg q_u, are row u of u's Krylov rows, so phi_u
+    costs no matrix product.  H = lcm(q_u, q_v)/w is nonzero at every root
+    theta of w (the lcm is squarefree) and zero at every other root of q_u
+    and of q_v, so phi_u(x^k H) - phi_v(x^k H) is the sum over the roots
+    theta of w of theta^k H(theta) (|E_theta e_u|^2 - |E_theta e_v|^2).
+    A nonzero difference for some k names a root of w where
+    E_theta e_u != +-E_theta e_v; all deg w of them zero (a Vandermonde
+    system) means the two norms agree at every root of w.
+    """
+    qu, qv = pu.minpoly, pv.minpoly
+    lcm = qu if qu == qv else qu * qv.pseudo_divmod(poly_gcd(qu, qv))[0]
+    h = lcm.pseudo_divmod(w)[0]
+
+    def projected_walks(p: SupportProfile) -> list[int]:
+        q, walks = p.minpoly.coeffs, p.krylov_rows[p.u]
+        r = list(h.pseudo_divmod(p.minpoly)[1].coeffs)
+        r += [0] * (len(walks) - len(r))  # x^k H mod q, k = 0
+        out = []
+        for _ in range(w.degree):
+            out.append(sum(a * b for a, b in zip(r, walks)))
+            top = r.pop()  # times x, then x^deg q = -(q - x^deg q), q monic
+            r.insert(0, 0)
+            for j in range(len(r)):
+                r[j] -= top * q[j]
+        return out
+
+    return projected_walks(pu) != projected_walks(pv)
 
 
 @dataclass

@@ -43,6 +43,7 @@ from pstlab.graphs import (
     signless_laplacian,
     write_graph6,
 )
+from pstlab import harness
 from pstlab.harness import (
     FIDELITY_TOLERANCE,
     aggregate_records,
@@ -194,6 +195,15 @@ def seven_reports(corpus_by_n):
     """Every Laplacian and adjacency pair report over connected graphs on 7
     vertices."""
     return [(g, r) for g in corpus_by_n[7] for kind in (LAPLACIAN, ADJACENCY)
+            for r in all_pair_reports(g, kind)]
+
+
+@pytest.fixture(scope="module")
+def family_reports():
+    """Every pair report on path:24, cycle:24 and hypercube:5, in all three
+    kinds."""
+    return [(g, r) for g in (path_graph(24), cycle_graph(24), hypercube(5))
+            for kind in (LAPLACIAN, ADJACENCY, SIGNLESS_LAPLACIAN)
             for r in all_pair_reports(g, kind)]
 
 
@@ -623,6 +633,60 @@ class TestCriterion7OracleDiscipline:
                            f"{len(failures)} failures")
         assert ok, failures[:5]
 
+    def test_walk_test_agrees_with_the_gcd_fallback(self, small_corpus_reports, seven_reports,
+                                                   signless_reports, family_reports,
+                                                   monkeypatch):
+        """The replay's walk-count test of a residual witness is a fast path
+        in front of the gcd of the minimal polynomials of e_u -+ e_v.  On
+        every not-strongly-cospectral report with a residual witness over
+        connected n <= 7, path:24 and cycle:24, in all three kinds, the
+        replay answers the same with the walk test forced inconclusive, and
+        wherever the walk test confirms, the witness meets that gcd.  The
+        counts pin how many cases each route decides ("before": a support
+        difference, decided ahead of both)."""
+        everything = (small_corpus_reports + seven_reports + signless_reports["connected"]
+                      + [(g, r) for g, r in family_reports if g.n == 24])
+        cases = [(g, r) for g, r in everything
+                 if r.certificate is not None and r.certificate.kind == NOT_STRONGLY_COSPECTRAL
+                 and isinstance(r.certificate.witnesses[0], ResidualEig)]
+        real_walk_test, real_minpoly_route = harness.walks_differ_at, harness.classify_by_minpolys
+        verdicts, minpolys = [], []
+
+        def walk_test(pu, pv, w):
+            verdicts[-1].append(real_walk_test(pu, pv, w))
+            return verdicts[-1][-1]
+
+        def minpoly_route(*args):
+            minpolys.append(real_minpoly_route(*args))
+            return minpolys[-1]
+
+        monkeypatch.setattr(harness, "walks_differ_at", walk_test)
+        fast = []
+        for g, r in cases:
+            verdicts.append([])
+            fast.append(replay_certificate(g, r))
+        monkeypatch.setattr(harness, "walks_differ_at", lambda pu, pv, w: False)
+        monkeypatch.setattr(harness, "classify_by_minpolys", minpoly_route)
+        seen = {}
+        failures = []
+        for (g, r), answer, walked in zip(cases, fast, verdicts):
+            minpolys.clear()
+            slow = replay_certificate(g, r)
+            witness = r.certificate.witnesses[0].poly
+            route = {(): "before", (True,): "walks", (False,): "fallback"}[tuple(walked)]
+            if (slow != answer or not answer[0]
+                    or route == "walks" and poly_gcd(witness, poly_gcd(*minpolys[0])).degree < 1):
+                failures.append((r.graph6, r.matrix_kind, r.u, r.v, answer, slow))
+            counts = seen.setdefault(r.matrix_kind, {"walks": 0, "fallback": 0, "before": 0})
+            counts[route] += 1
+        ok = not failures and seen == {
+            LAPLACIAN: {"walks": 4462, "fallback": 42, "before": 180},
+            ADJACENCY: {"walks": 4831, "fallback": 42, "before": 132},
+            SIGNLESS_LAPLACIAN: {"walks": 4983, "fallback": 42, "before": 174}}
+        report_line(7, ok, f"residual witnesses by walk counts against the gcd route: {seen}, "
+                           f"{len(failures)} failures")
+        assert ok, failures[:5]
+
     def test_gate_witness_matches_factor_support(self, seven_reports, tree_sweep_reports,
                                                  small_corpus_reports):
         """The gate's witness, found among the support ids of u and v, is
@@ -648,18 +712,17 @@ class TestCriterion7OracleDiscipline:
         assert ok, failures[:5]
 
     def test_sign_classes_match_factor_support(self, seven_reports, small_corpus_reports,
-                                               tree_sweep_reports, signless_reports):
+                                               tree_sweep_reports, signless_reports,
+                                               family_reports):
         """Past the gate, the plus and minus sets that decide splits off the
         support ids of u are the factorizations of poly_plus and poly_minus
         on every yes pair and every certificate other than
         not-strongly-cospectral: connected n <= 7, free trees n <= 10 and
         path:24, cycle:24, hypercube:5, in all three kinds."""
-        families = [(g, r) for g in (path_graph(24), cycle_graph(24), hypercube(5))
-                    for kind in (LAPLACIAN, ADJACENCY, SIGNLESS_LAPLACIAN)
-                    for r in all_pair_reports(g, kind)]
         everything = (small_corpus_reports + seven_reports
                       + tree_sweep_reports[LAPLACIAN] + tree_sweep_reports[ADJACENCY]
-                      + signless_reports["connected"] + signless_reports["trees"] + families)
+                      + signless_reports["connected"] + signless_reports["trees"]
+                      + family_reports)
         checked = {}
         residual_minus = 0
         failures = []

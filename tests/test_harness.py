@@ -12,7 +12,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from pstlab.exactalg import IntPolynomial, charpoly, det_bareiss, semidefinite_pivots
+from pstlab.exactalg import (IntPolynomial, charpoly, det_bareiss, factor_support,
+                             semidefinite_pivots)
 from pstlab import harness, spectral
 from pstlab.generate import gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
@@ -560,6 +561,16 @@ class TestCertificateReplay:
         residual = support_profile(p7, LAPLACIAN, 0).residual
         ok, why = replay_certificate(p7, forged(p7, LAPLACIAN, 0, 6, ResidualEig(residual)))
         assert not ok and why == "residual witness meets no mismatch", why
+        # on ECDg, 1 and 3 share one residual in L and in Q, and agree in
+        # sign on it, but their walk counts differ at other eigenvalues: the
+        # walk test reads them projected onto the witness's roots only
+        g = parse_graph6("ECDg")
+        for kind in (LAPLACIAN, SIGNLESS_LAPLACIAN):
+            pu, pv = (support_profile(g, kind, w) for w in (1, 3))
+            assert pu.residual == pv.residual and pu.residual.degree == 3
+            assert pu.krylov_rows[1][:3] != pv.krylov_rows[3][:3]
+            ok, why = replay_certificate(g, forged(g, kind, 1, 3, ResidualEig(pu.residual)))
+            assert not ok and why == "residual witness meets no mismatch", (kind, why)
         g = parse_graph6("FQGOW")  # the residual of 6 is a proper factor of that of 0
         ru, rv = (support_profile(g, LAPLACIAN, w).residual for w in (0, 6))
         own, rest = ru.pseudo_divmod(rv)
@@ -580,6 +591,36 @@ class TestCertificateReplay:
                 ok, why = replay_certificate(graph, forged(graph, kind, u, v,
                                                            ResidualEig(forgery)))
                 assert not ok, (graph, forgery, why)
+
+    def test_replay_factors_each_vertex_polynomial_once(self, corpus6, monkeypatch):
+        """The replay's support profiles run factor_support once per
+        distinct (minimal polynomial, eigenvalue bound) over a graph set, in
+        all three kinds, and no two profiles share one support list."""
+        calls, profiles = [], []
+
+        def counted(p, bound):
+            calls.append((p, bound))
+            return factor_support(p, bound)
+
+        def recorded(g, kind, u):
+            profiles.append((g, support_profile(g, kind, u)))
+            return profiles[-1][1]
+
+        monkeypatch.setattr(spectral, "factor_support", counted)
+        monkeypatch.setattr(harness, "support_profile", recorded)
+        spectral._factored_support.cache_clear()
+        harness._cached_profile.cache_clear()
+        graphs = [g for g in corpus6 if g.n <= 5] + [path_graph(9), cycle_graph(8), hypercube(3)]
+        for g in graphs:
+            for kind in KINDS:
+                for r in all_pair_reports(g, kind):
+                    if r.verdict != YES:
+                        assert replay_certificate(g, r)[0]
+        harness._cached_profile.cache_clear()
+        distinct = {(p.minpoly, spectral.eigenvalue_bound(g, p.matrix_kind)) for g, p in profiles}
+        assert len(calls) == len(distinct) < len(profiles) // 2, (len(calls), len(profiles))
+        assert set(calls) == distinct
+        assert len({id(p.support) for _, p in profiles}) == len(profiles)
 
     def test_integral_support_required_of_the_laplacian_only(self):
         """On path:3, adjacency transfer joins the ends, whose support holds

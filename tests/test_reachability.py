@@ -108,10 +108,11 @@ def test_only_spectral_lists_the_matrix_kinds():
 # the replay and numeric routes: each body must stay clear of the decider
 CHECKERS = {
     "harness.py": {"replay_certificate", "_parity_data", "_cached_profile",
-                   "verify_positive_report", "_report_fault", "_witness_fault"},
+                   "verify_positive_report", "_report_fault", "_witness_fault",
+                   "_graph_facts", "_residual_fault"},
     "pst.py": {"numeric_fidelity"},
     "spectral.py": {"support_profile", "cospectrality_profile", "classify_by_minpolys",
-                    "projection_sign"},
+                    "projection_sign", "walks_differ_at", "_factored_support"},
 }
 DECIDER = {"decide", "laplacian_pst", "adjacency_pst", "all_pair_reports", "pst_search",
            "_context", "_SpectralContext", "_ids_of", "_is_root", "_cospectrality_gate",
