@@ -552,7 +552,9 @@ class TestCertificateReplay:
         """On path:7 the Laplacian pair (0,6) is strongly cospectral, so a
         residual witness that only meets the support of 0 is refused.  A
         residual witness replays when it meets a factor of one residual that
-        the other lacks, or the gcd of the minimal polynomials of e_u -+ e_v."""
+        the other lacks, a root where the walk counts of u and v projected
+        onto its roots differ, or the gcd of the minimal polynomials of
+        e_u -+ e_v."""
         def forged(g, kind, u, v, witness):
             return PSTReport(write_graph6(g), kind, u, v, NO,
                              Certificate(NOT_STRONGLY_COSPECTRAL, (witness,), "forged"))
