@@ -170,9 +170,7 @@ def cmd_survey(args) -> int:
         raise CliError("survey needs --n or --file")
     if args.assert_paper and args.n not in (7, 8):
         raise CliError("--assert-paper applies to --n 7 and --n 8")
-    # the built-in corpus comes in canonical labelling (gen_connected_graphs)
-    records, agg = run_survey(graphs, with_pst=args.pst, workers=workers,
-                              _canonical_input=args.n is not None)
+    records, agg = run_survey(graphs, with_pst=args.pst, workers=workers)
     if args.out:
         write_survey_jsonl(records, args.out)
     agg_view = {"source": label, **agg}

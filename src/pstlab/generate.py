@@ -52,11 +52,20 @@ numpy pass per chunk of children keys every deletion c - w from c's
 degrees less w's column, sorts each deletion's keys and looks the rows up
 by their bytes in the sorted table of parent invariants; the keys are
 below (n - 1)^n, exact in int64 up to n = 16.
+
+Outside the canonical searches a level runs on arrays: each parent's
+orbit-least masks come from the images of all its masks under the
+search's generators, its children are one (k, n) mask array, the
+children stream through the pretest in chunks of the same budget and
+only its survivors become tuples, and the kept children are relabelled
+a chunk at a time.  Each kept graph is a CanonicalGraph carrying the
+word its search returned, which the survey records as it is.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -377,33 +386,32 @@ def gen_free_trees(n: int) -> Iterator[Graph]:
 
 # -- connected graphs --------------------------------------------------------
 
-def _orbit_least_masks(new: int, autos: list[list[int]]) -> list[int]:
+def _orbit_least_masks(new: int, autos: list[list[int]]) -> np.ndarray:
     """The neighbour masks 1..2^new - 1 that are least in their orbit under
-    the group that the permutations in autos generate, in increasing order.
+    the group that the permutations in autos generate, in increasing order,
+    as an int64 array.
 
-    A union-find over masks merges each mask with its image under every
-    generator and keeps the least mask of a class as its root.  The images
-    of the masks 2^v..2^(v+1) - 1 are those of the masks below 2^v, each
-    with the image of v added.
+    A generator sigma maps mask m to the sum of 2^sigma[v] over the bits v
+    of m: one integer product of the masks' bits with 2^sigma gives every
+    image.  Each mask starts labelled by itself; a round lowers each label
+    to the least label among its images, then replaces each label by the
+    label of that mask, until a round changes nothing.  A label stays in
+    its mask's orbit and at most the mask.  At the fixed point a label is
+    at most its images' labels, so, as each generator has finite order,
+    the label is constant on the orbit, and it is the orbit's least mask.
     """
-    root = list(range(1 << new))
-
-    def find(m: int) -> int:
-        while root[m] != m:
-            root[m] = root[root[m]]
-            m = root[m]
-        return m
-
-    for sigma in autos:
-        image = [0]
-        for v in range(new):
-            image += [m | 1 << sigma[v] for m in image]
-        for mask, m in enumerate(image):
-            if m != mask:
-                a, b = find(mask), find(m)
-                if a != b:
-                    root[max(a, b)] = min(a, b)
-    return [m for m in range(1, 1 << new) if find(m) == m]
+    masks = np.arange(1 << new)
+    if autos:
+        images = (masks[:, None] >> np.arange(new) & 1) @ (1 << np.array(autos)).T
+        label = masks
+        while True:
+            lowered = np.minimum(label, label[images].min(axis=1))
+            lowered = lowered[lowered]
+            if (lowered == label).all():
+                break
+            label = lowered
+        masks = np.flatnonzero(label == masks)
+    return masks[1:]
 
 
 def _non_cut_bits(adj: tuple[int, ...]) -> int:
@@ -477,7 +485,31 @@ def _known(a: np.ndarray, index: np.ndarray, non_cut: np.ndarray,
     return (usable & (table[at] == rows) & (owner[at] < index[:, None])).any(axis=1)
 
 
-def _connected_level(prev: list[Graph], n: int) -> list[Graph]:
+class CanonicalGraph(Graph):
+    """A graph in canonical labelling that carries its canonical graph6
+    word, the word that encodes the graph itself: what generation keeps,
+    so the survey reads each word rather than writing it again."""
+
+    __slots__ = ("graph6",)
+
+    @classmethod
+    def _worded(cls, n: int, adj: tuple[int, ...], word: str) -> "CanonicalGraph":
+        g = cls._of(n, adj)
+        g.graph6 = word
+        return g
+
+
+def _relabelled(adjs: list[tuple[int, ...]], orders: list[list[int]], n: int) -> list[tuple[int, ...]]:
+    """The neighbour masks of each graph adjs[k] read in the vertex order
+    orders[k]: vertex i of the result is vertex orders[k][i] of adjs[k]."""
+    a = adjacency_stack(adjs, n)
+    order = np.array(orders)
+    rows = np.arange(len(adjs))[:, None, None]
+    a = a[rows, order[:, :, None], order[:, None, :]]
+    return list(map(tuple, (a << np.arange(n)).sum(axis=-1).tolist()))
+
+
+def _connected_level(prev: list[Graph], n: int) -> list[CanonicalGraph]:
     """Extend each (n-1)-vertex connected graph by one vertex, dedup by
     canonical form.  Every connected n-vertex graph has a non-cut vertex,
     so extending connected parents with nonempty neighbour sets is complete.
@@ -492,7 +524,8 @@ def _connected_level(prev: list[Graph], n: int) -> list[Graph]:
     the least mask's child, which this parent's loop has already tried, so
     its word is already in seen: skipping it drops no word and moves none.
     A child's masks are the parent's, each row in the mask gaining the new
-    vertex, with the mask itself as the new row.
+    vertex, with the mask itself as the new row: one array row per child,
+    built for all of a parent's tried masks at once.
 
     Pretest: a child c of parent number i is not searched when, for some
     non-cut vertex w of the parent such that the new vertex has a
@@ -503,54 +536,78 @@ def _connected_level(prev: list[Graph], n: int) -> list[Graph]:
     a tried one, gives a child isomorphic to c, whose word is in seen
     before parent i's loop starts (by induction on the order, also when
     that child was skipped in turn).  Skipping c is therefore searching
-    it and finding its word in seen.  The test runs as one numpy pass per
-    chunk of children (_known), in integers only.
+    it and finding its word in seen.  The children stream through the
+    test (_known) in chunks of _CHUNK_ENTRIES adjacency entries, in
+    integers only, and only its survivors become mask tuples.
 
     The surviving children, in the order of their (parent, mask) pairs,
     and the parents before them, are searched through _searches, one root
     stack per chunk; the searches are independent, so the kept words and
     their order are those of searching child by child.  A new child is
     kept in canonical labelling, its masks relabelled by the order the
-    search read its word in, so the kept graph is the one its word encodes.
+    search read its word in (one array pass per chunk of kept children),
+    as a CanonicalGraph carrying that word: the word encodes the kept
+    graph.
     """
     seen: set[str] = set()
-    out: list[Graph] = []
+    out: list[CanonicalGraph] = []
     new = n - 1
+    size = max(1, _CHUNK_ENTRIES // n ** 2)
     table, owner = _invariant_table([parent.adj for parent in prev], new)
 
-    def children() -> Iterator[tuple[int, int, tuple[int, ...], int]]:
+    def children() -> Iterator[np.ndarray]:
+        """The children in (parent, mask) order, in chunks of `size` rows:
+        a child's n neighbour masks, its parent's number and the bits of
+        that parent's non-cut vertices."""
+        pending, count = [], 0
         for i, (base, (_, autos, _)) in enumerate(_searches((parent.adj for parent in prev), new)):
-            non_cut = _non_cut_bits(base)
-            for mask in _orbit_least_masks(new, autos):
-                yield i, non_cut, base, mask
+            masks = _orbit_least_masks(new, autos)
+            rows = np.empty((len(masks), n + 2), dtype=np.int64)
+            rows[:, :new] = np.array(base) | (masks[:, None] >> np.arange(new) & 1) << new
+            rows[:, new] = masks
+            rows[:, n] = i
+            rows[:, n + 1] = _non_cut_bits(base)
+            pending.append(rows)
+            count += len(rows)
+            if count >= size:
+                rows = np.concatenate(pending)
+                cut = count - count % size
+                yield from np.split(rows[:cut], cut // size)
+                pending, count = [rows[cut:]], count - cut
+        if count:
+            yield np.concatenate(pending)
 
     def unknown() -> Iterator[tuple[int, ...]]:
-        pending = children()
-        while chunk := list(islice(pending, max(1, _CHUNK_ENTRIES // n ** 2))):
-            index, non_cut, base, mask = map(np.array, zip(*chunk))
-            adjs = np.column_stack((base | (mask[:, None] >> np.arange(new) & 1) << new, mask))
-            known = _known(adjacency_stack(adjs, n), index, non_cut, table, owner)
-            yield from map(tuple, adjs[~known].tolist())
+        for rows in children():
+            known = _known(adjacency_stack(rows[:, :n], n), rows[:, n], rows[:, n + 1],
+                           table, owner)
+            yield from map(tuple, rows[~known, :n].tolist())
+
+    kept: list[tuple[tuple[int, ...], list[int], str]] = []
+
+    def keep() -> None:
+        adjs, orders, words = zip(*kept)
+        out.extend(map(partial(CanonicalGraph._worded, n), _relabelled(adjs, orders, n), words))
+        kept.clear()
 
     for adj, (key, _, order) in _searches(unknown(), n):
         if key not in seen:
             seen.add(key)
-            bit = [0] * n  # bit[v]: the mask of v's place in the order
-            for k, v in enumerate(order):
-                bit[v] = 1 << k
-            out.append(Graph._of(n, tuple(
-                sum(map(bit.__getitem__, _LOW_BITS[m & 255] + _HIGH_BITS[m >> 8]))
-                for m in map(adj.__getitem__, order))))
+            kept.append((adj, order, key))
+            if len(kept) == size:
+                keep()
+    if kept:
+        keep()
     return out
 
 
-_connected_cache: dict[int, list[Graph]] = {}
+_connected_cache: dict[int, list[CanonicalGraph]] = {}
 
 
-def _connected_list(n: int) -> list[Graph]:
+def _connected_list(n: int) -> list[CanonicalGraph]:
     if n not in _connected_cache:
         if n == 1:
-            _connected_cache[1] = [Graph(1)]
+            _connected_cache[1] = [CanonicalGraph._worded(1, (0,), "@")]  # graph6 of K1
         else:
             _connected_cache[n] = _connected_level(_connected_list(n - 1), n)
     return _connected_cache[n]

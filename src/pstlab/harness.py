@@ -2,7 +2,12 @@
 
 Each check_* function re-derives one structural statement over a corpus and
 returns a CheckResult with explicit witnesses on failure.  run_survey
-produces per-graph records plus aggregate counts; replay_certificate is the
+produces per-graph records plus aggregate counts, every fact but the
+transfer pairs read off exact array passes over chunks of one order: tree
+counts and integral lambda_max from one Laplacian stack, connectivity from
+the tree counts, twins and bipartiteness from the neighbour masks and the
+adjacency stack, and the canonical word that a generated graph carries or
+one canonical_words call gives; replay_certificate is the
 independent validator for negative transfer verdicts, reconstructing the
 violated condition from freshly computed supports, projection signs and,
 for a residual witness, walk counts projected onto its roots, with the
@@ -29,8 +34,8 @@ from .exactalg import (
     semidefinite_pivots,
     squarefree_part,
 )
-from .generate import (_CHUNK_ENTRIES, MAX_CANONICAL_N, adjacency_stack, canonical_form,
-                       canonical_words, gen_free_trees)
+from .generate import (_CHUNK_ENTRIES, MAX_CANONICAL_N, CanonicalGraph, adjacency_stack,
+                       canonical_form, canonical_words, gen_free_trees)
 from .graphs import Graph, adjacency, bipartition, find_twins, write_graph6
 from .pst import (
     MIXED_DELTA,
@@ -83,8 +88,12 @@ def spanning_tree_count(g: Graph, vertex: int = 0) -> int:
 
 def _laplacians(graphs: list[Graph]) -> np.ndarray:
     """The Laplacians of graphs of one order as a (B, n, n) int64 stack."""
-    n = graphs[0].n
-    a = adjacency_stack([g.adj for g in graphs], n)
+    return _laplacian_stack(adjacency_stack([g.adj for g in graphs], graphs[0].n))
+
+
+def _laplacian_stack(a: np.ndarray) -> np.ndarray:
+    """The Laplacians of a (B, n, n) stack of 0/1 adjacency matrices."""
+    n = a.shape[-1]
     lap = -a
     lap[:, range(n), range(n)] = a.sum(axis=2)
     return lap
@@ -377,7 +386,7 @@ def check_unique_matching_no_apst(max_n: int) -> CheckResult:
 
 # -- survey ------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class SurveyRecord:
     graph6: str
     n: int
@@ -409,48 +418,89 @@ class SurveyRecord:
         }
 
 
-def survey_record(g: Graph, with_pst: bool = False,
-                  _canonical_input: bool = False) -> SurveyRecord:
-    """The survey facts of one graph, recorded under its canonical word;
-    _canonical_input says g is already in canonical labelling, as the
-    built-in corpus is, so its own word is that word."""
-    return _chunk_records([g], with_pst, _canonical_input)[0]
+def survey_record(g: Graph, with_pst: bool = False) -> SurveyRecord:
+    """The survey facts of one graph, recorded under its canonical word
+    when it has at most MAX_CANONICAL_N vertices and under its own graph6
+    word past that, where no canonical form is computed."""
+    return _chunk_records([g], with_pst)[0]
 
 
-def _chunk_records(graphs: list[Graph], with_pst: bool,
-                   canonical_input: bool) -> list[SurveyRecord]:
-    """The records of graphs of one order, their canonical words from one
-    canonical_words call, their tree counts and integral lambda_max from
-    one Laplacian stack."""
-    words = (canonical_words(graphs) if graphs[0].n <= MAX_CANONICAL_N and not canonical_input
-             else [write_graph6(g) for g in graphs])
-    laps = _laplacians(graphs)
-    return [_record(g, word, tau, lmax is not None, with_pst)
-            for g, word, tau, lmax
-            in zip(graphs, words, _tree_counts(laps), _integer_lmaxes(laps))]
+def _chunk_records(graphs: list[Graph], with_pst: bool) -> list[SurveyRecord]:
+    """The records of graphs of one order, every fact but the transfer
+    pairs read off array passes over the chunk.
+
+    The word is the canonical word: a generated graph (CanonicalGraph)
+    carries it, and the others get theirs from one canonical_words call.
+    Past MAX_CANONICAL_N vertices it is each graph's own graph6 word.  The
+    tree counts and integral lambda_max come from one Laplacian stack, and
+    a graph is connected exactly when its tree count is at least 1.  Twins
+    and bipartiteness come from _mask_facts on the same adjacency stack."""
+    n = graphs[0].n
+    if n > MAX_CANONICAL_N:
+        words = [write_graph6(g) for g in graphs]
+    elif all(isinstance(g, CanonicalGraph) for g in graphs):
+        words = [g.graph6 for g in graphs]
+    else:
+        words = canonical_words(graphs)
+    masks = np.array([g.adj for g in graphs], dtype=np.int64)
+    a = adjacency_stack(masks, n)
+    facts = _mask_facts(masks, a)
+    laps = _laplacian_stack(a)
+    del masks, a  # the eliminations below need only the Laplacians
+    records = []
+    for g, word, tau, lmax, small, admissible, bipartite in zip(
+            graphs, words, _tree_counts(laps), _integer_lmaxes(laps), *facts):
+        rec = SurveyRecord(
+            graph6=word,
+            n=n,
+            spanning_trees=tau,
+            tau_odd=tau % 2 == 1,
+            tau_power_of_two=power_of_two(tau),
+            has_small_twins=small,
+            bipartite=bipartite,
+            lmax_integer=lmax is not None,
+        )
+        if tau >= 1 and n > 4 and rec.tau_power_of_two:
+            rec.no_admissible_pair = not admissible
+        if with_pst and tau >= 1 and n >= 2:
+            rec.lpst_pairs = len(pst_search(g, LAPLACIAN))
+            adj_reports = all_pair_reports(g, ADJACENCY)
+            rec.apst_pairs = sum(1 for r in adj_reports if r.yes)
+            rec.undecided_pairs = sum(1 for r in adj_reports if r.verdict == UNDECIDED)
+        records.append(rec)
+    return records
 
 
-def _record(g: Graph, graph6: str, tau: int, lmax_integer: bool, with_pst: bool) -> SurveyRecord:
-    connected = g.is_connected()
-    twins = find_twins(g)
-    rec = SurveyRecord(
-        graph6=graph6,
-        n=g.n,
-        spanning_trees=tau,
-        tau_odd=tau % 2 == 1,
-        tau_power_of_two=power_of_two(tau),
-        has_small_twins=any(p.k in (1, 2) for p in twins),
-        bipartite=bipartition(g) is not None,
-        lmax_integer=lmax_integer,
-    )
-    if connected and g.n > 4 and rec.tau_power_of_two:
-        rec.no_admissible_pair = not admissible_twin_pairs(twins)
-    if with_pst and connected and g.n >= 2:
-        rec.lpst_pairs = len(pst_search(g, LAPLACIAN))
-        adj_reports = all_pair_reports(g, ADJACENCY)
-        rec.apst_pairs = sum(1 for r in adj_reports if r.yes)
-        rec.undecided_pairs = sum(1 for r in adj_reports if r.verdict == UNDECIDED)
-    return rec
+def _mask_facts(masks: np.ndarray, a: np.ndarray) -> tuple[list[bool], list[bool], list[bool]]:
+    """Per graph of a (B, n) array of neighbour masks and its (B, n, n)
+    adjacency stack: whether it has a twin pair with one or two common
+    neighbours, whether it has an admissible twin pair (see
+    admissible_twin_pairs), and whether it is bipartite; exact integers.
+
+    u < v are twins when (adj_u ^ adj_v) & ~(bit_u | bit_v) == 0, and
+    their common neighbours number k = (A @ A)[u, v].  A graph is
+    bipartite iff it has no closed walk of odd length, and an odd cycle,
+    the shortest odd closed walk, has length at most n.  R_L, whether
+    some walk of length L joins two vertices (walk counts clipped to 0/1),
+    grows with L in steps of 2, as a walk can go back and forth along its
+    last edge.  So R_L for the first L = 2^j - 1 >= n - 1, squared up as
+    R_(2L+1) = R_L R_L A, has a nonzero diagonal exactly on the graphs
+    with an odd cycle: L is odd, so L >= n - 1 puts every odd length up
+    to n at or below it."""
+    n = masks.shape[1]
+    u, v = np.triu_indices(n, 1)
+    bits = 1 << np.arange(n)
+    twin = (masks[:, u] ^ masks[:, v]) & ~(bits[u] | bits[v]) == 0
+    k = (a @ a)[:, u, v]
+    small = (twin & ((k == 1) | (k == 2))).any(axis=1)
+    weight = k + 2 * a[:, u, v]  # k + 2 sigma, sigma = 1 on an adjacent pair
+    admissible = (twin & (k >= 3) & (weight & (weight - 1) == 0)).any(axis=1)
+    walks, length = a, 1
+    while length < n - 1:
+        walks = np.minimum(np.minimum(walks @ walks, 1) @ a, 1)
+        length = 2 * length + 1
+    odd = walks[:, range(n), range(n)].any(axis=1)
+    return small.tolist(), admissible.tolist(), (~odd).tolist()
 
 
 def _chunks(graphs: Iterable[Graph], most: int) -> Iterator[list[Graph]]:
@@ -468,13 +518,13 @@ def _chunks(graphs: Iterable[Graph], most: int) -> Iterator[list[Graph]]:
 
 
 def survey_records(graphs: Iterable[Graph], with_pst: bool = False,
-                   workers: int = 1, _canonical_input: bool = False) -> list[SurveyRecord]:
+                   workers: int = 1) -> list[SurveyRecord]:
     """Per-graph records, optionally computed by a process pool; the record
     order follows the input order regardless of the worker count.  Both
     paths map _chunk_records over chunks of Graphs: the serial path
     streams the input, and the pool gets the Graphs as they are, in chunks
     of at most a (workers * 8)-th of the input."""
-    records = partial(_chunk_records, with_pst=with_pst, canonical_input=_canonical_input)
+    records = partial(_chunk_records, with_pst=with_pst)
     if workers <= 1:
         return [rec for recs in map(records, _chunks(graphs, _CHUNK_ENTRIES)) for rec in recs]
     graphs = list(graphs)
@@ -515,10 +565,10 @@ def _maybe_sum(records, attr):
     return sum(v for v in values if v is not None)
 
 
-def run_survey(graphs: Iterable[Graph], with_pst: bool = False, workers: int = 1,
-               _canonical_input: bool = False) -> tuple[list[SurveyRecord], dict]:
+def run_survey(graphs: Iterable[Graph], with_pst: bool = False,
+               workers: int = 1) -> tuple[list[SurveyRecord], dict]:
     """Per-graph records plus their aggregate counts."""
-    records = survey_records(graphs, with_pst, workers, _canonical_input)
+    records = survey_records(graphs, with_pst, workers)
     return records, aggregate_records(records)
 
 
@@ -592,14 +642,18 @@ def _witness_fault(eig, rho: int) -> Optional[str]:
     return None if ok else f"malformed witness {eig!r}"
 
 
-def _residual_fault(witness, pu, pv, min_degree: int) -> Optional[str]:
+@lru_cache(maxsize=100_000)
+def _residual_fault(witness, qu: IntPolynomial, qv: IntPolynomial,
+                    min_degree: int) -> Optional[str]:
     """Why witness is no monic squarefree factor, of degree min_degree or
-    more, of the product of the minimal polynomials of e_u and e_v; None
-    when it is one."""
+    more, of qu qv, the product of the minimal polynomials of e_u and e_v;
+    None when it is one.  Kept per (witness, qu, qv, min_degree): the
+    reports of one graph and kind mostly share a witness and both
+    polynomials."""
     w = witness.poly if isinstance(witness, ResidualEig) else IntPolynomial.one()
     if w.degree < min_degree or not w.is_monic() or poly_gcd(w, w.derivative()).degree >= 1:
         return f"residual witness is not monic and squarefree of degree {min_degree} or more"
-    if not w.divides(pu.minpoly * pv.minpoly):
+    if not w.divides(qu * qv):
         return "residual does not divide the support polynomial"
     return None
 
@@ -653,7 +707,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
         if witness in set_u.symmetric_difference(set_v):
             return True, "support difference confirmed"
         if isinstance(witness, ResidualEig):
-            if (fault := _residual_fault(witness, pu, pv, 1)) is not None:
+            if (fault := _residual_fault(witness, pu.minpoly, pv.minpoly, 1)) is not None:
                 return False, fault
             # a root of one residual that the other lacks is in one support
             # only; a root of the witness where the walk counts differ, or
@@ -690,7 +744,7 @@ def replay_certificate(g: Graph, report: PSTReport) -> tuple[bool, str]:
 
     if cert.kind == RESIDUAL_FACTOR:
         witness = cert.witnesses[0]
-        if (fault := _residual_fault(witness, pu, pv, 3)) is not None:
+        if (fault := _residual_fault(witness, pu.minpoly, pv.minpoly, 3)) is not None:
             return False, fault
         if not isinstance(factor_support(witness.poly, rho)[0], ResidualEig):
             return False, "claimed residual has small factors"

@@ -216,6 +216,35 @@ def connected_level_all_masks(prev: list[Graph], n: int) -> list[Graph]:
     return out
 
 
+def orbit_least_masks_union_find(new: int, autos: list[list[int]]) -> list[int]:
+    """The neighbour masks 1..2^new - 1 that are least in their orbit under
+    the group that the permutations in autos generate, in increasing order.
+
+    A union-find over masks merges each mask with its image under every
+    generator and keeps the least mask of a class as its root.  The images
+    of the masks 2^v..2^(v+1) - 1 are those of the masks below 2^v, each
+    with the image of v added.
+    """
+    root = list(range(1 << new))
+
+    def find(m: int) -> int:
+        while root[m] != m:
+            root[m] = root[root[m]]
+            m = root[m]
+        return m
+
+    for sigma in autos:
+        image = [0]
+        for v in range(new):
+            image += [m | 1 << sigma[v] for m in image]
+        for mask, m in enumerate(image):
+            if m != mask:
+                a, b = find(mask), find(m)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    return [m for m in range(1, 1 << new) if find(m) == m]
+
+
 def double_cone(h: Graph) -> Graph:
     """K̄2 ∨ H: h on vertices 0..m-1 and two apexes m and m + 1, not
     adjacent to each other, each joined to every vertex of h."""

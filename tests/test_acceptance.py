@@ -635,7 +635,7 @@ class TestCriterion7OracleDiscipline:
 
     def test_walk_test_agrees_with_the_gcd_fallback(self, small_corpus_reports, seven_reports,
                                                    signless_reports, family_reports,
-                                                   monkeypatch):
+                                                   pair_minpolys, monkeypatch):
         """The replay's walk-count test of a residual witness is a fast path
         in front of the gcd of the minimal polynomials of e_u -+ e_v.  On
         every not-strongly-cospectral report with a residual witness over
@@ -643,7 +643,9 @@ class TestCriterion7OracleDiscipline:
         replay answers the same with the walk test forced inconclusive, and
         wherever the walk test confirms, the witness meets that gcd.  The
         counts pin how many cases each route decides ("before": a support
-        difference, decided ahead of both)."""
+        difference, decided ahead of both).  The forced fallback reads the
+        polynomials of connected n <= 7 from the session's pair_minpolys,
+        made by classify_by_minpolys on the same arguments."""
         everything = (small_corpus_reports + seven_reports + signless_reports["connected"]
                       + [(g, r) for g, r in family_reports if g.n == 24])
         cases = [(g, r) for g, r in everything
@@ -657,7 +659,8 @@ class TestCriterion7OracleDiscipline:
             return verdicts[-1][-1]
 
         def minpoly_route(*args):
-            minpolys.append(real_minpoly_route(*args))
+            minpolys.append(pair_minpolys[args] if args in pair_minpolys
+                            else real_minpoly_route(*args))
             return minpolys[-1]
 
         monkeypatch.setattr(harness, "walks_differ_at", walk_test)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pstlab import generate
 from pstlab.generate import (
+    CanonicalGraph,
     _connected_level,
     _orbit_least_masks,
     _refine,
@@ -36,6 +37,7 @@ from oracles import (
     connected_level_all_masks,
     free_tree_count_prufer,
     free_tree_counts_otter,
+    orbit_least_masks_union_find,
     permutation_group_order,
     rooted_tree_counts,
 )
@@ -158,8 +160,8 @@ def assert_search_matches_rounds(g):
     assert word == oracle_word, write_graph6(g)
     for sigma in autos:
         assert g.relabel(sigma) == g, (write_graph6(g), sigma)
-    assert (_orbit_least_masks(g.n, autos)
-            == _orbit_least_masks(g.n, oracle_autos)), write_graph6(g)
+    assert (_orbit_least_masks(g.n, autos).tolist()
+            == _orbit_least_masks(g.n, oracle_autos).tolist()), write_graph6(g)
 
 
 class TestSearchMatchesRoundOracle:
@@ -447,6 +449,27 @@ class TestConnectedGraphs:
         for n in range(1, 8):
             for g in gen_connected_graphs(n):
                 assert write_graph6(g) == canonical_form(g)
+
+    def test_orbit_least_masks_match_union_find(self):
+        """The array orbit rule against the union-find it replaced, on the
+        automorphisms of every parent of levels 2..8, in the labelling
+        generation emits and in a seeded relabelling."""
+        rng = random.Random(8)
+        for n in range(1, 8):
+            for g in gen_connected_graphs(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, g.relabel(perm)):
+                    autos = search(h)[1]
+                    assert (_orbit_least_masks(n, autos).tolist()
+                            == orbit_least_masks_union_find(n, autos)), write_graph6(h)
+
+    def test_kept_graphs_carry_their_words(self):
+        """Each generated graph is a CanonicalGraph whose word is its own
+        graph6 word; the survey records that word without writing it."""
+        for n in range(1, 9):
+            for g in gen_connected_graphs(n):
+                assert isinstance(g, CanonicalGraph) and g.graph6 == write_graph6(g)
 
     def test_orbit_pruning_matches_all_masks(self):
         """Each level emits the words of trying every mask, in the same

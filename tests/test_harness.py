@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -14,13 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 from pstlab.exactalg import (IntPolynomial, charpoly, det_bareiss, factor_support,
                              semidefinite_pivots)
-from pstlab import harness, spectral
-from pstlab.generate import gen_connected_graphs, gen_free_trees
+from pstlab import generate, harness, spectral
+from pstlab.generate import canonical_form, gen_connected_graphs, gen_free_trees
 from pstlab.graphs import (
     Graph,
+    bipartition,
     complete_graph,
     complete_minus_edge,
     cycle_graph,
+    find_twins,
     hypercube,
     laplacian,
     one_sum_chain,
@@ -519,11 +522,110 @@ class TestSurvey:
         assert header == "metric,value"
         assert len(rows) == len(agg)
 
+    def test_record_words_across_the_canonical_limit(self):
+        """Up to MAX_CANONICAL_N = 16 vertices a record carries the canonical
+        word, so relabellings of path:16 record one word; past it, each
+        record carries its input's own word."""
+        rng = random.Random(20)
+        for n, canonical in ((16, True), (20, False)):
+            graphs = []
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                graphs.append(path_graph(n).relabel(perm))
+            words = [rec.graph6 for rec in survey_records(graphs)]
+            if canonical:
+                assert words == [canonical_form(path_graph(n))] * 3
+            else:
+                assert words == [write_graph6(g) for g in graphs] and len(set(words)) == 3
+
     def test_disconnected_records(self):
         rec = survey_records([Graph(4, [(0, 1), (2, 3)])])[0]
         assert rec.spanning_trees == 0
         assert not rec.tau_odd and not rec.tau_power_of_two
         assert rec.bipartite
+
+
+def slow_facts(g):
+    """The per-graph survey facts from the one-graph routines:
+    connectivity, a twin pair with one or two common neighbours, an
+    admissible twin pair, bipartiteness."""
+    twins = find_twins(g)
+    return (g.is_connected(), any(p.k in (1, 2) for p in twins),
+            bool(harness.admissible_twin_pairs(twins)), bipartition(g) is not None)
+
+
+def array_facts(graphs):
+    """The same facts, for graphs of one order, from the survey's array
+    passes: connectivity as a tree count of at least 1, the rest from
+    _mask_facts."""
+    masks = np.array([g.adj for g in graphs], dtype=np.int64)
+    a = generate.adjacency_stack(masks, graphs[0].n)
+    connected = [tau >= 1 for tau in harness._tree_counts(harness._laplacian_stack(a))]
+    return list(zip(connected, *harness._mask_facts(masks, a)))
+
+
+@st.composite
+def planted_gnp(draw):
+    """G(n, p) on up to 62 vertices, so masks reach bit 61, with up to four
+    planted twin pairs: v takes u's neighbours away from the pair, and the
+    pair is joined or not."""
+    n = draw(st.integers(1, 62))
+    p = draw(st.sampled_from([0.03, 0.1, 0.3, 0.5, 0.8, 0.97]))
+    rng = draw(st.randoms(use_true_random=False))
+    adj = [[False] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        adj[i][j] = adj[j][i] = rng.random() < p
+    for _ in range(draw(st.integers(0, 4)) if n >= 2 else 0):
+        u, v = rng.sample(range(n), 2)
+        for w in range(n):
+            if w not in (u, v):
+                adj[v][w] = adj[w][v] = adj[u][w]
+        adj[u][v] = adj[v][u] = rng.random() < 0.5
+    return Graph(n, [(i, j) for i, j in combinations(range(n), 2) if adj[i][j]])
+
+
+class TestSurveyMaskFacts:
+    """The survey's connectivity, twin and bipartite facts, read off array
+    passes over a chunk, against the one-graph routines they replace, which
+    stay as the per-graph API: g.is_connected(), find_twins with
+    admissible_twin_pairs, and bipartition."""
+
+    @pytest.mark.parametrize("corpus", ["connected n<=8", "labelled n<=5"])
+    def test_corpus(self, corpus):
+        graphs = (list(labelled_graphs(5)) if corpus == "labelled n<=5"
+                  else [g for n in range(1, 9) for g in gen_connected_graphs(n)])
+        mismatches = []
+        for group in by_order(graphs).values():
+            for k in range(0, len(group), 256):
+                chunk = group[k:k + 256]
+                for g, got in zip(chunk, array_facts(chunk)):
+                    if got != slow_facts(g):
+                        mismatches.append((write_graph6(g), got, slow_facts(g)))
+        assert not mismatches, mismatches[:5]
+        # the facts that take both values: no graph on five vertices has an
+        # admissible twin pair (k >= 3 common neighbours and a power of two
+        # k + 2 sigma), and the connected corpus has no disconnected graph
+        facts = set(map(slow_facts, graphs))
+        varied = {"connected n<=8": [1, 2, 3], "labelled n<=5": [0, 1, 3]}[corpus]
+        assert [i for i in range(4) if len({f[i] for f in facts}) == 2] == varied
+
+    @given(st.lists(planted_gnp(), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_planted_gnp(self, graphs):
+        for group in by_order(graphs).values():
+            assert array_facts(group) == [slow_facts(g) for g in group]
+
+    def test_records(self):
+        """The records of the labelled graphs on at most 5 vertices and the
+        connected corpus n <= 8 carry the same facts as the slow route."""
+        graphs = list(labelled_graphs(5)) + list(gen_connected_graphs(8))
+        for g, rec in zip(graphs, survey_records(graphs)):
+            connected, small, admissible, bipartite = slow_facts(g)
+            assert (rec.spanning_trees >= 1, rec.has_small_twins, rec.bipartite) == (
+                connected, small, bipartite), write_graph6(g)
+            gated = connected and g.n > 4 and rec.tau_power_of_two
+            assert rec.no_admissible_pair == (gated and not admissible), write_graph6(g)
 
 
 class TestCertificateReplay:

@@ -324,10 +324,17 @@ class TestStructuralProperties:
         assert min(counted.values()) >= 50, counted
 
 
+def per_pair(pair_minpolys, g, kind, u, v):
+    """classify_by_minpolys(g, kind, u, v): read from the session's
+    pair_minpolys where it holds the pair, computed otherwise."""
+    key = (g, kind, u, v)
+    return pair_minpolys[key] if key in pair_minpolys else classify_by_minpolys(*key)
+
+
 class TestSpectralContext:
     """decide's per-graph context against the per-pair routes it replaced."""
 
-    def test_minpolys_match_per_pair_routes(self, corpus6, monkeypatch):
+    def test_minpolys_match_per_pair_routes(self, corpus6, pair_minpolys, monkeypatch):
         """Every vertex and pair polynomial in every kind against
         vector_minpoly and classify_by_minpolys: corpus6, path:11,
         complete:11 and seeded connected G(n, 1/2) for n = 7..11, whose e_u
@@ -352,7 +359,7 @@ class TestSpectralContext:
                     assert ctx.minpoly(u) == vector_minpoly(m, unit_vector(g.n, u))
                     assert (len(ctx._krylov[u]) == 1) == (g.n <= 11)
                 for u, v in pairs:
-                    assert ctx.pair_minpolys(u, v) == classify_by_minpolys(g, kind, u, v)
+                    assert ctx.pair_minpolys(u, v) == per_pair(pair_minpolys, g, kind, u, v)
                     checked += 1
                 if max(primes, default=1) > 1:
                     multi_prime.add((write_graph6(g), kind))
@@ -457,10 +464,11 @@ class TestBatchedPairMinpolys:
         monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_equals_classify_by_minpolys(self, corpus6, monkeypatch):
+    def test_equals_classify_by_minpolys(self, corpus6, pair_minpolys, monkeypatch):
         """Every pair of corpus6 and of the connected 7-vertex graphs in
         every kind, with no fallback; Q on K7 (13^7 > p/2) and 155 other
-        contexts take two primes."""
+        contexts take two primes.  classify_by_minpolys runs once per pair
+        for the session (the pair_minpolys fixture)."""
         fallbacks = self._count(monkeypatch, pst, "krylov_minpoly")
         primes, crt = [], exactalg._symmetric_crt
         monkeypatch.setattr(exactalg, "_symmetric_crt",
@@ -470,9 +478,9 @@ class TestBatchedPairMinpolys:
             for kind in KINDS:
                 ctx = _SpectralContext(g, kind)
                 for u, v in combinations(range(g.n), 2):
-                    assert ctx.pair_minpolys(u, v) == classify_by_minpolys(g, kind, u, v)
+                    assert ctx.pair_minpolys(u, v) == pair_minpolys[g, kind, u, v]
                     checked += 1
-        assert checked == 3 * (1933 + 17913)
+        assert checked == 3 * (1933 + 17913) == len(pair_minpolys)
         assert not fallbacks
         assert primes.count(2) == 156 and max(primes) == 2
 
@@ -502,7 +510,7 @@ class TestBatchedPairMinpolys:
 
     @pytest.mark.parametrize("primes", [(2,), (2, 3, 5, 7, 11, 13), (2, 3, 5, 7) + exactalg._PRIMES],
                              ids=["2", "2-13", "2-7-then-large"])
-    def test_unlucky_primes_fall_back(self, corpus6, monkeypatch, primes):
+    def test_unlucky_primes_fall_back(self, corpus6, pair_minpolys, monkeypatch, primes):
         """With tiny primes the degrees disagree, or the lift is wrong, for
         some vectors; each must fall back, and no polynomial or support may
         change.  A unit row that falls back draws Krylov vectors past e_u."""
@@ -520,7 +528,7 @@ class TestBatchedPairMinpolys:
                     unit_fallbacks += len(ctx._krylov[u]) > 1
                     assert list(ctx.support_ids(u)) == support_profile(g, kind, u).support
                 for u, v in combinations(range(g.n), 2):
-                    assert ctx.pair_minpolys(u, v) == classify_by_minpolys(g, kind, u, v)
+                    assert ctx.pair_minpolys(u, v) == per_pair(pair_minpolys, g, kind, u, v)
         assert 0 < unit_fallbacks < len(fallbacks)
 
 
